@@ -42,33 +42,21 @@ True
 [0, 10, 20, 30]
 """
 
-from . import (
-    analysis,
-    core,
-    energy,
-    faults,
-    fft,
-    llmore,
-    memory,
-    mesh,
-    photonics,
-    sim,
-    util,
-)
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "analysis",
-    "core",
-    "energy",
-    "faults",
-    "fft",
-    "llmore",
-    "memory",
-    "mesh",
-    "photonics",
-    "sim",
-    "util",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analysis": ("analysis",),
+    "core": ("core",),
+    "energy": ("energy",),
+    "faults": ("faults",),
+    "fft": ("fft",),
+    "llmore": ("llmore",),
+    "memory": ("memory",),
+    "mesh": ("mesh",),
+    "photonics": ("photonics",),
+    "sim": ("sim",),
+    "util": ("util",),
+})
+__all__ += ["__version__"]

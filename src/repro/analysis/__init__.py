@@ -1,116 +1,30 @@
 """Analytic models: Eqs. 4-24, Tables I-III, Fig. 11."""
 
-from .bandwidth import (
-    FeasibleOperatingPoint,
-    achievable_efficiency,
-    feasible_k,
-    max_k_on_spectral_plan,
-)
-from .crossover import (
-    ProblemSizePoint,
-    crossover_cores,
-    sweep_problem_size,
-)
-from .fft_efficiency import (
-    DEFAULT_K_VALUES,
-    Figure11Curves,
-    Table1Row,
-    Table2Row,
-    delivery_efficiency,
-    figure11_curves,
-    paper_lambda_ns,
-    table1,
-    table2,
-)
-from .mesh_model import (
-    FittedLambda,
-    MeasuredScatter,
-    fit_lambda,
-    measure_scatter,
-    mesh_delivery_efficiency,
-    scatter_cycles_eq21,
-    scatter_cycles_ideal,
-)
-from .queueing import SinkQueueModel, implied_utilization, md1_mean_wait
-from .skew import SkewBudget, find_failure_threshold
-from .sensitivity import (
-    SensitivityPoint,
-    SensitivityReport,
-    sweep_sensitivity,
-)
-from .perf_model import (
-    DeliveryModel,
-    balanced_block_delivery_time,
-    delivery_time,
-    efficiency_model1,
-    efficiency_model2,
-    is_compute_bound,
-    total_time_model2,
-)
-from .validation import (
-    CongestionPoint,
-    CongestionValidation,
-    validate_congestion_model,
-)
-from .transpose_model import (
-    MeasuredTranspose,
-    Table3Row,
-    measure_mesh_transpose,
-    mesh_transpose_cycles_model,
-    pscan_transactions,
-    pscan_transpose_cycles,
-    table3,
-    transaction_cycles,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DeliveryModel",
-    "delivery_time",
-    "total_time_model2",
-    "efficiency_model1",
-    "efficiency_model2",
-    "is_compute_bound",
-    "balanced_block_delivery_time",
-    "Table1Row",
-    "Table2Row",
-    "table1",
-    "table2",
-    "paper_lambda_ns",
-    "delivery_efficiency",
-    "figure11_curves",
-    "Figure11Curves",
-    "DEFAULT_K_VALUES",
-    "scatter_cycles_eq21",
-    "scatter_cycles_ideal",
-    "mesh_delivery_efficiency",
-    "MeasuredScatter",
-    "measure_scatter",
-    "pscan_transactions",
-    "transaction_cycles",
-    "pscan_transpose_cycles",
-    "MeasuredTranspose",
-    "measure_mesh_transpose",
-    "mesh_transpose_cycles_model",
-    "Table3Row",
-    "table3",
-    "feasible_k",
-    "achievable_efficiency",
-    "max_k_on_spectral_plan",
-    "FeasibleOperatingPoint",
-    "sweep_sensitivity",
-    "SensitivityReport",
-    "SensitivityPoint",
-    "SinkQueueModel",
-    "md1_mean_wait",
-    "implied_utilization",
-    "fit_lambda",
-    "FittedLambda",
-    "crossover_cores",
-    "sweep_problem_size",
-    "ProblemSizePoint",
-    "validate_congestion_model",
-    "CongestionValidation",
-    "CongestionPoint",
-    "SkewBudget",
-    "find_failure_threshold",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bandwidth": (
+        "FeasibleOperatingPoint", "achievable_efficiency", "feasible_k", "max_k_on_spectral_plan",
+    ),
+    "crossover": ("ProblemSizePoint", "crossover_cores", "sweep_problem_size"),
+    "fft_efficiency": (
+        "DEFAULT_K_VALUES", "Figure11Curves", "Table1Row", "Table2Row", "delivery_efficiency",
+        "figure11_curves", "paper_lambda_ns", "table1", "table2",
+    ),
+    "mesh_model": (
+        "FittedLambda", "MeasuredScatter", "fit_lambda", "measure_scatter",
+        "mesh_delivery_efficiency", "scatter_cycles_eq21", "scatter_cycles_ideal",
+    ),
+    "perf_model": (
+        "DeliveryModel", "balanced_block_delivery_time", "delivery_time", "efficiency_model1",
+        "efficiency_model2", "is_compute_bound", "total_time_model2",
+    ),
+    "queueing": ("SinkQueueModel", "implied_utilization", "md1_mean_wait"),
+    "sensitivity": ("SensitivityPoint", "SensitivityReport", "sweep_sensitivity"),
+    "skew": ("SkewBudget", "find_failure_threshold"),
+    "transpose_model": (
+        "MeasuredTranspose", "Table3Row", "measure_mesh_transpose", "mesh_transpose_cycles_model",
+        "pscan_transactions", "pscan_transpose_cycles", "table3", "transaction_cycles",
+    ),
+    "validation": ("CongestionPoint", "CongestionValidation", "validate_congestion_model"),
+})

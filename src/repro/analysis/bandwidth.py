@@ -72,7 +72,7 @@ def achievable_efficiency(
     """
     if bandwidth_gbps <= 0:
         raise ConfigError("bandwidth must be > 0")
-    from ..fft.blocks import block_compute_time_ns, final_compute_time_ns
+    from ..fft.cost import block_compute_time_ns, final_compute_time_ns
 
     best_k, best_eff = 0, -1.0
     for k in k_values:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..fft.blocks import block_compute_time_ns, final_compute_time_ns
+from ..fft.cost import block_compute_time_ns, final_compute_time_ns
 from ..util import constants
 from ..util.errors import ConfigError
 from ..util.validation import is_power_of_two

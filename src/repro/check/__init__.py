@@ -22,39 +22,13 @@ Three parts (see ``docs/correctness.md``):
 CLI: ``python -m repro check lint`` / ``python -m repro check fuzz``.
 """
 
-from .analyzer import (
-    Diagnostic,
-    LintReport,
-    ScheduleSpec,
-    SourceSpan,
-    analyze_mesh_config,
-    analyze_schedule,
-    analyze_workload,
-    lint_all,
-    lint_target,
-    lint_targets,
-)
-from .fuzz import FuzzCase, Divergence, FuzzResult, generate_case, run_case, run_fuzz
-from .shrink import shrink_case, write_seed, load_seed
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Diagnostic",
-    "LintReport",
-    "ScheduleSpec",
-    "SourceSpan",
-    "analyze_mesh_config",
-    "analyze_schedule",
-    "analyze_workload",
-    "lint_all",
-    "lint_target",
-    "lint_targets",
-    "FuzzCase",
-    "Divergence",
-    "FuzzResult",
-    "generate_case",
-    "run_case",
-    "run_fuzz",
-    "shrink_case",
-    "write_seed",
-    "load_seed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analyzer": (
+        "Diagnostic", "LintReport", "ScheduleSpec", "SourceSpan", "analyze_mesh_config",
+        "analyze_schedule", "analyze_workload", "lint_all", "lint_target", "lint_targets",
+    ),
+    "fuzz": ("FuzzCase", "Divergence", "FuzzResult", "generate_case", "run_case", "run_fuzz"),
+    "shrink": ("shrink_case", "write_seed", "load_seed"),
+})

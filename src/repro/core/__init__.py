@@ -1,105 +1,31 @@
 """The paper's primary contribution: CPs, schedules, SCA, PSCAN, P-sync."""
 
-from .arbiter import ArbitrationResult, Message, TdmArbiter
-from .cp import CommunicationProgram, Role, Slot
-from .encoding import (
-    ChainEntry,
-    ChainEntryKind,
-    CpChain,
-    crc16_ccitt,
-    decode_cp,
-    decode_cp_protected,
-    encode_cp,
-    encode_cp_protected,
-    encoded_size_bits,
-)
-from .flowtiming import FlowTiming, run_fft2d_flow
-from .headnode import HeadNode, StreamPlan
-from .multibus import MultiBusPscan, StripedExecution
-from .overlap import OverlapResult, run_model2_overlap
-from .processor import (
-    ExecutionReport,
-    Instruction,
-    Op,
-    Processor,
-    ProcessorConfig,
-    compile_fft_program,
-)
-from .segments import (
-    PscanSegment,
-    RepeaterModel,
-    SegmentedBusPlan,
-    plan_segments,
-)
-from .pscan import Arrival, Pscan, RetryStats, ScaExecution
-from .psync import PsyncConfig, PsyncMachine
-from .sca import (
-    ModulationInterval,
-    ReliabilityOverhead,
-    ScaTiming,
-    expected_retransmission_overhead,
-    sca_timing,
-)
-from .schedule import (
-    GlobalSchedule,
-    block_interleave_order,
-    control_then_data_order,
-    gather_schedule,
-    round_robin_order,
-    scatter_schedule,
-    transpose_order,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Role",
-    "Slot",
-    "CommunicationProgram",
-    "GlobalSchedule",
-    "gather_schedule",
-    "scatter_schedule",
-    "round_robin_order",
-    "block_interleave_order",
-    "transpose_order",
-    "control_then_data_order",
-    "ScaTiming",
-    "ModulationInterval",
-    "sca_timing",
-    "Pscan",
-    "ScaExecution",
-    "Arrival",
-    "RetryStats",
-    "ReliabilityOverhead",
-    "expected_retransmission_overhead",
-    "crc16_ccitt",
-    "encode_cp_protected",
-    "decode_cp_protected",
-    "HeadNode",
-    "StreamPlan",
-    "PsyncConfig",
-    "PsyncMachine",
-    "encode_cp",
-    "decode_cp",
-    "encoded_size_bits",
-    "CpChain",
-    "ChainEntry",
-    "ChainEntryKind",
-    "plan_segments",
-    "SegmentedBusPlan",
-    "PscanSegment",
-    "RepeaterModel",
-    "OverlapResult",
-    "run_model2_overlap",
-    "FlowTiming",
-    "run_fft2d_flow",
-    "TdmArbiter",
-    "Message",
-    "ArbitrationResult",
-    "MultiBusPscan",
-    "StripedExecution",
-    "Processor",
-    "ProcessorConfig",
-    "Instruction",
-    "Op",
-    "ExecutionReport",
-    "compile_fft_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "arbiter": ("ArbitrationResult", "Message", "TdmArbiter"),
+    "cp": ("CommunicationProgram", "Role", "Slot"),
+    "encoding": (
+        "ChainEntry", "ChainEntryKind", "CpChain", "crc16_ccitt", "decode_cp",
+        "decode_cp_protected", "encode_cp", "encode_cp_protected", "encoded_size_bits",
+    ),
+    "flowtiming": ("FlowTiming", "run_fft2d_flow"),
+    "headnode": ("HeadNode", "StreamPlan"),
+    "multibus": ("MultiBusPscan", "StripedExecution"),
+    "overlap": ("OverlapResult", "run_model2_overlap"),
+    "processor": (
+        "ExecutionReport", "Instruction", "Op", "Processor", "ProcessorConfig",
+        "compile_fft_program",
+    ),
+    "pscan": ("Arrival", "Pscan", "RetryStats", "ScaExecution"),
+    "psync": ("PsyncConfig", "PsyncMachine"),
+    "sca": (
+        "ModulationInterval", "ReliabilityOverhead", "ScaTiming",
+        "expected_retransmission_overhead", "sca_timing",
+    ),
+    "schedule": (
+        "GlobalSchedule", "block_interleave_order", "control_then_data_order", "gather_schedule",
+        "round_robin_order", "scatter_schedule", "transpose_order",
+    ),
+    "segments": ("PscanSegment", "RepeaterModel", "SegmentedBusPlan", "plan_segments"),
+})

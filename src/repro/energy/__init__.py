@@ -1,24 +1,10 @@
 """Energy models: ORION-style electronic mesh vs PSCAN (Fig. 5)."""
 
-from .compare import (
-    DEFAULT_NODE_SWEEP,
-    EnergyComparison,
-    EnergyComparisonRow,
-    figure5_sweep,
-)
-from .electronic import ElectronicEnergyModel, GatherEnergyBreakdown
-from .measured import MeasuredMeshEnergy, measure_mesh_energy
-from .photonic import PhotonicEnergyModel, PscanEnergyBreakdown
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ElectronicEnergyModel",
-    "GatherEnergyBreakdown",
-    "PhotonicEnergyModel",
-    "PscanEnergyBreakdown",
-    "EnergyComparison",
-    "EnergyComparisonRow",
-    "figure5_sweep",
-    "DEFAULT_NODE_SWEEP",
-    "MeasuredMeshEnergy",
-    "measure_mesh_energy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "compare": ("DEFAULT_NODE_SWEEP", "EnergyComparison", "EnergyComparisonRow", "figure5_sweep"),
+    "electronic": ("ElectronicEnergyModel", "GatherEnergyBreakdown"),
+    "measured": ("MeasuredMeshEnergy", "measure_mesh_energy"),
+    "photonic": ("PhotonicEnergyModel", "PscanEnergyBreakdown"),
+})

@@ -36,58 +36,20 @@ Dependency direction: this package builds on ``repro.core``,
 reverse.  Core components expose only neutral hooks.
 """
 
-from .batched import (
-    FifoBatchSpec,
-    LaneBatchResult,
-    run_fifo_batch,
-    run_fifo_trial,
-    run_gather_campaign_batch,
-    run_mesh_campaign_batch,
-)
-from .campaign import (
-    CampaignConfig,
-    CampaignReport,
-    GatherCampaignRow,
-    MeshCampaignRow,
-    run_campaign,
-)
-from .chaos import ChaosConfig, ChaosDriver
-from .lanes import LaneRng, compact_indices, merge_masks, scatter_lanes
-from .crc import check_frame, flip_bits, frame_bits, pack_word, unpack_word
-from .models import DriftEpisode, FifoDropFault, MeshFaultPlan, PscanFaultModel
-from .recovery import ReliableGather, ReliableGatherResult, RetryPolicy
-from .report import FaultReport, run_with_watchdog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "pack_word",
-    "unpack_word",
-    "check_frame",
-    "flip_bits",
-    "frame_bits",
-    "DriftEpisode",
-    "PscanFaultModel",
-    "MeshFaultPlan",
-    "FifoDropFault",
-    "RetryPolicy",
-    "ReliableGather",
-    "ReliableGatherResult",
-    "FaultReport",
-    "run_with_watchdog",
-    "CampaignConfig",
-    "CampaignReport",
-    "GatherCampaignRow",
-    "MeshCampaignRow",
-    "run_campaign",
-    "LaneRng",
-    "merge_masks",
-    "compact_indices",
-    "scatter_lanes",
-    "LaneBatchResult",
-    "FifoBatchSpec",
-    "run_gather_campaign_batch",
-    "run_mesh_campaign_batch",
-    "run_fifo_trial",
-    "run_fifo_batch",
-    "ChaosConfig",
-    "ChaosDriver",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "batched": (
+        "FifoBatchSpec", "LaneBatchResult", "run_fifo_batch", "run_fifo_trial",
+        "run_gather_campaign_batch", "run_mesh_campaign_batch",
+    ),
+    "campaign": (
+        "CampaignConfig", "CampaignReport", "GatherCampaignRow", "MeshCampaignRow", "run_campaign",
+    ),
+    "chaos": ("ChaosConfig", "ChaosDriver"),
+    "crc": ("check_frame", "flip_bits", "frame_bits", "pack_word", "unpack_word"),
+    "lanes": ("LaneRng", "compact_indices", "merge_masks", "scatter_lanes"),
+    "models": ("DriftEpisode", "FifoDropFault", "MeshFaultPlan", "PscanFaultModel"),
+    "recovery": ("ReliableGather", "ReliableGatherResult", "RetryPolicy"),
+    "report": ("FaultReport", "run_with_watchdog"),
+})

@@ -1,54 +1,18 @@
 """The FFT application kernel: serial, blocked, distributed, transports."""
 
-from .blocks import (
-    BlockedFft,
-    block_compute_time_ns,
-    block_multiplies,
-    final_compute_time_ns,
-    final_phase_multiplies,
-)
-from .parallel2d import (
-    Distributed2dFft,
-    RowBlocks,
-    fft2d_reference,
-    four_step_fft1d,
-)
-from .real import irfft, rfft
-from .radix2 import (
-    bit_reverse_indices,
-    bit_reverse_permute,
-    butterfly_count,
-    compute_time_ns,
-    fft,
-    fft_stage,
-    fft_stages,
-    ifft,
-    multiply_count,
-)
-from .transpose import MeshBlockTranspose, PsyncTranspose, TransposeCost
+from .._lazy import lazy_exports
 
-__all__ = [
-    "fft",
-    "ifft",
-    "fft_stage",
-    "fft_stages",
-    "bit_reverse_indices",
-    "bit_reverse_permute",
-    "butterfly_count",
-    "multiply_count",
-    "compute_time_ns",
-    "BlockedFft",
-    "block_multiplies",
-    "final_phase_multiplies",
-    "block_compute_time_ns",
-    "final_compute_time_ns",
-    "Distributed2dFft",
-    "RowBlocks",
-    "fft2d_reference",
-    "four_step_fft1d",
-    "PsyncTranspose",
-    "MeshBlockTranspose",
-    "TransposeCost",
-    "rfft",
-    "irfft",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "blocks": ("BlockedFft",),
+    "cost": (
+        "block_compute_time_ns", "block_multiplies", "final_compute_time_ns",
+        "final_phase_multiplies",
+    ),
+    "parallel2d": ("Distributed2dFft", "RowBlocks", "fft2d_reference", "four_step_fft1d"),
+    "radix2": (
+        "bit_reverse_indices", "bit_reverse_permute", "butterfly_count", "compute_time_ns", "fft",
+        "fft_stage", "fft_stages", "ifft", "multiply_count",
+    ),
+    "real": ("irfft", "rfft"),
+    "transpose": ("MeshBlockTranspose", "PsyncTranspose", "TransposeCost"),
+})

@@ -7,13 +7,9 @@ all its data arrives: with its ``N`` samples delivered in ``k`` blocks of
 final ``log2(k)`` stages — whose operand span exceeds a block — run as a
 pure-computation phase (Fig. 10).
 
-Work accounting matches the paper's Eqs. 17-18:
-
-* per delivery cycle: ``(2N/k) * log2(N/k)`` multiplies,
-* final phase: ``2N * log2(k)`` multiplies,
-
-and this module also *executes* that schedule with real data, verifying
-it produces the exact FFT.
+Work accounting matches the paper's Eqs. 17-18 (:mod:`repro.fft.cost`,
+re-exported here); this module *executes* that schedule with real data,
+verifying it produces the exact FFT.
 """
 
 from __future__ import annotations
@@ -23,7 +19,13 @@ import math
 import numpy as np
 
 from ..util.errors import ConfigError
-from ..util.validation import is_power_of_two
+from .cost import (
+    _check_n_k,
+    block_compute_time_ns,
+    block_multiplies,
+    final_compute_time_ns,
+    final_phase_multiplies,
+)
 from .radix2 import bit_reverse_permute, fft_stages
 
 __all__ = [
@@ -33,43 +35,6 @@ __all__ = [
     "final_compute_time_ns",
     "BlockedFft",
 ]
-
-
-def _check_n_k(n: int, k: int) -> None:
-    if not is_power_of_two(n):
-        raise ConfigError(f"N must be a power of two, got {n}")
-    if not is_power_of_two(k):
-        raise ConfigError(f"k must be a power of two, got {k}")
-    if k > n:
-        raise ConfigError(f"k={k} cannot exceed N={n}")
-
-
-def block_multiplies(n: int, k: int) -> int:
-    """Eq. 17: multiplies per delivery cycle, ``(2N/k) log2(N/k)``."""
-    _check_n_k(n, k)
-    if k == n:
-        return 0
-    return (2 * n // k) * int(math.log2(n // k))
-
-
-def final_phase_multiplies(n: int, k: int) -> int:
-    """Eq. 18: multiplies of the compute-only phase, ``2N log2 k``."""
-    _check_n_k(n, k)
-    return 2 * n * int(math.log2(k))
-
-
-def block_compute_time_ns(n: int, k: int, multiply_ns: float = 2.0) -> float:
-    """Table I's ``t_ck``: time to compute on one delivered block."""
-    if multiply_ns <= 0:
-        raise ConfigError("multiply_ns must be > 0")
-    return block_multiplies(n, k) * multiply_ns
-
-
-def final_compute_time_ns(n: int, k: int, multiply_ns: float = 2.0) -> float:
-    """Table I's ``t_cf``: time of the final compute-only phase."""
-    if multiply_ns <= 0:
-        raise ConfigError("multiply_ns must be > 0")
-    return final_phase_multiplies(n, k) * multiply_ns
 
 
 class BlockedFft:

@@ -1,39 +1,15 @@
 """LLMORE-like mapping and phase simulation framework (Section VI)."""
 
-from .app import PHASE_SEQUENCE, Fft2dApp
-from .machine import MachineModel, ReorgMechanism, mesh_machine, psync_machine
-from .mapping import BlockRowMap
-from .codegen import GeneratedProgram, execute_generated_flow, generate_fft_programs
-from .optimize import BlockCountChoice, best_block_count, best_core_count
-from .simulate import PhaseBreakdown, reorg_time_ns, simulate_fft2d
-from .sweep import (
-    DEFAULT_CORE_SWEEP,
-    SweepPoint,
-    SweepResult,
-    figure13_sweep,
-    figure14_sweep,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Fft2dApp",
-    "PHASE_SEQUENCE",
-    "MachineModel",
-    "ReorgMechanism",
-    "mesh_machine",
-    "psync_machine",
-    "BlockRowMap",
-    "PhaseBreakdown",
-    "simulate_fft2d",
-    "reorg_time_ns",
-    "SweepPoint",
-    "SweepResult",
-    "figure13_sweep",
-    "figure14_sweep",
-    "DEFAULT_CORE_SWEEP",
-    "best_block_count",
-    "best_core_count",
-    "BlockCountChoice",
-    "generate_fft_programs",
-    "execute_generated_flow",
-    "GeneratedProgram",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "app": ("PHASE_SEQUENCE", "Fft2dApp"),
+    "codegen": ("GeneratedProgram", "execute_generated_flow", "generate_fft_programs"),
+    "machine": ("MachineModel", "ReorgMechanism", "mesh_machine", "psync_machine"),
+    "mapping": ("BlockRowMap",),
+    "optimize": ("BlockCountChoice", "best_block_count", "best_core_count"),
+    "simulate": ("PhaseBreakdown", "reorg_time_ns", "simulate_fft2d"),
+    "sweep": (
+        "DEFAULT_CORE_SWEEP", "SweepPoint", "SweepResult", "figure13_sweep", "figure14_sweep",
+    ),
+})

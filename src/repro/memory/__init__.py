@@ -1,35 +1,13 @@
 """DRAM and memory-controller models (paper Section V-C)."""
 
-from .controller import (
-    MeshMemoryController,
-    PscanMemoryController,
-    TransactionAccounting,
-)
-from .banked import BankedDram, StreamReport, banks_needed_for_rate
-from .dram import AccessResult, DramBank, DramConfig
-from .layout import (
-    AccessPattern,
-    butterfly_span,
-    column_major_order,
-    first_nonlocal_stage,
-    row_major_order,
-    tiled_order,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DramConfig",
-    "DramBank",
-    "AccessResult",
-    "PscanMemoryController",
-    "MeshMemoryController",
-    "TransactionAccounting",
-    "BankedDram",
-    "StreamReport",
-    "banks_needed_for_rate",
-    "AccessPattern",
-    "butterfly_span",
-    "first_nonlocal_stage",
-    "row_major_order",
-    "column_major_order",
-    "tiled_order",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "banked": ("BankedDram", "StreamReport", "banks_needed_for_rate"),
+    "controller": ("MeshMemoryController", "PscanMemoryController", "TransactionAccounting"),
+    "dram": ("AccessResult", "DramBank", "DramConfig"),
+    "layout": (
+        "AccessPattern", "butterfly_span", "column_major_order", "first_nonlocal_stage",
+        "row_major_order", "tiled_order",
+    ),
+})

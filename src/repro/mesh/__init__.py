@@ -1,66 +1,25 @@
 """Electronic wormhole mesh substrate (the paper's comparison network)."""
 
-from .compiled_network import CompiledMeshNetwork
-from .fast_network import FastMeshNetwork
-from .flit import Flit, Packet
-from .flowtiming import MeshFlowTiming, run_mesh_fft2d_flow
-from .network import (
-    MeshConfig,
-    MeshFaultConfig,
-    MeshFaultReport,
-    MeshNetwork,
-    MeshStats,
-    SinkRecord,
-)
-from .overlap import MeshOverlapResult, run_mesh_model2_overlap
-from .routing import (
-    MinimalAdaptiveRouting,
-    RoutingPolicy,
-    TorusShortestRouting,
-    XYRouting,
-    fault_aware_route,
-    productive_ports,
-)
-from .topology import MeshTopology, Port, TorusTopology
-from .vc_network import VcMeshConfig, VcMeshNetwork, VcMeshStats
-from .workloads import (
-    TransposeWorkload,
-    make_scatter_delivery,
-    make_transpose_gather,
-    make_transpose_gather_multi_mc,
-    make_uniform_random,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Flit",
-    "Packet",
-    "MeshTopology",
-    "TorusTopology",
-    "Port",
-    "XYRouting",
-    "MinimalAdaptiveRouting",
-    "TorusShortestRouting",
-    "RoutingPolicy",
-    "productive_ports",
-    "fault_aware_route",
-    "MeshConfig",
-    "MeshFaultConfig",
-    "MeshFaultReport",
-    "MeshNetwork",
-    "FastMeshNetwork",
-    "CompiledMeshNetwork",
-    "MeshStats",
-    "SinkRecord",
-    "MeshOverlapResult",
-    "run_mesh_model2_overlap",
-    "MeshFlowTiming",
-    "run_mesh_fft2d_flow",
-    "VcMeshNetwork",
-    "VcMeshConfig",
-    "VcMeshStats",
-    "TransposeWorkload",
-    "make_transpose_gather",
-    "make_transpose_gather_multi_mc",
-    "make_scatter_delivery",
-    "make_uniform_random",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "compiled_network": ("CompiledMeshNetwork",),
+    "fast_network": ("FastMeshNetwork",),
+    "flit": ("Flit", "Packet"),
+    "flowtiming": ("MeshFlowTiming", "run_mesh_fft2d_flow"),
+    "network": (
+        "MeshConfig", "MeshFaultConfig", "MeshFaultReport", "MeshNetwork", "MeshStats",
+        "SinkRecord",
+    ),
+    "overlap": ("MeshOverlapResult", "run_mesh_model2_overlap"),
+    "routing": (
+        "MinimalAdaptiveRouting", "RoutingPolicy", "TorusShortestRouting", "XYRouting",
+        "fault_aware_route", "productive_ports",
+    ),
+    "topology": ("MeshTopology", "Port", "TorusTopology"),
+    "vc_network": ("VcMeshConfig", "VcMeshNetwork", "VcMeshStats"),
+    "workloads": (
+        "TransposeWorkload", "make_scatter_delivery", "make_transpose_gather",
+        "make_transpose_gather_multi_mc", "make_uniform_random",
+    ),
+})

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..util.errors import ConfigError
 from .flit import Packet
 from .topology import MeshTopology
@@ -216,6 +214,8 @@ def make_uniform_random(
             "uniform random traffic without self-addressed packets needs "
             "at least 2 nodes"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     nodes = topology.nodes()
     packets: list[Packet] = []

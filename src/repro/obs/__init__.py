@@ -34,46 +34,19 @@ hook methods, so the fault-free, unobserved hot paths pay exactly one
 ``is not None`` comparison per hook site.
 """
 
-from .cachestats import cache_stats, clear_caches, publish_cache_stats
-from .chrome import (
-    normalize_events,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .config import ObsConfig
-from .metrics import MetricsRegistry, registry_from_dict, registry_from_json
-from .session import ObsSession
-from .slo import (
-    SLO_LATENCY_BINS,
-    SLO_LATENCY_HI,
-    SLO_LATENCY_LO,
-    SLO_QUANTILES,
-    latency_slo_block,
-    pair_latency_stats,
-)
-from .tracing import SpanTracer, TraceEvent, wall_clock_us
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ObsConfig",
-    "ObsSession",
-    "SpanTracer",
-    "TraceEvent",
-    "MetricsRegistry",
-    "registry_from_dict",
-    "registry_from_json",
-    "SLO_LATENCY_LO",
-    "SLO_LATENCY_HI",
-    "SLO_LATENCY_BINS",
-    "SLO_QUANTILES",
-    "latency_slo_block",
-    "pair_latency_stats",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "normalize_events",
-    "wall_clock_us",
-    "cache_stats",
-    "publish_cache_stats",
-    "clear_caches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cachestats": ("cache_stats", "clear_caches", "publish_cache_stats"),
+    "chrome": (
+        "normalize_events", "to_chrome_trace", "validate_chrome_trace", "write_chrome_trace",
+    ),
+    "config": ("ObsConfig",),
+    "metrics": ("MetricsRegistry", "registry_from_dict", "registry_from_json"),
+    "session": ("ObsSession",),
+    "slo": (
+        "SLO_LATENCY_BINS", "SLO_LATENCY_HI", "SLO_LATENCY_LO", "SLO_QUANTILES",
+        "latency_slo_block", "pair_latency_stats",
+    ),
+    "tracing": ("SpanTracer", "TraceEvent", "wall_clock_us"),
+})

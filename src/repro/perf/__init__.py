@@ -17,42 +17,13 @@ Three pieces (see ``docs/performance.md``):
   checked-in baselines so CI can fail on real slowdowns.
 """
 
-from .harness import (
-    SCHEMA_VERSION,
-    bench_engine_timeout_storm,
-    bench_mesh_transpose,
-    run_engine_benches,
-    run_mesh_benches,
-    write_bench_file,
-)
-from .regression import (
-    Regression,
-    ZeroBaselineWarning,
-    check_files,
-    compare_payloads,
-)
-from .sweep import (
-    PointExecutor,
-    PoolHealth,
-    default_workers,
-    grid_points,
-    run_sweep,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "bench_engine_timeout_storm",
-    "bench_mesh_transpose",
-    "run_engine_benches",
-    "run_mesh_benches",
-    "write_bench_file",
-    "Regression",
-    "ZeroBaselineWarning",
-    "check_files",
-    "compare_payloads",
-    "default_workers",
-    "grid_points",
-    "run_sweep",
-    "PointExecutor",
-    "PoolHealth",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "harness": (
+        "SCHEMA_VERSION", "bench_engine_timeout_storm", "bench_mesh_transpose",
+        "run_engine_benches", "run_mesh_benches", "write_bench_file",
+    ),
+    "regression": ("Regression", "ZeroBaselineWarning", "check_files", "compare_payloads"),
+    "sweep": ("PointExecutor", "PoolHealth", "default_workers", "grid_points", "run_sweep"),
+})

@@ -5,45 +5,20 @@ closed-form loss/latency/energy physics that the PSCAN simulator and the
 Fig.-5 energy study build on (see DESIGN.md).
 """
 
-from .clocking import PhotonicClock
-from .devices import (
-    Laser,
-    Photodiode,
-    PhotonicLink,
-    RingModulator,
-    RingResonator,
-    ber_from_margin_db,
-)
-from .layout import SerpentineLayout
-from .spectrum import SpectralPlan, paper_spectral_plan
-from .thermal import ThermalModel
-from .waveguide import (
-    SegmentLossModel,
-    Waveguide,
-    bits_per_waveguide_window,
-    max_segments,
-    segment_loss_db,
-)
-from .wdm import WdmPlan, pam4_pscan_plan, paper_pscan_plan
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Waveguide",
-    "SegmentLossModel",
-    "segment_loss_db",
-    "max_segments",
-    "bits_per_waveguide_window",
-    "Laser",
-    "RingResonator",
-    "RingModulator",
-    "Photodiode",
-    "PhotonicLink",
-    "ber_from_margin_db",
-    "WdmPlan",
-    "paper_pscan_plan",
-    "pam4_pscan_plan",
-    "PhotonicClock",
-    "SerpentineLayout",
-    "SpectralPlan",
-    "paper_spectral_plan",
-    "ThermalModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "clocking": ("PhotonicClock",),
+    "devices": (
+        "Laser", "Photodiode", "PhotonicLink", "RingModulator", "RingResonator",
+        "ber_from_margin_db",
+    ),
+    "layout": ("SerpentineLayout",),
+    "spectrum": ("SpectralPlan", "paper_spectral_plan"),
+    "thermal": ("ThermalModel",),
+    "waveguide": (
+        "SegmentLossModel", "Waveguide", "bits_per_waveguide_window", "max_segments",
+        "segment_loss_db",
+    ),
+    "wdm": ("WdmPlan", "pam4_pscan_plan", "paper_pscan_plan"),
+})

@@ -54,7 +54,10 @@ def max_segments(
 ) -> int:
     """Maximum PSCAN segment count, paper Eq. 3.
 
-    ``N <= (P_i - P_min_pd) / L_ws``, floored to an integer.
+    ``N <= (P_i - P_min_pd) / L_ws``, floored to an integer, then
+    stepped back while Eq. 1 (``P_i - N * L_ws >= P_min_pd``, evaluated as
+    :meth:`SegmentLossModel.power_at_segment` does) fails: the quotient
+    can round up past the last detectable segment.
 
     Memoized like :func:`segment_loss_db` — the scaling sweeps call this
     in a tight loop with a handful of distinct parameter sets.
@@ -66,7 +69,10 @@ def max_segments(
             f"{pd_sensitivity_dbm} dBm"
         )
     require_positive("loss_per_segment_db", loss_per_segment_db)
-    return int(budget / loss_per_segment_db)
+    n = int(budget / loss_per_segment_db)
+    while n > 0 and laser_power_dbm - n * loss_per_segment_db < pd_sensitivity_dbm:
+        n -= 1
+    return n
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,30 +31,15 @@ requests from one process with the robustness knobs production needs
 CLI: ``python -m repro serve {start,submit,status,drain}``.
 """
 
-from .admission import AdmissionController, AgingQueue
-from .breaker import BreakerState, CircuitBreaker
-from .config import ServeConfig
-from .jobs import (
-    JobRecord,
-    JobRequest,
-    JobState,
-    register_workload,
-    resolve_workload,
-    workload_names,
-)
-from .server import ServeServer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ServeConfig",
-    "ServeServer",
-    "JobRequest",
-    "JobRecord",
-    "JobState",
-    "register_workload",
-    "resolve_workload",
-    "workload_names",
-    "BreakerState",
-    "CircuitBreaker",
-    "AgingQueue",
-    "AdmissionController",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "admission": ("AdmissionController", "AgingQueue"),
+    "breaker": ("BreakerState", "CircuitBreaker"),
+    "config": ("ServeConfig",),
+    "jobs": (
+        "JobRecord", "JobRequest", "JobState", "register_workload", "resolve_workload",
+        "workload_names",
+    ),
+    "server": ("ServeServer",),
+})

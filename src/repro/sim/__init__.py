@@ -4,42 +4,15 @@ The kernel (:mod:`repro.sim.engine`) is unit-agnostic; by library
 convention all simulations run in nanoseconds.
 """
 
-from .channel import Channel, Resource
-from .engine import (
-    LOW,
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    Simulator,
-    Timeout,
-)
-from .fifo import DualClockFifo, FifoStats
-from .stats import Counter, Histogram, RunningStats, TimeWeightedStat
-from .trace import TraceRecord, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Timeout",
-    "Process",
-    "Interrupt",
-    "AnyOf",
-    "AllOf",
-    "URGENT",
-    "NORMAL",
-    "LOW",
-    "Channel",
-    "Resource",
-    "DualClockFifo",
-    "FifoStats",
-    "Tracer",
-    "TraceRecord",
-    "RunningStats",
-    "TimeWeightedStat",
-    "Counter",
-    "Histogram",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "channel": ("Channel", "Resource"),
+    "engine": (
+        "LOW", "NORMAL", "URGENT", "AllOf", "AnyOf", "Event", "Interrupt", "Process", "Simulator",
+        "Timeout",
+    ),
+    "fifo": ("DualClockFifo", "FifoStats"),
+    "stats": ("Counter", "Histogram", "RunningStats", "TimeWeightedStat"),
+    "trace": ("TraceRecord", "Tracer"),
+})

@@ -20,38 +20,11 @@ The consumers are :func:`repro.perf.sweep.run_sweep`'s
 campaigns and figure sweeps never talk to this package directly.
 """
 
-from .keys import (
-    canonical_json,
-    canonicalize,
-    code_fingerprint,
-    point_key,
-    worker_name,
-)
-from .leases import (
-    ServeJournal,
-    ServeJournalEntry,
-    ServeReplay,
-    StaleIndex,
-    point_identity,
-)
-from .manifest import JournalEntry, SweepManifest, append_journal, read_journal
-from .result_store import GcReport, ResultStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "canonicalize",
-    "canonical_json",
-    "code_fingerprint",
-    "point_key",
-    "worker_name",
-    "ResultStore",
-    "GcReport",
-    "SweepManifest",
-    "JournalEntry",
-    "append_journal",
-    "read_journal",
-    "ServeJournal",
-    "ServeJournalEntry",
-    "ServeReplay",
-    "StaleIndex",
-    "point_identity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "keys": ("canonical_json", "canonicalize", "code_fingerprint", "point_key", "worker_name"),
+    "leases": ("ServeJournal", "ServeJournalEntry", "ServeReplay", "StaleIndex", "point_identity"),
+    "manifest": ("JournalEntry", "SweepManifest", "append_journal", "read_journal"),
+    "result_store": ("GcReport", "ResultStore"),
+})

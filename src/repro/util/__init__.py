@@ -1,67 +1,18 @@
 """Shared utilities: units, constants, validation, and the error hierarchy."""
 
-from . import constants, units, validation
-from .errors import (
-    CollisionError,
-    ConfigError,
-    FaultError,
-    LinkBudgetError,
-    MemoryModelError,
-    NetworkError,
-    PermanentFaultError,
-    PhotonicsError,
-    ProcessError,
-    ReproError,
-    RetryExhaustedError,
-    RoutingError,
-    ScheduleError,
-    ServeAttemptTimeout,
-    ServeCircuitOpenError,
-    ServeDeadlineError,
-    ServeDrainingError,
-    ServeError,
-    ServeQuotaError,
-    ServeRetryExhaustedError,
-    ServeWorkerError,
-    SimulationError,
-    SweepError,
-    SweepInterrupted,
-    SweepPointError,
-    SweepPoolError,
-    TransientFaultError,
-    is_retryable,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "constants",
-    "units",
-    "validation",
-    "ReproError",
-    "ConfigError",
-    "SimulationError",
-    "ProcessError",
-    "PhotonicsError",
-    "LinkBudgetError",
-    "CollisionError",
-    "ScheduleError",
-    "NetworkError",
-    "RoutingError",
-    "MemoryModelError",
-    "FaultError",
-    "TransientFaultError",
-    "PermanentFaultError",
-    "RetryExhaustedError",
-    "SweepError",
-    "SweepPointError",
-    "SweepPoolError",
-    "SweepInterrupted",
-    "ServeError",
-    "ServeQuotaError",
-    "ServeDrainingError",
-    "ServeDeadlineError",
-    "ServeAttemptTimeout",
-    "ServeCircuitOpenError",
-    "ServeWorkerError",
-    "ServeRetryExhaustedError",
-    "is_retryable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "constants": ("constants",),
+    "errors": (
+        "CollisionError", "ConfigError", "FaultError", "LinkBudgetError", "MemoryModelError",
+        "NetworkError", "PermanentFaultError", "PhotonicsError", "ProcessError", "ReproError",
+        "RetryExhaustedError", "RoutingError", "ScheduleError", "ServeAttemptTimeout",
+        "ServeCircuitOpenError", "ServeDeadlineError", "ServeDrainingError", "ServeError",
+        "ServeQuotaError", "ServeRetryExhaustedError", "ServeWorkerError", "SimulationError",
+        "SweepError", "SweepInterrupted", "SweepPointError", "SweepPoolError",
+        "TransientFaultError", "is_retryable",
+    ),
+    "units": ("units",),
+    "validation": ("validation",),
+})

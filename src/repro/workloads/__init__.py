@@ -30,34 +30,14 @@ event vs compiled SCA engines) by the ``workload`` kind in
 :mod:`repro.check.fuzz` and linted by ``repro check lint``.
 """
 
-from .families import builtin_workload_names
-from .registry import (
-    CpPhase,
-    TrafficDescription,
-    WorkloadFamily,
-    build_workload,
-    get_workload,
-    list_workloads,
-    register_workload,
-)
-from .runner import (
-    WorkloadRunResult,
-    evaluate_workload_point,
-    run_cp_phases,
-    run_on_mesh,
-)
+from .._lazy import lazy_exports
+from . import families  # noqa: F401  (eager: its imports fill the workload registry)
 
-__all__ = [
-    "CpPhase",
-    "TrafficDescription",
-    "WorkloadFamily",
-    "register_workload",
-    "get_workload",
-    "list_workloads",
-    "build_workload",
-    "builtin_workload_names",
-    "WorkloadRunResult",
-    "run_on_mesh",
-    "run_cp_phases",
-    "evaluate_workload_point",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "families": ("builtin_workload_names",),
+    "registry": (
+        "CpPhase", "TrafficDescription", "WorkloadFamily", "build_workload", "get_workload",
+        "list_workloads", "register_workload",
+    ),
+    "runner": ("WorkloadRunResult", "evaluate_workload_point", "run_cp_phases", "run_on_mesh"),
+})

@@ -7,6 +7,7 @@ surfaces stay importable from the top level.
 
 import importlib
 import inspect
+import pkgutil
 import shutil
 import subprocess
 from pathlib import Path
@@ -29,6 +30,9 @@ PACKAGES = [
     "repro.serve",
     "repro.faults",
     "repro.workloads",
+    "repro.obs",
+    "repro.perf",
+    "repro.check",
 ]
 
 MODULES = [
@@ -72,6 +76,26 @@ def test_public_items_documented(name):
             if not (obj.__doc__ and obj.__doc__.strip()):
                 undocumented.append(item)
     assert not undocumented, f"{name}: undocumented public items {undocumented}"
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_dir_lists_every_export(name):
+    package = importlib.import_module(name)
+    assert set(package.__all__) <= set(dir(package))
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_no_export_is_shadowed_by_a_submodule(name):
+    """An export named like a submodule must be that submodule.
+
+    Package namespaces are lazy: importing ``pkg.x`` binds ``pkg.x`` to
+    the module, so an export ``x`` owned by some other submodule would
+    silently change value once ``pkg.x`` is imported.
+    """
+    package = importlib.import_module(name)
+    submodules = {info.name for info in pkgutil.iter_modules(package.__path__)}
+    for item in set(package.__all__) & submodules:
+        assert getattr(package, item) is importlib.import_module(f"{name}.{item}"), item
 
 
 def test_public_classes_document_their_methods():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import gather_schedule, scatter_schedule, sca_timing
@@ -159,6 +159,7 @@ class TestLossModelProperties:
         sens=st.floats(min_value=-35.0, max_value=-10.0),
         pitch=st.floats(min_value=0.05, max_value=5.0),
     )
+    @example(laser=0.95, sens=-25.0, pitch=0.05)  # 25.95 / 0.025 rounds up past Eq. 1
     @settings(max_examples=50)
     def test_budget_boundary_is_sharp(self, laser, sens, pitch):
         model = SegmentLossModel(
