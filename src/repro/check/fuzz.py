@@ -447,24 +447,6 @@ def _mesh_packets(topology, params: dict[str, Any]):
     raise ValueError(f"unknown mesh workload {workload!r}")
 
 
-def _mesh_signature(net, stats):
-    """Full observable signature with packet ids normalized to the run."""
-    base = min(net._packet_meta)
-    return (
-        stats.cycles,
-        stats.packets_delivered,
-        stats.flits_delivered,
-        stats.flit_hops,
-        tuple(stats.packet_latencies),
-        stats.memory_busy_cycles,
-        tuple(sorted(stats.flits_through_node.items())),
-        tuple(
-            (r.cycle, r.node, r.packet_id - base, r.payload, r.source)
-            for r in net.sunk
-        ),
-    )
-
-
 def _run_mesh_case(
     params: dict[str, Any],
     engine: str,
@@ -473,7 +455,13 @@ def _run_mesh_case(
     session=None,
 ):
     """One observed run; returns ``(signature, fault_report_or_None)``."""
-    from ..mesh import MeshConfig, MeshNetwork, MeshTopology
+    from ..mesh import (
+        MeshConfig,
+        MeshNetwork,
+        MeshTopology,
+        mesh_signature,
+        packet_id_base,
+    )
 
     topology = MeshTopology.square(params["processors"])
     net = MeshNetwork(
@@ -495,9 +483,9 @@ def _run_mesh_case(
     elif fault == "router":
         net.fail_router((1, 1))
     if fault == "none":
-        return _mesh_signature(net, net.run()), None
+        return mesh_signature(net, net.run()), None
     stats, report = net.run_resilient()
-    base = min(net._packet_meta)
+    base = packet_id_base(net)
     rep = None
     if report is not None:
         rep = (
@@ -509,7 +497,7 @@ def _run_mesh_case(
             tuple(report.quarantined_links),
         )
     return (
-        (_mesh_signature(net, stats), stats.reroutes, stats.quarantine_events),
+        (mesh_signature(net, stats), stats.reroutes, stats.quarantine_events),
         rep,
     )
 
@@ -1119,7 +1107,7 @@ def _check_compiled_sca(case: FuzzCase) -> list[Divergence]:
 
 
 def _run_compiled_mesh(params: dict[str, Any], engine: str) -> tuple:
-    from ..mesh import MeshConfig, MeshNetwork, MeshTopology
+    from ..mesh import MeshConfig, MeshNetwork, MeshTopology, mesh_signature
     from ..mesh.workloads import make_transpose_gather
 
     topology = MeshTopology.square(params["processors"])
@@ -1138,7 +1126,7 @@ def _run_compiled_mesh(params: dict[str, Any], engine: str) -> tuple:
         net.inject(packet)
     # Drop the trailing ``sunk`` records: the compiled engine documents
     # them as unpopulated (flit interleaving is not modelled).
-    return _mesh_signature(net, net.run())[:-1]
+    return mesh_signature(net, net.run())[:-1]
 
 
 def _check_compiled_mesh(case: FuzzCase) -> list[Divergence]:

@@ -9,7 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "flowtiming": ("MeshFlowTiming", "run_mesh_fft2d_flow"),
     "network": (
         "MeshConfig", "MeshFaultConfig", "MeshFaultReport", "MeshNetwork", "MeshStats",
-        "SinkRecord",
+        "SinkRecord", "mesh_signature", "packet_id_base",
     ),
     "overlap": ("MeshOverlapResult", "run_mesh_model2_overlap"),
     "routing": (

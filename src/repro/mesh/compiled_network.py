@@ -52,11 +52,24 @@ depends on round-robin arbitration noise at the sink's input buffers
 that the closed form does not model; the tail-ejection *instants*
 (``packet_latencies``, in delivery order) and every other ``MeshStats``
 field are exact, and the differential suites compare exactly those.
+
+Whole-packet intake
+-------------------
+The closed forms only need per-source packet counts, so :meth:`inject`
+never materializes flits: no :class:`~repro.mesh.flit.Flit` objects are
+built and the inherited per-node injection queues stay empty.  It keeps
+the bookkeeping other layers read — the same endpoint
+:class:`~repro.util.errors.ConfigError`, ``_packet_meta`` (injection
+cycle and source per packet id), ``_pending_flits`` (so
+``traffic_remaining`` is correct before and after :meth:`run`) and the
+``mesh_inject`` obs event — and folds each packet into a running
+summary (packets per source, destinations, flit counts, a staggered
+injection flag).  The domain check and the heat map read that summary
+in O(nodes), whatever the packet count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any
 
 from ..util.errors import EngineUnsupportedError, NetworkError
@@ -71,23 +84,47 @@ __all__ = ["CompiledMeshNetwork"]
 class CompiledMeshNetwork(MeshNetwork):
     """Closed-form mesh engine for single-sink coalesced gathers.
 
-    Construction, :meth:`add_memory_interface` and :meth:`inject` are
-    inherited (so observability's ``mesh_inject`` events and all
-    bookkeeping match the other engines); :meth:`run` replaces the
-    cycle loop with the analytic evaluation.
+    Construction and :meth:`add_memory_interface` are inherited.
+    :meth:`inject` takes whole packets: it raises the same endpoint
+    ``ConfigError``, records ``_packet_meta`` and ``_pending_flits`` and
+    emits the same ``mesh_inject`` obs event as the other engines, but
+    builds no flits and fills no injection queues.  :meth:`run` replaces
+    the cycle loop with the analytic evaluation.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        #: Injection-order record of whole packets (the closed forms are
-        #: per-packet; the flit queues the base class fills are unused).
-        self._packets: list[Packet] = []
+        # Running summary of the injected traffic: everything the domain
+        # check and the closed forms read.
+        self._per_source: dict[tuple[int, int], int] = {}
+        self._dests: set[tuple[int, int]] = set()
+        self._flit_counts: set[int] = set()
+        self._staggered = False
 
     # -- traffic ---------------------------------------------------------
 
     def inject(self, packet: Packet) -> None:
-        self._packets.append(packet)
-        super().inject(packet)
+        """Record a whole packet for the closed-form run (no flits)."""
+        source = packet.source
+        dest = packet.dest
+        if source not in self._occupancy or dest not in self._occupancy:
+            self.topology.require_node(source)
+            self.topology.require_node(dest)
+        flits = packet.flit_count
+        self._packet_meta[packet.packet_id] = (
+            max(self.cycle, packet.created_cycle),
+            source,
+        )
+        self._pending_flits += flits
+        self._per_source[source] = self._per_source.get(source, 0) + 1
+        self._dests.add(dest)
+        self._flit_counts.add(flits)
+        if packet.created_cycle != 0:
+            self._staggered = True
+        if self._obs is not None:
+            self._obs.mesh_inject(
+                self.cycle, packet.packet_id, source, dest, flits
+            )
 
     # -- refused capabilities -------------------------------------------
 
@@ -171,7 +208,7 @@ class CompiledMeshNetwork(MeshNetwork):
                 "resumed_run",
                 "the closed form covers one whole run from cycle 0",
             )
-        sinks = {p.dest for p in self._packets}
+        sinks = self._dests
         if len(sinks) != 1:
             raise refuse(
                 "multiple_sinks",
@@ -192,21 +229,19 @@ class CompiledMeshNetwork(MeshNetwork):
                 "are only source-independent when every source is east "
                 "of (or on) the sink column",
             )
-        counts = {p.flit_count for p in self._packets}
+        counts = self._flit_counts
         if len(counts) != 1 or min(counts) < 2:
             raise refuse(
                 "flit_shape",
                 f"flit counts {sorted(counts)}: need a uniform "
                 "flit_count >= 2 (header + at least one data flit)",
             )
-        if any(p.created_cycle != 0 for p in self._packets):
+        if self._staggered:
             raise refuse(
                 "staggered_injection",
                 "all packets must be created and injected at cycle 0",
             )
-        per_node: dict[tuple[int, int], int] = {}
-        for p in self._packets:
-            per_node[p.source] = per_node.get(p.source, 0) + 1
+        per_node = self._per_source
         if set(per_node) != set(self._nodes) or len(set(per_node.values())) != 1:
             raise refuse(
                 "traffic_shape",
@@ -214,7 +249,8 @@ class CompiledMeshNetwork(MeshNetwork):
                 "(the coalesced-gather pattern the closed form is "
                 "pinned against)",
             )
-        return sink, counts.pop()
+        (nf,) = counts
+        return sink, nf
 
     # -- closed-form evaluation -----------------------------------------
 
@@ -225,17 +261,21 @@ class CompiledMeshNetwork(MeshNetwork):
         reference engine would: ``max_cycles`` smaller than the finish
         cycle means traffic would still be in flight.
         """
-        if self._obs is not None:
-            self._obs.mesh_run_begin(self.cycle, "run")
-        if not self._packets:
+        if not self._per_source:
             # No traffic: the reference loop exits immediately.
+            if self._obs is not None:
+                self._obs.mesh_run_begin(self.cycle, "run")
             self.stats.cycles = self.cycle
             if self._obs is not None:
                 self._obs.mesh_run_end(self.cycle, "run", self.stats)
             return self.stats
+        # Refuse before opening the run span, so a caller that falls back
+        # to another engine on the same session sees balanced spans.
         sink, nf = self._require_supported()
+        if self._obs is not None:
+            self._obs.mesh_run_begin(self.cycle, "run")
         r = self.config.memory_reorder_cycles
-        n = len(self._packets)
+        n = sum(self._per_source.values())
 
         # Sink-serialized service: the head flit (payload None) ejects in
         # 1 cycle, every other flit in r; the j-th packet's tail ejects at
@@ -243,8 +283,8 @@ class CompiledMeshNetwork(MeshNetwork):
         # with the first head pinned to cycle 2 by the sink's own
         # injection pipeline (inject -> local buffer -> 1-cycle route).
         s = 1 + (nf - 1) * r
-        tail_const = 1 + (nf - 2) * r
-        tails = [2 + j * s + tail_const for j in range(n)]
+        first_tail = 2 + 1 + (nf - 2) * r
+        tails = list(range(first_tail, first_tail + n * s, s))
         finish = tails[-1] + 1
         if max_cycles is not None and max_cycles < finish:
             raise NetworkError(
@@ -261,27 +301,27 @@ class CompiledMeshNetwork(MeshNetwork):
         # Deterministic west-first paths: west along the source row to
         # column 0, then vertically along column 0 to the sink.  Each
         # traversed router (including the ejecting sink; injection does
-        # not count) forwards all nf flits of the packet.  Aggregated
-        # per row so the evaluation is O(width * height + packets), not
-        # O(packets * path_length).
+        # not count) forwards all nf flits of the packet.  Evaluated from
+        # per-source packet counts, so the cost is O(width * height)
+        # whatever the packet count.
         sx, sy = sink
-        row_sources: dict[int, list[int]] = {}
+        rows: dict[int, dict[int, int]] = {}
         hops = 0
-        for p in self._packets:
-            x, y = p.source
-            hops += nf * (abs(x - sx) + abs(y - sy))
-            row_sources.setdefault(y, []).append(x)
+        for (x, y), count in self._per_source.items():
+            hops += count * nf * (abs(x - sx) + abs(y - sy))
+            rows.setdefault(y, {})[x] = count
         stats.flit_hops = hops
         ftn: dict[tuple[int, int], int] = {}
-        for y, xs in sorted(row_sources.items()):
-            xs.sort()
-            row_total = nf * len(xs)
+        for y, row in sorted(rows.items()):
+            row_total = nf * sum(row.values())
             # Horizontal legs: router (i, y) forwards every packet
             # sourced at x >= i in its row.
-            for i in range(1, xs[-1] + 1):
-                passing = nf * (len(xs) - bisect_left(xs, i))
-                if passing:
-                    ftn[(i, y)] = ftn.get((i, y), 0) + passing
+            east = max(row)
+            passing = [0] * (east + 2)
+            for i in range(east, 0, -1):
+                passing[i] = passing[i + 1] + row.get(i, 0)
+            for i in range(1, east + 1):
+                ftn[(i, y)] = nf * passing[i]
             # Column-0 router of the row: every row packet turns here.
             ftn[(0, y)] = ftn.get((0, y), 0) + row_total
             # Vertical leg down/up column 0 toward the sink row.
@@ -291,10 +331,7 @@ class CompiledMeshNetwork(MeshNetwork):
                     ftn[(0, j)] = ftn.get((0, j), 0) + row_total
         stats.flits_through_node = ftn
 
-        # Leave the network drained, exactly as a completed run would:
-        # the queues the inherited inject() filled are consumed.
-        for queue in self._inject.values():
-            queue.clear()
+        # Leave the network drained, exactly as a completed run would.
         self._pending_flits = 0
         self.cycle = finish
 

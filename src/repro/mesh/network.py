@@ -38,6 +38,8 @@ __all__ = [
     "SinkRecord",
     "MeshStats",
     "MeshNetwork",
+    "mesh_signature",
+    "packet_id_base",
 ]
 
 _MESH_PORTS = (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
@@ -1001,3 +1003,37 @@ class MeshNetwork:
             ),
         )
         return self.stats, report
+
+
+def packet_id_base(net: MeshNetwork) -> int:
+    """Smallest packet id ``net`` has seen, or 0 when nothing was injected.
+
+    Packet ids come from a process-global counter, so differential
+    comparisons subtract this base to make runs built at different
+    points of a process comparable.
+    """
+    meta = net._packet_meta
+    return min(meta) if meta else 0
+
+
+def mesh_signature(net: MeshNetwork, stats: MeshStats) -> tuple:
+    """Every observable a differential mesh comparison covers, normalized.
+
+    The last element is the ``sunk`` delivery log with packet ids taken
+    relative to :func:`packet_id_base`; the compiled engine leaves that
+    log empty, so its comparisons drop it (``[:-1]``).
+    """
+    base = packet_id_base(net)
+    return (
+        stats.cycles,
+        stats.packets_delivered,
+        stats.flits_delivered,
+        stats.flit_hops,
+        tuple(stats.packet_latencies),
+        stats.memory_busy_cycles,
+        tuple(sorted(stats.flits_through_node.items())),
+        tuple(
+            (r.cycle, r.node, r.packet_id - base, r.payload, r.source)
+            for r in net.sunk
+        ),
+    )

@@ -80,30 +80,8 @@ def _best_of(fn: Callable[[], tuple[float, Any]], repeats: int) -> tuple[float, 
 # -- mesh --------------------------------------------------------------------
 
 
-def _mesh_signature(net: Any, stats: Any) -> tuple:
-    """Everything the differential contract covers, normalized.
-
-    Packet ids come from a process-global counter, so they are offset
-    by the smallest id seen to make runs comparable.
-    """
-    base = min(net._packet_meta) if net._packet_meta else 0
-    return (
-        stats.cycles,
-        stats.packets_delivered,
-        stats.flits_delivered,
-        stats.flit_hops,
-        tuple(stats.packet_latencies),
-        stats.memory_busy_cycles,
-        tuple(sorted(stats.flits_through_node.items())),
-        tuple(
-            (r.cycle, r.node, r.packet_id - base, r.payload, r.source)
-            for r in net.sunk
-        ),
-    )
-
-
 def _run_mesh_once(engine: str, processors: int, cols: int, reorder: int) -> tuple[float, tuple]:
-    from ..mesh import MeshConfig, MeshNetwork, MeshTopology
+    from ..mesh import MeshConfig, MeshNetwork, MeshTopology, mesh_signature
     from ..mesh.workloads import make_transpose_gather
 
     topo = MeshTopology.square(processors)
@@ -116,7 +94,7 @@ def _run_mesh_once(engine: str, processors: int, cols: int, reorder: int) -> tup
     t0 = time.perf_counter()
     stats = net.run()
     wall = time.perf_counter() - t0
-    return wall, _mesh_signature(net, stats)
+    return wall, mesh_signature(net, stats)
 
 
 def bench_mesh_transpose(
@@ -172,7 +150,7 @@ def _run_mesh_obs_once(
     :class:`~repro.obs.ObsSession` whose config disables every layer,
     so each hook site costs one attribute load and one branch.
     """
-    from ..mesh import MeshConfig, MeshNetwork, MeshTopology
+    from ..mesh import MeshConfig, MeshNetwork, MeshTopology, mesh_signature
     from ..mesh.workloads import make_transpose_gather
     from ..obs import ObsConfig, ObsSession
 
@@ -187,7 +165,7 @@ def _run_mesh_obs_once(
     t0 = time.perf_counter()
     stats = net.run()
     wall = time.perf_counter() - t0
-    return wall, _mesh_signature(net, stats)
+    return wall, mesh_signature(net, stats)
 
 
 def bench_obs_overhead(

@@ -79,24 +79,6 @@ class WorkloadRunResult:
         }
 
 
-def _mesh_signature(net: Any, stats: Any) -> tuple:
-    """Observable signature with process-global packet ids normalized."""
-    base = min(net._packet_meta) if net._packet_meta else 0
-    return (
-        stats.cycles,
-        stats.packets_delivered,
-        stats.flits_delivered,
-        stats.flit_hops,
-        tuple(stats.packet_latencies),
-        stats.memory_busy_cycles,
-        tuple(sorted(stats.flits_through_node.items())),
-        tuple(
-            (r.cycle, r.node, r.packet_id - base, r.payload, r.source)
-            for r in net.sunk
-        ),
-    )
-
-
 def run_on_mesh(
     description: TrafficDescription,
     engine: str = "reference",
@@ -114,7 +96,7 @@ def run_on_mesh(
     call :func:`~repro.workloads.registry.build_workload` again for a
     second run.
     """
-    from ..mesh import MeshConfig, MeshNetwork
+    from ..mesh import MeshConfig, MeshNetwork, mesh_signature
     from ..obs import ObsConfig, ObsSession, latency_slo_block, pair_latency_stats
 
     net = MeshNetwork(
@@ -150,7 +132,7 @@ def run_on_mesh(
         params=dict(description.params),
         engine=engine,
         stats=stats,
-        mesh_signature=_mesh_signature(net, stats),
+        mesh_signature=mesh_signature(net, stats),
         slo=slo,
         pairs=pairs,
     )

@@ -38,7 +38,13 @@ from repro.core.schedule import (
     scatter_schedule,
     transpose_order,
 )
-from repro.mesh import MeshConfig, MeshNetwork, MeshTopology
+from repro.mesh import (
+    MeshConfig,
+    MeshNetwork,
+    MeshTopology,
+    mesh_signature,
+    packet_id_base,
+)
 from repro.mesh.compiled_network import CompiledMeshNetwork
 from repro.mesh.flit import Packet
 from repro.mesh.workloads import make_transpose_gather, make_uniform_random
@@ -140,17 +146,9 @@ def _canon_sca_trace(events):
 
 
 def _mesh_signature(net, stats):
-    """The fast-engine suite's signature minus ``sunk`` (documented as
+    """The shared mesh signature minus ``sunk`` (documented as
     unpopulated by the compiled engine)."""
-    return (
-        stats.cycles,
-        stats.packets_delivered,
-        stats.flits_delivered,
-        stats.flit_hops,
-        tuple(stats.packet_latencies),
-        stats.memory_busy_cycles,
-        tuple(sorted(stats.flits_through_node.items())),
-    )
+    return mesh_signature(net, stats)[:-1]
 
 
 def _mesh_net(engine, processors, *, reorder=4):
@@ -378,6 +376,7 @@ class TestCompiledMeshEquivalence:
         sigs = []
         for engine in ("reference", "compiled"):
             _, net = _mesh_net(engine, 16)
+            assert packet_id_base(net) == 0
             sigs.append(_mesh_signature(net, net.run()))
         assert sigs[0] == sigs[1]
 
@@ -519,6 +518,95 @@ class TestMeshRefusals:
 
 
 # ---------------------------------------------------------------------------
+# Mesh: whole-packet intake parity
+# ---------------------------------------------------------------------------
+
+
+def _observed_transpose(engine):
+    """The cols=2 transpose, observed and injected but not yet run."""
+    session = ObsSession(ObsConfig())
+    topology, net = _mesh_net(engine, 16)
+    net.attach_observer(session)
+    for p in make_transpose_gather(topology, cols=2).packets:
+        net.inject(p)
+    return session, net
+
+
+def _inject_events(session, net):
+    """``mesh_inject`` trace events with packet ids taken from the base."""
+    base = packet_id_base(net)
+    events = normalize_events(session.tracer.events, categories=("mesh",))
+    out = []
+    for ev in events:
+        if ev["name"] == "inject":
+            args = dict(ev["args"], packet=ev["args"]["packet"] - base)
+            out.append(dict(ev, args=args))
+    return out
+
+
+class TestMeshIntakeParity:
+    """Compiled ``inject`` keeps every piece of bookkeeping others read."""
+
+    def test_inject_events_and_counter_identical(self):
+        runs = {}
+        for engine in ("reference", "compiled"):
+            session, net = _observed_transpose(engine)
+            counter = session.metrics.get("mesh_packets_injected")
+            flits = session.metrics.get("mesh_flits_injected")
+            runs[engine] = (
+                _inject_events(session, net),
+                counter.value,
+                flits.value,
+            )
+        assert runs["reference"][0]  # the transpose does inject
+        assert runs["compiled"] == runs["reference"]
+
+    def test_packet_meta_identical(self):
+        metas = {}
+        for engine in ("reference", "compiled"):
+            _, net = _observed_transpose(engine)
+            base = packet_id_base(net)
+            metas[engine] = {
+                pid - base: meta for pid, meta in net._packet_meta.items()
+            }
+        assert metas["reference"]
+        assert metas["compiled"] == metas["reference"]
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    def test_traffic_remaining_tracks_the_run(self, engine):
+        _, net = _observed_transpose(engine)
+        assert net.traffic_remaining
+        net.run()
+        assert not net.traffic_remaining
+
+    @pytest.mark.parametrize(
+        "source,dest", [((4, 0), (0, 0)), ((0, 0), (0, -1))],
+        ids=["off_mesh_source", "off_mesh_dest"],
+    )
+    def test_off_mesh_endpoint_same_config_error(self, source, dest):
+        messages = {}
+        for engine in ("reference", "compiled"):
+            _, net = _mesh_net(engine, 16)
+            with pytest.raises(ConfigError) as exc:
+                net.inject(Packet(source=source, dest=dest, payloads=[0]))
+            messages[engine] = str(exc.value)
+            assert net._packet_meta == {}
+            assert not net.traffic_remaining
+        assert messages["compiled"] == messages["reference"]
+
+    def test_compiled_never_builds_flits(self, monkeypatch):
+        _, ref = _run_mesh_transpose("reference", 16, 2)
+
+        def no_flits(self):
+            raise AssertionError("compiled engine materialized flits")
+
+        monkeypatch.setattr(Packet, "flits", no_flits)
+        net, comp = _run_mesh_transpose("compiled", 16, 2)
+        assert comp == ref
+        assert not any(net._inject.values())
+
+
+# ---------------------------------------------------------------------------
 # Observability parity
 # ---------------------------------------------------------------------------
 
@@ -583,6 +671,33 @@ class TestObservabilityParity:
         assert comp_summary == ref_summary
         assert ref_delivers  # the reference does trace flit deliveries
         assert comp_delivers == []
+
+    def test_mesh_refusal_opens_no_run_span(self):
+        # A refused run must leave the session clean, so the documented
+        # fallback (re-run on engine="reference") traces one balanced
+        # run span rather than nesting it in an unclosed one.
+        session = ObsSession(ObsConfig())
+        for engine, reorder in (("compiled", 1), ("reference", 1)):
+            topology, net = _mesh_net(engine, 16, reorder=reorder)
+            net.attach_observer(session)
+            for p in make_transpose_gather(topology, cols=2).packets:
+                net.inject(p)
+            if engine == "compiled":
+                with pytest.raises(EngineUnsupportedError):
+                    net.run()
+                assert not [
+                    ev
+                    for ev in session.tracer.events
+                    if ev.cat == "mesh" and ev.name == "run"
+                ]
+            else:
+                net.run()
+        phases = [
+            ev.ph
+            for ev in session.tracer.events
+            if ev.cat == "mesh" and ev.name == "run"
+        ]
+        assert phases == ["B", "E"]
 
 
 # ---------------------------------------------------------------------------

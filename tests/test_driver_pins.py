@@ -11,28 +11,16 @@ the paper's machine fails here rather than in a figure.
 import numpy as np
 
 from repro.core.psync import PsyncConfig, PsyncMachine
-from repro.mesh import MeshConfig, MeshNetwork, MeshTopology, make_transpose_gather
+from repro.mesh import (
+    MeshConfig,
+    MeshNetwork,
+    MeshTopology,
+    make_transpose_gather,
+    mesh_signature,
+)
 from repro.mesh.workloads import make_scatter_delivery
 
 # -- helpers ----------------------------------------------------------------
-
-
-def _mesh_signature(net, stats):
-    """Observable mesh signature with process-global packet ids normalized."""
-    base = min(net._packet_meta) if net._packet_meta else 0
-    return (
-        stats.cycles,
-        stats.packets_delivered,
-        stats.flits_delivered,
-        stats.flit_hops,
-        tuple(stats.packet_latencies),
-        stats.memory_busy_cycles,
-        tuple(sorted(stats.flits_through_node.items())),
-        tuple(
-            (r.cycle, r.node, r.packet_id - base, r.payload, r.source)
-            for r in net.sunk
-        ),
-    )
 
 
 def _run_transpose(net, cols):
@@ -135,7 +123,7 @@ class TestDriverPins:
 
         _, sig = _run_mesh_once("reference", 16, 2, 2)
         hand = _hand_mesh(16, reorder=2)
-        assert sig == _mesh_signature(hand, _run_transpose(hand, 2))
+        assert sig == mesh_signature(hand, _run_transpose(hand, 2))
 
     def test_workload_runner_pin(self):
         from repro.workloads import build_workload
@@ -155,7 +143,7 @@ class TestDriverPins:
         for pkt in description.packets:
             hand.inject(pkt)
         stats = hand.run()
-        assert result.mesh_signature == _mesh_signature(hand, stats)
+        assert result.mesh_signature == mesh_signature(hand, stats)
 
     def test_measure_mesh_transpose_pin(self):
         from repro.analysis.transpose_model import measure_mesh_transpose

@@ -20,7 +20,13 @@ were built earlier in the pytest session.
 
 import pytest
 
-from repro.mesh import MeshConfig, MeshNetwork, MeshTopology
+from repro.mesh import (
+    MeshConfig,
+    MeshNetwork,
+    MeshTopology,
+    mesh_signature,
+    packet_id_base,
+)
 from repro.mesh.fast_network import FastMeshNetwork
 from repro.mesh.vc_network import VcMeshConfig, VcMeshNetwork
 from repro.mesh.workloads import (
@@ -45,23 +51,6 @@ def _packets(topology, workload):
     raise ValueError(workload)
 
 
-def _mesh_signature(net, stats):
-    base = min(net._packet_meta)
-    return (
-        stats.cycles,
-        stats.packets_delivered,
-        stats.flits_delivered,
-        stats.flit_hops,
-        tuple(stats.packet_latencies),
-        stats.memory_busy_cycles,
-        tuple(sorted(stats.flits_through_node.items())),
-        tuple(
-            (r.cycle, r.node, r.packet_id - base, r.payload, r.source)
-            for r in net.sunk
-        ),
-    )
-
-
 def _run_mesh(engine, workload, *, cycle_skip=None, fault=None):
     topology = MeshTopology.square(16)
     config = MeshConfig(
@@ -76,9 +65,9 @@ def _run_mesh(engine, workload, *, cycle_skip=None, fault=None):
     elif fault == "router":
         net.fail_router((1, 1))
     if fault is None:
-        return _mesh_signature(net, net.run())
+        return mesh_signature(net, net.run())
     stats, report = net.run_resilient()
-    base = min(net._packet_meta)
+    base = packet_id_base(net)
     rep = None
     if report is not None:
         rep = (
@@ -90,7 +79,7 @@ def _run_mesh(engine, workload, *, cycle_skip=None, fault=None):
             tuple(report.quarantined_links),
         )
     return (
-        _mesh_signature(net, stats),
+        mesh_signature(net, stats),
         stats.reroutes,
         stats.quarantine_events,
         rep,
@@ -132,7 +121,7 @@ class TestFastMeshEquivalence:
             net.add_memory_interface((0, 0))
             for p in make_uniform_random(topology, packets_per_node=2, seed=3):
                 net.inject(p)
-            sigs.append(_mesh_signature(net, net.run()))
+            sigs.append(mesh_signature(net, net.run()))
         assert sigs[0] == sigs[1]
 
 

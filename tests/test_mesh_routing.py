@@ -12,6 +12,7 @@ from repro.mesh import (
     TorusTopology,
     XYRouting,
     make_transpose_gather,
+    packet_id_base,
 )
 from repro.mesh.routing import TorusShortestRouting, productive_ports
 from repro.obs import ObsConfig, ObsSession, latency_slo_block
@@ -156,7 +157,7 @@ class TestTorus:
         def run(engine):
             net = _torus_net(engine=engine)
             stats = _run_transpose(net)
-            base = min(net._packet_meta)
+            base = packet_id_base(net)
             return (
                 stats.cycles,
                 stats.flit_hops,
