@@ -11,10 +11,10 @@ Three parts (see ``docs/correctness.md``):
   rather than a first-failure exception.
 * :mod:`repro.check.fuzz` — a **seeded differential fuzzer** that
   generates randomized workloads/configs and cross-executes every
-  equivalent-engine pair in the repo (reference ↔ fast mesh, heap ↔
-  bucket event queue, measured mesh ↔ analytic Table III model within
-  documented bands, obs trace oracles, CRC frame codec, reliable-gather
-  determinism), failing on any divergence.
+  equivalent-engine pair in the repo (reference ↔ fast mesh, measured
+  mesh ↔ analytic Table III model within documented bands, obs trace
+  oracles, CRC frame codec, reliable-gather determinism), failing on
+  any divergence.
 * :mod:`repro.check.shrink` — a **config shrinker** that minimizes a
   failing fuzz case and emits a committed regression seed under
   ``tests/corpus/``, auto-replayed by ``tests/test_check_corpus.py``.

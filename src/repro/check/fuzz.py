@@ -2,8 +2,7 @@
 
 The repo ships several *pairs* (or families) of implementations that claim
 observational equivalence — a fast mesh engine behind
-``MeshConfig(engine="fast")``, a calendar event queue behind
-``Simulator(queue="bucket")``, cycle skipping behind
+``MeshConfig(engine="fast")``, cycle skipping behind
 ``MeshConfig(cycle_skip=...)``, an analytic Table III model next to the
 measured flit simulator, a canonical CRC frame codec, and the
 CRC-protected retransmitting gather.  Each pair is covered by targeted
@@ -19,11 +18,6 @@ Case kinds
     full observable signature (stats, per-packet delivery order,
     normalized packet ids) and — when ``trace`` is set — by the
     normalized semantic obs trace (categories ``mesh``/``mesh.fault``).
-
-``queue``
-    Heap vs bucket event queue under a randomized timeout storm with
-    priority ties, compared by the exact firing trace; timeout pooling
-    must be invisible.
 
 ``crc``
     The canonical frame codec: round-trip, frame determinism across
@@ -114,7 +108,7 @@ __all__ = [
 ANALYTIC_BAND = (0.65, 1.00)
 
 CASE_KINDS = (
-    "mesh", "queue", "crc", "analytic", "gather", "schedule", "compiled",
+    "mesh", "crc", "analytic", "gather", "schedule", "compiled",
     "batched", "workload",
 )
 
@@ -234,15 +228,6 @@ def _gen_mesh(rng: random.Random) -> dict[str, Any]:
         params["k"] = k
         params["words_per_processor"] = k * rng.choice([2, 3])
     return params
-
-
-def _gen_queue(rng: random.Random) -> dict[str, Any]:
-    return {
-        "processes": rng.randrange(4, 17),
-        "count": rng.randrange(8, 33),
-        "delay_mod": rng.choice([2, 3, 5]),
-        "ties": rng.randrange(12, 37),
-    }
 
 
 def _gen_crc(rng: random.Random) -> dict[str, Any]:
@@ -403,7 +388,6 @@ def _gen_workload(rng: random.Random) -> dict[str, Any]:
 
 _GENERATORS: dict[str, Callable[[random.Random], dict[str, Any]]] = {
     "mesh": _gen_mesh,
-    "queue": _gen_queue,
     "crc": _gen_crc,
     "analytic": _gen_analytic,
     "gather": _gen_gather,
@@ -551,52 +535,6 @@ def _check_mesh(case: FuzzCase) -> list[Divergence]:
             out.append(
                 Divergence(case, "mesh.trace", _diff_repr(ref_tr, fast_tr))
             )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# queue oracle
-# ---------------------------------------------------------------------------
-
-
-def _storm_trace(
-    params: dict[str, Any], queue: str, *, pool_timeouts: bool = True
-):
-    """A mixed-granularity timeout storm plus a same-instant priority wave."""
-    from ..sim.engine import LOW, NORMAL, URGENT, Simulator
-
-    sim = Simulator(queue=queue, pool_timeouts=pool_timeouts)
-    trace: list[tuple] = []
-
-    def ticker(name: str, count: int, delay: float):
-        for i in range(count):
-            yield sim.timeout(delay)
-            trace.append((sim.now, name, i))
-
-    for i in range(params["processes"]):
-        delay = 1.0 + 0.5 * (i % params["delay_mod"])
-        sim.process(ticker(f"p{i}", params["count"], delay))
-    prios = (URGENT, NORMAL, LOW)
-    for i in range(params["ties"]):
-        tmo = sim.timeout(float(i % 5), priority=prios[i % 3])
-        tmo.callbacks.append(
-            lambda ev, i=i: trace.append((sim.now, "tie", i))
-        )
-    sim.run()
-    return trace, sim.events_processed, sim.now
-
-
-def _check_queue(case: FuzzCase) -> list[Divergence]:
-    out: list[Divergence] = []
-    heap = _storm_trace(case.params, "heap")
-    bucket = _storm_trace(case.params, "bucket")
-    if heap != bucket:
-        out.append(Divergence(case, "queue.order", _diff_repr(heap, bucket)))
-    unpooled = _storm_trace(case.params, "bucket", pool_timeouts=False)
-    if bucket != unpooled:
-        out.append(
-            Divergence(case, "queue.pooling", _diff_repr(bucket, unpooled))
-        )
     return out
 
 
@@ -1335,7 +1273,6 @@ def _check_workload(case: FuzzCase) -> list[Divergence]:
 
 _ORACLES: dict[str, Callable[[FuzzCase], list[Divergence]]] = {
     "mesh": _check_mesh,
-    "queue": _check_queue,
     "crc": _check_crc,
     "analytic": _check_analytic,
     "gather": _check_gather,

@@ -64,10 +64,6 @@ def _candidate_values(name: str, value: Any) -> list[Any]:
         "block": 1,
         "k": 1,
         "reorder": 1,
-        "processes": 1,
-        "count": 1,
-        "delay_mod": 1,
-        "ties": 0,
         "values": 1,
         "depth": 1,
         "flip_trials": 1,

@@ -30,7 +30,7 @@ the exact scalar recurrence for that driver.  The fast path is O(n)
 array arithmetic; the repair path is the event semantics verbatim.
 
 Applicability is policed by the dispatch layer in
-:class:`~repro.core.pscan.Pscan`: fault hooks and enabled tracers raise
+:class:`~repro.core.pscan.Pscan`: a fault hook raises
 :class:`~repro.util.errors.EngineUnsupportedError` *before* this module
 is reached, so everything here may assume the deterministic contract.
 """

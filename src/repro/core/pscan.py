@@ -21,8 +21,9 @@ schedules — costs a single :class:`~repro.sim.engine.Timeout` rather
 than per-cycle ticks: each driver sleeps directly until its next slot's
 modulation instant (the event-driven analogue of the mesh simulators'
 cycle-skipping; see ``docs/performance.md``).  Within a slot the
-per-cycle Timeouts are fixed-granularity, which is exactly the traffic
-the engine's bucket queue and Timeout pool are built for.
+per-cycle Timeouts are fixed-granularity, so many events share exact
+timestamps; the kernel's ``(time, priority, insertion)`` order keeps
+their processing deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from ..photonics.devices import PhotonicLink
 from ..photonics.waveguide import Waveguide
 from ..photonics.wdm import WdmPlan, paper_pscan_plan
 from ..sim.engine import Simulator
-from ..sim.trace import Tracer
 from ..util.errors import (
     CollisionError,
     ConfigError,
@@ -202,10 +202,9 @@ class Pscan:
         ``"compiled"`` lowers the schedule to vectorized closed-form
         timeline evaluation (:mod:`repro.core.compiled`) producing a
         bit-identical :class:`ScaExecution`.  The compiled engine only
-        covers the deterministic, fault-free contract: a fault hook or an
-        enabled tracer raises
-        :class:`~repro.util.errors.EngineUnsupportedError` instead of
-        silently falling back.
+        covers the deterministic, fault-free contract: a fault hook
+        raises :class:`~repro.util.errors.EngineUnsupportedError`
+        instead of silently falling back.
     """
 
     def __init__(
@@ -216,7 +215,6 @@ class Pscan:
         wdm: WdmPlan | None = None,
         response_ns: float = 0.01,
         link: PhotonicLink | None = None,
-        tracer: Tracer | None = None,
         engine: str = "event",
     ) -> None:
         if engine not in ("event", "compiled"):
@@ -230,9 +228,6 @@ class Pscan:
         self.wdm = wdm or paper_pscan_plan()
         self.response_ns = response_ns
         self.link = link
-        # Explicit None check: Tracer has __len__, so a fresh (empty)
-        # enabled tracer is falsy and `tracer or ...` would discard it.
-        self.tracer = tracer if tracer is not None else Tracer(sim, enabled=False)
         self.clock = PhotonicClock(
             period_ns=self.wdm.bus_cycle_ns,
             origin_mm=0.0,
@@ -287,9 +282,8 @@ class Pscan:
         """Police the compiled engine's applicability predicate.
 
         The analytic lowering is only valid for deterministic, fault-free
-        runs: a fault hook can rewrite any word at detection time, and a
-        tracer's records are defined in terms of event-kernel ordering.
-        Both raise — never silently degrade — so "compiled" always means
+        runs: a fault hook can rewrite any word at detection time.  It
+        raises — never silently degrades — so "compiled" always means
         compiled (see :class:`~repro.util.errors.EngineUnsupportedError`).
         """
         if self.fault_hook is not None:
@@ -298,13 +292,6 @@ class Pscan:
                 "fault_hook",
                 "fault injection rewrites words at detection time; "
                 "run with engine='event' (the default) instead",
-            )
-        if self.tracer.enabled:
-            raise EngineUnsupportedError(
-                "compiled",
-                "tracer",
-                "sim.trace.Tracer records are defined by event-kernel "
-                "ordering; use repro.obs or engine='event' instead",
             )
 
     def _next_epoch_cycle(self) -> int:
@@ -375,9 +362,6 @@ class Pscan:
             if self.fault_hook is not None:
                 value = self.fault_hook(time_ns, node, word_index, value)
             result.arrivals.append(Arrival(time_ns, cycle, node, word_index, value))
-            tr = self.tracer
-            if tr.enabled:  # guard: no tuple built on disabled runs
-                tr.record("arrival", (cycle, node, word_index))
             if self._obs is not None:
                 self._obs.sca_arrival(time_ns, node, cycle, word_index)
 
@@ -415,9 +399,6 @@ class Pscan:
                     mods.append((cycle, self.sim.now))
                     if not first_mod or self.sim.now < first_mod[0]:
                         first_mod[:] = [self.sim.now]
-                    tr = self.tracer
-                    if tr.enabled:  # guard: no tuple built on disabled runs
-                        tr.record("modulate", (node, cycle))
                     if self._obs is not None:
                         self._obs.sca_modulate(self.sim.now, node, cycle)
                     arr = self.sim.timeout(
@@ -498,9 +479,6 @@ class Pscan:
                 value = self.fault_hook(time_ns, node, word_index, value)
             result.delivered.setdefault(node, []).append(value)
             result.arrivals.append(Arrival(time_ns, cycle, node, word_index, value))
-            tr = self.tracer
-            if tr.enabled:  # guard: no tuple built on disabled runs
-                tr.record("deliver", (cycle, node, word_index))
             if self._obs is not None:
                 self._obs.sca_deliver(time_ns, node, cycle, word_index)
 

@@ -10,8 +10,9 @@ config decides which layers record:
 ``sim_dispatch``
     Per-event dispatch records from :class:`repro.sim.engine.Simulator`
     (event type, time, queue depth).  The hottest hook by far — a record
-    per processed event — so it is **off** by default and exists mainly
-    for the heap-vs-bucket trace oracle.
+    per processed event — so it is **off** by default; turn it on to see
+    every kernel dispatch behind an SCA run, one ``sim`` record per
+    :attr:`~repro.sim.engine.Simulator.events_processed`.
 ``mesh`` / ``sca`` / ``faults`` / ``phases``
     Semantic events from the mesh simulators (inject/deliver/fault), the
     PSCAN executor (modulate/arrival/deliver), the recovery layer

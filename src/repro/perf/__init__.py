@@ -10,9 +10,10 @@ Three pieces (see ``docs/performance.md``):
   ``resume=`` persistence through the :mod:`repro.store`
   content-addressed result cache (see ``docs/sweeps.md``);
 * :mod:`repro.perf.harness` — the benchmarks behind ``BENCH_mesh.json``
-  and ``BENCH_engine.json`` (fast vs reference mesh engine, bucket vs
-  heap event queue), each asserting result equality before reporting a
-  speedup;
+  and ``BENCH_engine.json`` (fast vs reference mesh engine, compiled vs
+  reference transpose, batched vs per-seed campaigns, and the event
+  kernel's timeout storm), each asserting result equality before
+  reporting a speedup;
 * :mod:`repro.perf.regression` — compares a fresh bench run against the
   checked-in baselines so CI can fail on real slowdowns.
 """

@@ -1,7 +1,8 @@
 """Perf benchmarks with JSON baselines (``BENCH_mesh.json`` / ``BENCH_engine.json``).
 
-Measures the two fast paths this repo ships against their reference
-implementations, on the workloads that dominate the paper's evaluation:
+Measures the fast paths this repo ships against their reference
+implementations, and the event kernel on its dominant traffic, on the
+workloads that dominate the paper's evaluation:
 
 * **mesh** — the 8×8 (64-processor) 2D-FFT transpose gather of
   Table III / Fig. 11, run on the reference cycle-by-cycle
@@ -13,12 +14,11 @@ implementations, on the workloads that dominate the paper's evaluation:
   fast with byte-identical results (signature, latency percentiles,
   per-pair table) required before any number is reported;
 * **engine** — a fixed-granularity Timeout storm (the PSCAN executor's
-  dominant event shape) on the seed binary-heap event queue versus the
-  calendar/bucket queue, asserting identical event counts and final
-  clocks; plus the schedule-compiled mesh backend
-  (``engine="compiled"``) against the reference on the same transpose
-  workload — including the 1024-processor run that only the compiled
-  engine can complete in budget; plus the SIMD-lockstep batched
+  dominant event shape) on the heap event kernel; plus the
+  schedule-compiled mesh backend (``engine="compiled"``) against the
+  reference on the same transpose workload — including the
+  1024-processor run that only the compiled engine can complete in
+  budget; plus the SIMD-lockstep batched
   Monte-Carlo campaign (``run_campaign(batch=)``) against the
   process-pool per-seed path on a dense low-BER grid, asserting
   byte-identical reports before reporting lanes/second and the
@@ -420,21 +420,18 @@ def bench_compiled_transpose_scale(
 
 
 def _run_storm_once(
-    queue: str, processes: int, timeouts: int, granularity: float
-) -> tuple[float, tuple]:
+    processes: int, timeouts: int, granularity: float
+) -> tuple[float, int]:
     from ..sim.engine import Simulator
 
-    sim = Simulator(queue=queue)
+    sim = Simulator()
 
     def ticker(sim: Simulator, n: int, delay: float):
         for _ in range(n):
             yield sim.timeout(delay)
 
-    order: list[float] = []
-
     def closer(sim: Simulator, procs):
         yield sim.all_of(procs)
-        order.append(sim.now)
 
     procs = [
         sim.process(ticker(sim, timeouts, granularity * (1 + (i % 3))))
@@ -444,7 +441,7 @@ def _run_storm_once(
     t0 = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - t0
-    return wall, (sim.events_processed, sim.now, tuple(order))
+    return wall, sim.events_processed
 
 
 def bench_engine_timeout_storm(
@@ -453,26 +450,15 @@ def bench_engine_timeout_storm(
     granularity: float = 1.0,
     repeats: int = 3,
 ) -> dict[str, Any]:
-    """Heap vs bucket queue on fixed-granularity Timeout traffic.
+    """The event kernel on fixed-granularity Timeout traffic.
 
     Each process sleeps in a loop at one of three granularities, so
-    many events share exact timestamps — the case the bucket queue's
-    same-time buckets (and the kernel's priority tie-breaking) exist
-    for.  Signatures (event counts, final clocks) must match exactly.
+    many events share exact timestamps and the kernel's priority
+    tie-breaking is exercised on every instant.
     """
-    heap_wall, heap_sig = _best_of(
-        lambda: _run_storm_once("heap", processes, timeouts, granularity),
-        repeats,
+    wall, events = _best_of(
+        lambda: _run_storm_once(processes, timeouts, granularity), repeats
     )
-    bucket_wall, bucket_sig = _best_of(
-        lambda: _run_storm_once("bucket", processes, timeouts, granularity),
-        repeats,
-    )
-    if heap_sig != bucket_sig:
-        raise AssertionError(
-            "bucket event queue diverged from the heap queue on the bench"
-        )
-    events = heap_sig[0]
     return {
         "workload": {
             "kind": "timeout_storm",
@@ -482,14 +468,9 @@ def bench_engine_timeout_storm(
         },
         "events": events,
         "heap": {
-            "wall_s": heap_wall,
-            "events_per_s": events / heap_wall if heap_wall > 0 else 0.0,
+            "wall_s": wall,
+            "events_per_s": events / wall if wall > 0 else 0.0,
         },
-        "bucket": {
-            "wall_s": bucket_wall,
-            "events_per_s": events / bucket_wall if bucket_wall > 0 else 0.0,
-        },
-        "speedup": heap_wall / bucket_wall if bucket_wall > 0 else 0.0,
     }
 
 

@@ -14,5 +14,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "fifo": ("DualClockFifo", "FifoStats"),
     "stats": ("Counter", "Histogram", "RunningStats", "TimeWeightedStat"),
-    "trace": ("TraceRecord", "Tracer"),
 })

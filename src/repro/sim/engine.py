@@ -18,47 +18,21 @@ Time is a float in **nanoseconds** by library convention (see
 
 Design notes
 ------------
-* Events carry an integer ``priority`` so that simultaneous events have a
-  deterministic order (lower first, FIFO within a priority).  Determinism
-  is load-bearing: the PSCAN collision checker and the mesh router
-  arbitration both rely on stable same-timestamp ordering.
+* The queue is one :mod:`heapq` list of ``(time, priority, seq, event)``
+  tuples.  Events carry an integer ``priority`` so that simultaneous
+  events have a deterministic order (lower first), and the per-simulator
+  insertion counter ``seq`` keeps FIFO order within a priority (and means
+  two entries never compare their events).  Determinism is load-bearing:
+  the PSCAN collision checker and the mesh router arbitration both rely
+  on stable same-timestamp ordering.
 * Failing an event with an exception propagates the exception into every
   waiting process at its ``yield`` — the standard way to model aborted
   transactions.
-
-Performance notes
------------------
-Two interchangeable event queues implement the exact same total order
-``(time, priority, insertion seq)``:
-
-* :class:`HeapEventQueue` — the classic single binary heap (the seed
-  implementation, kept as the differential-testing reference);
-* :class:`BucketEventQueue` — a calendar-style queue that buckets events
-  by *exact timestamp*: one dict entry per distinct time holding an
-  append-order list, a heap of distinct times on top, and a
-  sort-once-then-index-walk drain of the earliest bucket.  The dominant
-  traffic in the PSCAN executor — fixed-granularity :class:`Timeout`
-  events plus zero-delay ``succeed``/process-resume storms that all
-  land on a few shared timestamps — makes scheduling an O(1)
-  dict-hit + append and popping an index read, instead of ``O(log n)``
-  4-tuple heap sifts.
-
-``tests/test_fast_engine.py`` proves the two queues process identical
-event sequences, including URGENT/NORMAL/LOW same-timestamp ties.
-
-The kernel also pools processed :class:`Timeout` objects: after a
-timeout's callbacks have run, if nothing else holds a reference to it
-(proved with ``sys.getrefcount``), the object is recycled by the next
-``Simulator.timeout`` call instead of being reallocated.  This is safe
-because pooled-eligible timeouts are exactly the ``yield
-sim.timeout(d)`` one-shots the hot loops create by the million.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
-from bisect import insort
 from collections.abc import Callable, Generator
 from typing import Any
 
@@ -74,8 +48,6 @@ __all__ = [
     "NORMAL",
     "URGENT",
     "LOW",
-    "HeapEventQueue",
-    "BucketEventQueue",
 ]
 
 #: Priority for events that must fire before same-time normal events.
@@ -340,145 +312,8 @@ class AllOf(_Condition):
         return self._count >= len(self.events)
 
 
-class HeapEventQueue:
-    """The seed event queue: one binary heap of ``(time, prio, seq, event)``.
-
-    Kept as the byte-exact ordering reference for
-    :class:`BucketEventQueue`; select with ``Simulator(queue="heap")``.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    name = "heap"
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, time: float, priority: int, event: "Event") -> None:
-        """Schedule ``event`` at absolute ``time``."""
-        self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, event))
-
-    def pop(self) -> tuple[float, "Event"]:
-        """Remove and return the globally next ``(time, event)``."""
-        time, _prio, _seq, event = heapq.heappop(self._heap)
-        return time, event
-
-    def peek_time(self) -> float:
-        """Time of the next event, ``inf`` when empty."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-
-class BucketEventQueue:
-    """Calendar-style queue bucketing events by exact timestamp.
-
-    Structure: ``_buckets`` maps each *distinct* future timestamp to a
-    plain **append-order list** of ``(priority, seq, event)`` triples,
-    and ``_times`` is a heap of the distinct timestamps.  The earliest
-    bucket is promoted to the *current drain*: sorted once (``seq`` is
-    unique, so ties are impossible and the order is exactly the
-    reference heap's ``(time, priority, seq)``), then consumed by a
-    bare index walk.
-
-    Why it is faster than one big heap: scheduling into a future bucket
-    is a dict hit plus ``list.append`` — O(1) instead of an O(log n)
-    sift of 4-tuples — and popping is an index read.  The one sort per
-    bucket runs on an almost-sorted list (events arrive in ``seq``
-    order; priorities are almost always ``NORMAL``), which Timsort
-    handles in near-linear time.  Same-time pushes *during* a drain
-    (zero-delay ``Event.succeed``, process resumes) are bisected into
-    the undrained tail, which is typically tiny.
-    """
-
-    __slots__ = ("_buckets", "_times", "_seq", "_len", "_cur", "_cur_idx",
-                 "_cur_time")
-
-    name = "bucket"
-
-    def __init__(self) -> None:
-        self._buckets: dict[float, list[tuple[int, int, Event]]] = {}
-        self._times: list[float] = []
-        self._seq = 0
-        self._len = 0
-        #: The bucket currently being drained (already sorted), the
-        #: index of its next undrained entry, and its timestamp.  All
-        #: timestamps in ``_times`` are strictly later than
-        #: ``_cur_time``: the simulator never schedules into the past,
-        #: so once a bucket is promoted, pushes land either exactly on
-        #: ``_cur_time`` (handled by bisection into the tail) or later.
-        self._cur: list[tuple[int, int, Event]] = []
-        self._cur_idx = 0
-        self._cur_time = float("-inf")
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, time: float, priority: int, event: "Event") -> None:
-        """Schedule ``event`` at absolute ``time``."""
-        self._seq += 1
-        self._len += 1
-        if time == self._cur_time:
-            # Same-time push while that bucket drains: keep the
-            # undrained tail sorted.  The new seq is larger than every
-            # existing one, so this is a pure priority-order insert.
-            insort(self._cur, (priority, self._seq, event), self._cur_idx)
-            return
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [(priority, self._seq, event)]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append((priority, self._seq, event))
-
-    def pop(self) -> tuple[float, "Event"]:
-        """Remove and return the globally next ``(time, event)``."""
-        i = self._cur_idx
-        cur = self._cur
-        if i >= len(cur):
-            # Promote the earliest future bucket to the drain position.
-            time = heapq.heappop(self._times)
-            cur = self._buckets.pop(time)
-            cur.sort()
-            self._cur = cur
-            self._cur_time = time
-            i = 0
-        event = cur[i][2]
-        cur[i] = None  # type: ignore[call-overload]  # drop the ref: enables Timeout pooling
-        self._cur_idx = i + 1
-        self._len -= 1
-        return self._cur_time, event
-
-    def peek_time(self) -> float:
-        """Time of the next event, ``inf`` when empty."""
-        if self._cur_idx < len(self._cur):
-            return self._cur_time
-        return self._times[0] if self._times else float("inf")
-
-
-_QUEUES = {"heap": HeapEventQueue, "bucket": BucketEventQueue}
-
-#: Upper bound on recycled Timeout objects kept alive per simulator.
-_TIMEOUT_POOL_MAX = 4096
-
-
 class Simulator:
     """Event queue and simulation clock.
-
-    Parameters
-    ----------
-    queue:
-        ``"bucket"`` (default) — the calendar-style
-        :class:`BucketEventQueue` fast path; ``"heap"`` — the seed
-        :class:`HeapEventQueue`.  Both produce the identical event
-        order (differentially tested), so the choice is purely a
-        performance knob.
-    pool_timeouts:
-        Recycle processed, otherwise-unreferenced :class:`Timeout`
-        objects through :meth:`timeout` (default True).
 
     Examples
     --------
@@ -493,21 +328,13 @@ class Simulator:
     [5.0]
     """
 
-    __slots__ = ("_now", "_queue", "_event_count", "_timeout_pool", "_pooling",
-                 "_obs")
+    __slots__ = ("_now", "_queue", "_seq", "_event_count", "_obs")
 
-    def __init__(self, *, queue: str = "bucket", pool_timeouts: bool = True) -> None:
-        try:
-            queue_cls = _QUEUES[queue]
-        except KeyError:
-            raise SimulationError(
-                f"unknown event queue {queue!r}; choose from {sorted(_QUEUES)}"
-            ) from None
+    def __init__(self) -> None:
         self._now: float = 0.0
-        self._queue = queue_cls()
+        self._queue: list[tuple[float, int, int, Event]] = []
+        self._seq: int = 0
         self._event_count: int = 0
-        self._timeout_pool: list[Timeout] = []
-        self._pooling = bool(pool_timeouts)
         # Optional observability hook (duck-typed ObsSession); None keeps
         # the dispatch loop at a single pointer comparison per event.
         self._obs: Any = None
@@ -541,24 +368,7 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None, *, priority: int = NORMAL) -> Timeout:
-        """Create an event that fires ``delay`` time units from now.
-
-        When pooling is enabled, a previously processed and otherwise
-        unreferenced :class:`Timeout` is recycled instead of allocating a
-        new object; the observable behaviour is identical.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ProcessError(f"timeout delay must be >= 0, got {delay!r}")
-            tmo = pool.pop()
-            tmo.callbacks = []
-            tmo._processed = False
-            tmo._ok = True
-            tmo._value = value
-            tmo.delay = delay
-            self._enqueue(delay, priority, tmo)
-            return tmo
+        """Create an event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value, priority=priority)
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
@@ -586,15 +396,18 @@ class Simulator:
     # -- queue internals ----------------------------------------------------
 
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
-        self._queue.push(self._now + delay, priority, event)
+        self._seq += 1
+        heapq.heappush(
+            self._queue, (self._now + delay, priority, self._seq, event)
+        )
 
     # -- execution ------------------------------------------------------------
 
     def step(self) -> None:
         """Process exactly one event; raises if the queue is empty."""
-        if not len(self._queue):
+        if not self._queue:
             raise SimulationError("no events left to process")
-        time, event = self._queue.pop()
+        time, _priority, _seq, event = heapq.heappop(self._queue)
         if time < self._now:  # pragma: no cover - defensive
             raise SimulationError("event queue went backwards in time")
         self._now = time
@@ -603,9 +416,7 @@ class Simulator:
         event._processed = True
         self._event_count += 1
         if self._obs is not None:
-            # Depth is sampled post-pop, pre-callback: both event queues
-            # hold the identical pending set at this point, so the
-            # heap-vs-bucket trace oracle sees identical records.
+            # Depth is sampled post-pop, pre-callback.
             self._obs.sim_event(type(event).__name__, time, len(self._queue))
         if len(callbacks) == 1:
             # Fast path: the overwhelmingly common single-waiter case
@@ -614,20 +425,10 @@ class Simulator:
         else:
             for cb in callbacks:
                 cb(event)
-        if (
-            self._pooling
-            and type(event) is Timeout
-            and sys.getrefcount(event) == 2
-            and len(self._timeout_pool) < _TIMEOUT_POOL_MAX
-        ):
-            # Nothing outside this frame holds a reference (refcount is
-            # this local + the getrefcount argument), so the object can
-            # never be observed again — recycle it.
-            self._timeout_pool.append(event)
 
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if queue is empty."""
-        return self._queue.peek_time()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def run(
         self,
@@ -691,7 +492,7 @@ class Simulator:
                 f"cannot run until {deadline}, already at {self._now}"
             )
         queue = self._queue
-        while len(queue) and queue.peek_time() < deadline:
+        while queue and queue[0][0] < deadline:
             tick()
         self._now = deadline
         return None

@@ -62,9 +62,8 @@ class TestOracles:
 
     Every equivalent-engine pair in the repo is cross-executed here:
     reference vs fast mesh (and cycle-skip on/off, and obs traces),
-    heap vs bucket queue (and timeout pooling), codec vs corruption,
-    measured vs analytic transpose, protected gather vs itself, and
-    compiled schedules vs the static analyzer.
+    codec vs corruption, measured vs analytic transpose, protected
+    gather vs itself, and compiled schedules vs the static analyzer.
     """
 
     @pytest.mark.parametrize("kind", CASE_KINDS)
@@ -163,10 +162,10 @@ class TestShrinker:
 
 class TestSeedIO:
     def test_write_and_load_roundtrip(self, tmp_path):
-        case = generate_case(7, kinds=["queue"])
+        case = generate_case(7, kinds=["crc"])
         path = write_seed(
-            case, tmp_path, note="storm order",
-            divergences=[Divergence(case, "queue.order", "x")],
+            case, tmp_path, note="frame determinism",
+            divergences=[Divergence(case, "crc.determinism", "x")],
         )
         assert path.parent == tmp_path
         loaded = load_seed(path)
@@ -174,8 +173,8 @@ class TestSeedIO:
         assert loaded.seed == case.seed
         assert loaded.params == case.params
         payload = json.loads(path.read_text())
-        assert payload["note"] == "storm order"
-        assert payload["oracles"] == ["queue.order"]
+        assert payload["note"] == "frame determinism"
+        assert payload["oracles"] == ["crc.determinism"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Differential tests: fast simulation paths vs the reference paths.
 
-Three fast paths ride behind flags, and each must be *observably
+Two fast paths ride behind flags, and each must be *observably
 identical* to the seed behaviour it replaces:
 
 * ``MeshConfig(engine="fast")`` — the change-driven mesh planner must
@@ -9,9 +9,6 @@ identical* to the seed behaviour it replaces:
   order, on clean and faulty workloads alike.
 * ``MeshConfig(cycle_skip=...)`` / ``VcMeshConfig(cycle_skip=True)`` —
   jumping over quiescent cycles must not change any observable.
-* ``Simulator(queue="bucket")`` — the calendar queue must pop events in
-  exactly the heap's order, including URGENT/NORMAL/LOW ties at the same
-  timestamp, and Timeout pooling must be invisible.
 
 Packet ids are normalized by subtracting the run's minimum id: ids come
 from a process-global counter, so raw values depend on how many networks
@@ -34,7 +31,6 @@ from repro.mesh.workloads import (
     make_transpose_gather,
     make_uniform_random,
 )
-from repro.sim.engine import LOW, NORMAL, URGENT, Simulator
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -178,101 +174,3 @@ class TestCycleSkip:
                 )
             )
         assert sigs[0] == sigs[1]
-
-
-# ---------------------------------------------------------------------------
-# bucket queue vs heap queue
-# ---------------------------------------------------------------------------
-
-
-def _storm_trace(queue, *, pool_timeouts=True):
-    """Run a mixed-granularity timeout storm, recording every firing."""
-    sim = Simulator(queue=queue, pool_timeouts=pool_timeouts)
-    trace = []
-
-    def ticker(name, count, delay):
-        for i in range(count):
-            yield sim.timeout(delay)
-            trace.append((sim.now, name, i))
-
-    for i in range(24):
-        sim.process(ticker(f"p{i}", 40, 1.0 + (i % 3)))
-    sim.run()
-    return trace, sim.events_processed, sim.now
-
-
-class TestBucketQueue:
-    def test_storm_order_matches_heap(self):
-        heap = _storm_trace("heap")
-        bucket = _storm_trace("bucket")
-        assert bucket == heap
-
-    def test_pooling_is_invisible(self):
-        assert _storm_trace("bucket", pool_timeouts=True) == _storm_trace(
-            "bucket", pool_timeouts=False
-        )
-
-    @pytest.mark.parametrize("queue", ["heap", "bucket"])
-    def test_same_timestamp_priority_ties(self, queue):
-        sim = Simulator(queue=queue)
-        fired = []
-
-        def note(tag):
-            return lambda ev: fired.append(tag)
-
-        # Insert in scrambled priority order at an identical timestamp;
-        # processing must be URGENT, then NORMAL, then LOW, with insertion
-        # order breaking ties inside each class.
-        for tag, prio in [
-            ("low-a", LOW),
-            ("norm-a", NORMAL),
-            ("urg-a", URGENT),
-            ("low-b", LOW),
-            ("urg-b", URGENT),
-            ("norm-b", NORMAL),
-        ]:
-            sim.timeout(5.0, priority=prio).callbacks.append(note(tag))
-        sim.run()
-        assert fired == ["urg-a", "urg-b", "norm-a", "norm-b", "low-a", "low-b"]
-
-    def test_tie_order_identical_across_queues(self):
-        traces = {}
-        for queue in ("heap", "bucket"):
-            sim = Simulator(queue=queue)
-            fired = []
-            # Two waves landing at the same instants with mixed priorities.
-            for i in range(30):
-                prio = (URGENT, NORMAL, LOW)[i % 3]
-                tmo = sim.timeout(float(i % 5), priority=prio)
-                tmo.callbacks.append(
-                    lambda ev, i=i: fired.append((sim.now, i))
-                )
-            traces[queue] = (fired, sim.events_processed)
-            sim.run()
-            traces[queue] = (list(fired), sim.events_processed)
-        assert traces["heap"] == traces["bucket"]
-
-    def test_push_into_current_bucket_during_drain(self):
-        # A callback scheduling a zero-delay timeout pushes into the bucket
-        # currently being drained — the insort path.
-        for queue in ("heap", "bucket"):
-            sim = Simulator(queue=queue)
-            fired = []
-
-            def chain():
-                yield sim.timeout(1.0)
-                fired.append(("a", sim.now))
-                yield sim.timeout(0.0)
-                fired.append(("b", sim.now))
-                yield sim.timeout(0.0)
-                fired.append(("c", sim.now))
-
-            sim.process(chain())
-            sim.run()
-            assert fired == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
-
-    def test_unknown_queue_rejected(self):
-        from repro.util.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            Simulator(queue="calendar")

@@ -1,8 +1,7 @@
 """Unit tests for the observability layer (:mod:`repro.obs`).
 
 Covers the pieces the oracle/golden tests use as infrastructure: the
-span tracer's ring buffer and lazy/disabled paths, the seed
-:class:`repro.sim.trace.Tracer`'s new cap, metrics JSON round-trip,
+span tracer's ring buffer and lazy/disabled paths, metrics JSON round-trip,
 Chrome trace validation failure modes, and the ``repro obs`` CLI.
 """
 
@@ -22,8 +21,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.obs.cli import main as obs_main
-from repro.sim.engine import Simulator
-from repro.sim.trace import Tracer
 from repro.util.errors import ConfigError, ValidationError
 
 # -- SpanTracer --------------------------------------------------------------
@@ -83,45 +80,6 @@ class TestSpanTracer:
     def test_invalid_cap_rejected(self):
         with pytest.raises(ConfigError):
             SpanTracer(max_events=0)
-
-
-# -- seed Tracer ring buffer / lazy payloads ---------------------------------
-
-
-class TestSeedTracer:
-    def test_ring_buffer_overflow(self):
-        sim = Simulator()
-        tr = Tracer(sim, max_records=2)
-        for i in range(5):
-            tr.record("cat", i)
-        assert len(tr) == 2
-        assert tr.dropped == 3
-        assert [r.payload for r in tr] == [3, 4]
-
-    def test_uncapped_is_a_plain_list(self):
-        sim = Simulator()
-        tr = Tracer(sim)
-        for i in range(5):
-            tr.record("cat", i)
-        assert len(tr) == 5 and tr.dropped == 0
-        assert isinstance(tr.records, list)
-
-    def test_disabled_skips_lazy_payload(self):
-        sim = Simulator()
-        tr = Tracer(sim, enabled=False)
-        calls = []
-        tr.record("cat", lambda: calls.append(1))
-        assert len(tr) == 0 and calls == []
-
-    def test_enabled_invokes_lazy_payload(self):
-        sim = Simulator()
-        tr = Tracer(sim)
-        tr.record("cat", lambda: ("built",))
-        assert tr.records[0].payload == ("built",)
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ConfigError):
-            Tracer(Simulator(), max_records=0)
 
 
 # -- metrics round-trip ------------------------------------------------------

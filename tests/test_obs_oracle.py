@@ -6,7 +6,7 @@ produce identical normalized traces — a much sharper oracle than
 comparing end-state stats:
 
 * reference vs fast mesh engine, clean and faulty (``run_resilient``);
-* heap vs bucket event queues under per-dispatch recording;
+* per-dispatch kernel records under ``ObsConfig(sim_dispatch=True)``;
 * the same seeded workload twice (determinism).
 
 Engine-*dependent* events (the sampled ``mesh.sample`` category — a
@@ -124,10 +124,10 @@ class TestMeshEngineOracle:
         assert a.metrics.to_json() == b.metrics.to_json()
 
 
-def _fig4_session(queue: str) -> ObsSession:
-    """The Fig.-4 gather with per-dispatch recording on queue ``queue``."""
+def _fig4_session() -> tuple[ObsSession, Simulator]:
+    """The Fig.-4 gather with per-dispatch recording."""
     session = ObsSession(ObsConfig(sim_dispatch=True))
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     sim.attach_observer(session)
     pscan = Pscan(sim, Waveguide(length_mm=140.0), {0: 0.0, 1: 14.0})
     pscan.attach_observer(session)
@@ -135,28 +135,25 @@ def _fig4_session(queue: str) -> ObsSession:
              for w in range(3)]
     data = {0: [f"a{i}" for i in range(6)], 1: [f"b{i}" for i in range(6)]}
     pscan.execute_gather(gather_schedule(order), data, receiver_mm=140.0)
-    return session
+    return session, sim
 
 
 class TestEventQueueOracle:
-    def test_heap_vs_bucket_dispatch_sequence(self):
-        """Both queues dispatch the identical event sequence.
+    def test_dispatch_records_every_event(self):
+        """One ``sim`` record per dispatched event, identical across runs."""
+        a, sim = _fig4_session()
+        b, _ = _fig4_session()
+        events = normalize_events(a.tracer.events)
+        dispatched = [e for e in events if e["cat"] == "sim"]
+        assert len(dispatched) == sim.events_processed > 0
+        assert events == normalize_events(b.tracer.events)
 
-        ``sim_event`` samples the queue depth post-pop / pre-callback,
-        where both queue implementations provably hold the same pending
-        set — so even the depth annotations must agree.
-        """
-        heap = _fig4_session("heap")
-        bucket = _fig4_session("bucket")
-        heap_events = normalize_events(heap.tracer.events)
-        bucket_events = normalize_events(bucket.tracer.events)
-        assert any(e["cat"] == "sim" for e in heap_events)
-        assert heap_events == bucket_events
-
-    def test_heap_vs_bucket_metrics(self):
-        heap = _fig4_session("heap")
-        bucket = _fig4_session("bucket")
-        assert heap.metrics.to_dict() == bucket.metrics.to_dict()
+    def test_dispatch_metrics_are_deterministic(self):
+        """Two dispatch-recorded runs report identical metrics."""
+        a, _ = _fig4_session()
+        b, _ = _fig4_session()
+        assert a.metrics.to_dict()
+        assert a.metrics.to_dict() == b.metrics.to_dict()
 
 
 class TestRecoveryOracle:

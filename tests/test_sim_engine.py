@@ -78,6 +78,85 @@ class TestDeterminism:
         sim.run()
         assert order == ["urgent", "low"]
 
+    def test_same_timestamp_priority_ties(self):
+        from repro.sim import LOW, NORMAL, URGENT
+
+        sim = Simulator()
+        fired = []
+
+        def note(tag):
+            return lambda ev: fired.append(tag)
+
+        # Insert in scrambled priority order at an identical timestamp;
+        # processing must be URGENT, then NORMAL, then LOW, with insertion
+        # order breaking ties inside each class.
+        for tag, prio in [
+            ("low-a", LOW),
+            ("norm-a", NORMAL),
+            ("urg-a", URGENT),
+            ("low-b", LOW),
+            ("urg-b", URGENT),
+            ("norm-b", NORMAL),
+        ]:
+            sim.timeout(5.0, priority=prio).callbacks.append(note(tag))
+        sim.run()
+        assert fired == ["urg-a", "urg-b", "norm-a", "norm-b", "low-a", "low-b"]
+
+    def test_current_time_priority_ties(self):
+        from repro.sim import LOW, NORMAL, URGENT
+
+        sim = Simulator()
+        fired = []
+
+        def note(tag):
+            return lambda ev: fired.append((tag, sim.now))
+
+        # Events already pending at t=1 compete with events a callback
+        # schedules into that same instant: priority still decides first,
+        # and insertion order breaks ties inside each class.
+        sim.timeout(1.0, priority=LOW).callbacks.append(note("low-a"))
+        sim.timeout(1.0, priority=NORMAL).callbacks.append(note("norm-a"))
+
+        def spawn(ev):
+            fired.append(("spawn", sim.now))
+            for tag, prio in [
+                ("low-b", LOW),
+                ("urg-b", URGENT),
+                ("norm-b", NORMAL),
+                ("urg-c", URGENT),
+            ]:
+                sim.timeout(0.0, priority=prio).callbacks.append(note(tag))
+
+        sim.timeout(1.0, priority=URGENT).callbacks.append(spawn)
+        sim.run()
+        assert fired == [
+            ("spawn", 1.0),
+            ("urg-b", 1.0),
+            ("urg-c", 1.0),
+            ("norm-a", 1.0),
+            ("norm-b", 1.0),
+            ("low-a", 1.0),
+            ("low-b", 1.0),
+        ]
+
+    def test_zero_delay_pushes_fire_at_current_time(self):
+        # A process yielding zero-delay timeouts schedules into the
+        # instant currently being processed.
+        sim = Simulator()
+        fired = []
+
+        def chain():
+            yield sim.timeout(1.0)
+            fired.append(("a", sim.now))
+            yield sim.timeout(0.0)
+            fired.append(("b", sim.now))
+            yield sim.timeout(0.0)
+            fired.append(("c", sim.now))
+
+        sim.process(chain())
+        sim.run()
+        assert fired == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
+
 
 class TestEvents:
     def test_succeed_carries_value(self):
