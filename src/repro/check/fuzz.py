@@ -339,7 +339,7 @@ def _gen_batched(rng: random.Random) -> dict[str, Any]:
             "processors": rng.choice([4, 16]),
             "row_samples": rng.choice([2, 4]),
             # BER exponent: 0 disables the injector (all lanes clean).
-            "ber_exp": rng.choice([0, 6, 4, 3]),
+            "ber_exp": rng.choice([0, 6, 4, 3, 2]),
             "drift": rng.random() < 0.3,
         })
     elif target == "mesh":
@@ -1111,7 +1111,9 @@ def _check_batched(case: FuzzCase) -> list[Divergence]:
     One batched call per case; the scalar reference replays exactly the
     same lanes one seed at a time.  Any row-level difference — result
     payload, stats, timing — is a divergence, as is unbalanced
-    clean/replayed accounting or a scalar replay with the injector off.
+    clean/recovered/replayed accounting, a divergent lane with the
+    injector off, or a drift-free gather lane that replayed scalar
+    instead of recovering in lockstep.
     """
     from ..faults.batched import (
         FifoBatchSpec,
@@ -1186,17 +1188,25 @@ def _check_batched(case: FuzzCase) -> list[Divergence]:
             f"lane {lane} (seed {seeds[lane] if lane is not None else '?'}): "
             + _diff_repr(batch.rows, scalar),
         ))
-    if batch.lanes_clean + batch.lanes_replayed != len(seeds):
+    accounted = batch.lanes_clean + batch.lanes_recovered + batch.lanes_replayed
+    if accounted != len(seeds):
         out.append(Divergence(
             case, "batched.accounting",
-            f"{batch.lanes_clean} clean + {batch.lanes_replayed} replayed "
-            f"!= {len(seeds)} lanes",
+            f"{batch.lanes_clean} clean + {batch.lanes_recovered} recovered "
+            f"+ {batch.lanes_replayed} replayed != {len(seeds)} lanes",
         ))
-    if injector_off and batch.lanes_replayed:
+    if injector_off and (batch.lanes_recovered or batch.lanes_replayed):
         out.append(Divergence(
             case, "batched.zero_replay",
-            f"injector disabled yet {batch.lanes_replayed} lane(s) fell "
-            f"back to scalar replay",
+            f"injector disabled yet {batch.lanes_recovered} lane(s) "
+            f"recovered and {batch.lanes_replayed} fell back to scalar "
+            f"replay",
+        ))
+    if target == "gather" and not p.get("drift") and batch.lanes_replayed:
+        out.append(Divergence(
+            case, "batched.lockstep",
+            f"{batch.lanes_replayed} drift-free gather lane(s) fell back "
+            f"to scalar replay instead of lockstep recovery",
         ))
     return out
 

@@ -29,6 +29,7 @@ of CPs delivered together, each tagged with its transaction role.
 
 from __future__ import annotations
 
+import binascii
 import enum
 from dataclasses import dataclass, field
 
@@ -231,21 +232,7 @@ def decode_cp(data: bytes, node_id: int) -> CommunicationProgram:
 #: CRC width of the protected CP / SCA-frame format (CRC-16/CCITT-FALSE).
 CRC_BITS = 16
 
-_CRC16_POLY = 0x1021
 _CRC16_INIT = 0xFFFF
-
-
-def _crc16_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC16_POLY) if crc & 0x8000 else (crc << 1)
-        table.append(crc & 0xFFFF)
-    return tuple(table)
-
-
-_CRC16_TABLE = _crc16_table()
 
 
 def crc16_ccitt(data: bytes, crc: int = _CRC16_INIT) -> int:
@@ -254,14 +241,14 @@ def crc16_ccitt(data: bytes, crc: int = _CRC16_INIT) -> int:
     This is the checksum the fault-tolerant SCA frame format
     (:mod:`repro.faults.crc`) appends to every word, and the one the
     protected CP codec below uses.  Any single-bit error — and any burst
-    up to 16 bits — is guaranteed detected.
+    up to 16 bits — is guaranteed detected.  ``binascii.crc_hqx`` is
+    exactly this CRC (MSB-first, no reflection, no final XOR), computed
+    in C.
 
     >>> hex(crc16_ccitt(b"123456789"))
     '0x29b1'
     """
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return binascii.crc_hqx(data, crc)
 
 
 def encode_cp_protected(cp: CommunicationProgram) -> bytes:

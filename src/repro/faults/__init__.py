@@ -20,12 +20,12 @@ P-sync architecture does when the physics misbehaves, in three layers:
     and energy, degradation curves vs fault rate.  CLI:
     ``python -m repro faults``.
 ``repro.faults.lanes`` / ``repro.faults.batched``
-    The SIMD-lockstep campaign engine: a vectorized CPython-compatible
-    MT19937 replays every lane's injector draw stream at once, lanes
-    where no fault fires share one fault-free timeline, divergent lanes
-    fall back to scalar replay — batched results are byte-identical to
-    per-seed sequential (``run_campaign(batch=N)``,
-    ``python -m repro faults --batch N``).
+    The SIMD-lockstep campaign engine: every lane's injector draw
+    stream is read in bulk at once, lanes where no fault fires share
+    one fault-free timeline, divergent gather lanes run the recovery
+    protocol without a timeline, and the rest fall back to scalar
+    replay — batched results are byte-identical to per-seed sequential
+    (``run_campaign(batch=N)``, ``python -m repro faults --batch N``).
 ``repro.faults.chaos``
     Seeded infrastructure chaos for the :mod:`repro.serve` job server:
     worker kills, torn store writes, slow tenants, clock-skewed
@@ -48,8 +48,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "chaos": ("ChaosConfig", "ChaosDriver"),
     "crc": ("check_frame", "flip_bits", "frame_bits", "pack_word", "unpack_word"),
-    "lanes": ("LaneRng", "compact_indices", "merge_masks", "scatter_lanes"),
+    "lanes": ("LaneRng", "compact_indices", "draw_below", "merge_masks", "scatter_lanes"),
     "models": ("DriftEpisode", "FifoDropFault", "MeshFaultPlan", "PscanFaultModel"),
-    "recovery": ("ReliableGather", "ReliableGatherResult", "RetryPolicy"),
+    "recovery": ("GatherRecovery", "ReliableGather", "ReliableGatherResult", "RetryPolicy"),
     "report": ("FaultReport", "run_with_watchdog"),
 })

@@ -14,34 +14,43 @@ at once by exploiting the injector contract of
   data-independent* number of draws per hook call on the no-fault path
   (``bits_per_word + CRC_BITS`` uniforms per gather word, one uniform
   per FIFO write), so "would lane *i* fire a fault?" is answerable by
-  replaying the draw streams of all lanes in lockstep with
-  :class:`repro.faults.lanes.LaneRng` (bit-identical to CPython's
-  Mersenne Twister) against the probe's hook-call timeline.
+  drawing the streams of all lanes in lockstep with
+  :class:`repro.faults.lanes.LaneRng` (one ``random.Random(seed)`` per
+  lane, read in bulk) against the probe's hook-call timeline.
 
 The control flow per batch is therefore:
 
 1. **probe** — one fault-free run records the hook-call timeline
-   (count, and per-call ``(time_ns, node)`` for drift-dependent BER)
-   and the shared clean result;
-2. **classify** — a ``(lanes, draws)`` matrix of lockstep uniforms is
+   (``(time_ns, node, word_index)`` per call) and the shared clean
+   result;
+2. **classify** — a ``(lanes, draws)`` matrix of lockstep draws is
    compared against the per-call effective BER; the divergence mask
    marks every lane where a fault fires;
-3. **replay** — divergent lanes (CRC corruption → NACK → retransmission
-   epochs, mesh quarantine detours) fall back to the *scalar* per-seed
-   trial, so recovery semantics never fork from the reference;
-4. **scatter** — clean lanes share the probe result, replayed lanes get
-   their scalar result, all back in seed order
+3. **recover** — divergent gather lanes run the CRC/NACK/retransmission
+   protocol without a timeline (:func:`_recover_gather_lane`): the
+   lane's own injector corrupts each epoch's burst in cycle order
+   (:meth:`PscanFaultModel.corrupt_burst`) and the shared
+   :class:`~repro.faults.recovery.GatherRecovery` decides NACKs,
+   backoff and retransmission orders exactly as
+   :meth:`~repro.faults.recovery.ReliableGather.gather` does;
+4. **replay** — lanes lockstep recovery cannot decide fall back to the
+   *scalar* per-seed trial, the oracle both other paths are pinned to;
+5. **scatter** — clean lanes share the probe result, the rest get their
+   own rows, all back in seed order
    (:func:`repro.faults.lanes.scatter_lanes`).
 
 Scalar-replay fallback predicate (documented in docs/resilience.md):
-a lane leaves lockstep iff (a) any of its classification draws fires a
-fault, or (b) its injector shape is outside the lockstep contract —
-for the mesh that is *any* dead link (permanent faults perturb routing
-from cycle 0), for the gather a fault rate of exactly 0 never installs
-an injector and is trivially clean.  Hook calls whose effective BER is
-``<= 0`` consume no draws (the injector early-returns) and are excluded
-from the draw matrix, keeping consumption lockstep even under partial
-drift coverage.
+a lane replays iff (a) any of its classification draws fires a fault
+and (b) lockstep recovery does not apply.  For the gather,
+:func:`_check_lockstep_recovery` refuses configs with drift episodes
+(the BER then depends on detection time) and probes whose hook calls
+are out of the schedule's cycle order; a fault rate of exactly 0 never
+installs an injector and is trivially clean.  For the mesh that is
+*any* dead link (permanent faults perturb routing from cycle 0), for
+the FIFO any dropped write.  Hook calls whose effective BER is ``<= 0``
+consume no draws (the injector early-returns) and are excluded from
+the draw matrix, keeping consumption lockstep even under partial drift
+coverage.
 
 Byte-identity of every batched result against the per-seed scalar path
 is the module's contract, pinned by ``tests/test_batched_campaign.py``
@@ -55,19 +64,25 @@ from typing import Sequence
 
 import numpy as np
 
+from ..photonics.wdm import paper_pscan_plan
 from ..sim.engine import Simulator
 from ..sim.fifo import DualClockFifo
-from ..util.errors import ConfigError, SweepPointError
+from ..util.errors import ConfigError, EngineUnsupportedError, SweepPointError
 from .campaign import (
     CampaignConfig,
     MeshCampaignRow,
     _execute_gather,
+    _fft_row_data,
+    _gather_order,
+    _gather_row,
+    _retry_policy,
     _run_gather_trial,
     _run_mesh_trial,
 )
 from .crc import CRC_BITS
 from .lanes import LaneRng, compact_indices, merge_masks, scatter_lanes
 from .models import FifoDropFault, PscanFaultModel
+from .recovery import GatherRecovery, frame_words
 
 __all__ = [
     "LaneBatchResult",
@@ -85,13 +100,16 @@ class LaneBatchResult:
 
     ``rows[i]`` is byte-identical to the scalar trial of lane ``i``'s
     seed.  ``lanes_clean`` lanes shared the fault-free probe timeline;
-    ``lanes_replayed`` fell back to scalar replay.  All fields are
-    deterministic (no wall-clock), so batch results stored by a
+    ``lanes_recovered`` diverged and ran the recovery protocol in
+    lockstep, without a timeline; ``lanes_replayed`` fell back to scalar
+    replay.  ``clean + recovered + replayed == len(rows)``.  All fields
+    are deterministic (no wall-clock), so batch results stored by a
     checkpointed sweep are content-stable.
     """
 
     rows: list
     lanes_clean: int
+    lanes_recovered: int
     lanes_replayed: int
 
 
@@ -104,19 +122,80 @@ def _probe_gather(config: CampaignConfig, data_seed: int):
     """Fault-free gather with a recording hook.
 
     Returns ``(calls, clean_row)`` where ``calls`` is the exact
-    ``(time_ns, node)`` sequence of fault-hook invocations an installed
-    injector would see in the first epoch (the hook transforms values
-    only, so recording does not perturb the timeline), and ``clean_row``
-    is the result tuple every clean lane shares.
+    ``(time_ns, node, word_index)`` sequence of fault-hook invocations
+    an installed injector would see in the first epoch (the hook
+    transforms values only, so recording does not perturb the
+    timeline), and ``clean_row`` is the result tuple every clean lane
+    shares.
     """
-    calls: list[tuple[float, int]] = []
+    calls: list[tuple[float, int, int]] = []
 
     def recording_hook(time_ns, node, word_index, value):
-        calls.append((time_ns, node))
+        calls.append((time_ns, node, word_index))
         return value
 
     clean_row = _execute_gather(config, recording_hook, data_seed)
     return calls, clean_row
+
+
+def _check_lockstep_recovery(
+    config: CampaignConfig, calls: list[tuple[float, int, int]]
+) -> None:
+    """Refuse lockstep recovery where it could differ from scalar replay.
+
+    Lockstep recovery drives epoch 0 in the schedule's cycle order and
+    each retransmission epoch in its
+    :func:`~repro.core.schedule.retransmission_order`, with a BER that
+    does not depend on time.  Raises
+    :class:`~repro.util.errors.EngineUnsupportedError` when the config
+    has drift episodes, or when the probe saw the fault hook called in
+    any other order than the schedule's.
+    """
+    if config.drift_episodes:
+        raise EngineUnsupportedError(
+            "lockstep", "drift_episodes",
+            "a drifting BER depends on each word's detection time, which "
+            "only the event timeline knows",
+        )
+    if [(node, word) for _, node, word in calls] != _gather_order(config):
+        raise EngineUnsupportedError(
+            "lockstep", "hook_order",
+            "the probe saw fault-hook calls out of the schedule's cycle order",
+        )
+
+
+def _recover_gather_lane(
+    config: CampaignConfig, ber: float, trial_seed: int
+) -> tuple[float, int, int, int, int, bool, int, float]:
+    """One divergent gather lane, recovered without a timeline.
+
+    Equal to :func:`~repro.faults.campaign._run_gather_trial` for every
+    config :func:`_check_lockstep_recovery` accepts: the lane's own
+    injector corrupts each epoch's burst in cycle order
+    (:meth:`PscanFaultModel.corrupt_burst`) and the shared
+    :class:`~repro.faults.recovery.GatherRecovery` protocol checks it.
+    The lane keeps its own data, so undetected CRC collisions stay exact.
+    """
+    model = PscanFaultModel(ber=ber, seed=trial_seed)
+    data = _fft_row_data(config, trial_seed)
+    frames = frame_words(data)
+    # _execute_gather's Pscan runs on the default (paper) WDM plan.
+    recovery = GatherRecovery(
+        _gather_order(config),
+        _retry_policy(config),
+        paper_pscan_plan().bits_per_cycle,
+    )
+    while True:
+        burst = model.corrupt_burst(
+            [frames[node][word] for node, word in recovery.pending]
+        )
+        recovery.receive(zip(recovery.pending, burst))
+        if recovery.next_epoch() is None:
+            break
+    stats = recovery.finish(data)
+    return _gather_row(
+        stats, recovery.residual, recovery.correct_fraction(data)
+    )
 
 
 def run_gather_campaign_batch(
@@ -126,9 +205,11 @@ def run_gather_campaign_batch(
 
     Byte-identical to ``[_run_gather_trial(config, ber, s) for s in
     seeds]``: clean lanes share the fault-free probe, lanes where any
-    word flips replay scalar.  Drift episodes (``config.drift_episodes``)
-    are folded into the per-word effective BER exactly as the scalar
-    injector computes it (same :meth:`PscanFaultModel.ber_at` code).
+    word flips recover in lockstep (:func:`_recover_gather_lane`), or
+    replay scalar when :func:`_check_lockstep_recovery` refuses.  Drift
+    episodes (``config.drift_episodes``) are folded into the per-word
+    effective BER exactly as the scalar injector computes it (same
+    :meth:`PscanFaultModel.ber_at` code).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -140,6 +221,7 @@ def run_gather_campaign_batch(
         return LaneBatchResult(
             rows=[clean_row for _ in seeds],
             lanes_clean=len(seeds),
+            lanes_recovered=0,
             lanes_replayed=0,
         )
 
@@ -149,7 +231,7 @@ def run_gather_campaign_batch(
         ber=ber, seed=0, drift_episodes=config.drift_episodes
     )
     ber_per_call = np.asarray(
-        [proto.ber_at(t, node) for t, node in calls], dtype=np.float64
+        [proto.ber_at(t, node) for t, node, _ in calls], dtype=np.float64
     )
     # Calls at BER <= 0 early-return without consuming draws; exclude
     # them so the lockstep streams match the scalar consumption exactly.
@@ -158,29 +240,36 @@ def run_gather_campaign_batch(
     if not np.any(drawing):
         divergent = np.zeros(len(seeds), dtype=bool)
     else:
-        active_ber = ber_per_call[drawing]
-        draws = LaneRng(seeds).random(active_ber.size * exposed)
-        draws = draws.reshape(len(seeds), active_ber.size, exposed)
-        flips = draws < active_ber[None, :, None]
-        divergent = merge_masks(flips.any(axis=(1, 2)))
+        thresholds = np.repeat(ber_per_call[drawing], exposed)
+        flips = LaneRng(seeds).below(thresholds.size, thresholds)
+        divergent = merge_masks(flips.any(axis=1))
 
-    replay = compact_indices(divergent)
-    replayed_rows = []
-    for lane in replay:
+    diverged = compact_indices(divergent)
+    try:
+        _check_lockstep_recovery(config, calls)
+        lockstep = True
+    except EngineUnsupportedError:
+        lockstep = False
+    run_lane = _recover_gather_lane if lockstep else _run_gather_trial
+    stage = "lockstep recovery" if lockstep else "scalar fault replay"
+    diverged_rows = []
+    for lane in diverged:
         lane = int(lane)
         try:
-            replayed_rows.append(_run_gather_trial(config, ber, seeds[lane]))
+            diverged_rows.append(run_lane(config, ber, seeds[lane]))
         except Exception as exc:
             raise SweepPointError(
                 f"batched gather lane {lane} (seed {seeds[lane]}) failed "
-                f"during scalar fault replay: {type(exc).__name__}: {exc}",
+                f"during {stage}: {type(exc).__name__}: {exc}",
                 index=lane,
                 point=(config, ber, seeds[lane]),
             ) from exc
+    recovered = len(diverged) if lockstep else 0
     return LaneBatchResult(
-        rows=scatter_lanes(len(seeds), replay, replayed_rows, clean_row),
-        lanes_clean=len(seeds) - len(replay),
-        lanes_replayed=len(replay),
+        rows=scatter_lanes(len(seeds), diverged, diverged_rows, clean_row),
+        lanes_clean=len(seeds) - len(diverged),
+        lanes_recovered=recovered,
+        lanes_replayed=len(diverged) - recovered,
     )
 
 
@@ -234,6 +323,7 @@ def run_mesh_campaign_batch(
     return LaneBatchResult(
         rows=rows,
         lanes_clean=len(lanes) - len(replay),
+        lanes_recovered=0,
         lanes_replayed=len(replay),
     )
 
@@ -330,10 +420,11 @@ def run_fifo_batch(
         return LaneBatchResult(
             rows=[clean_row for _ in seeds],
             lanes_clean=len(seeds),
+            lanes_recovered=0,
             lanes_replayed=0,
         )
-    draws = LaneRng(seeds).random(probe_calls[0])
-    divergent = merge_masks((draws < spec.probability).any(axis=1))
+    drops = LaneRng(seeds).below(probe_calls[0], spec.probability)
+    divergent = merge_masks(drops.any(axis=1))
     replay = compact_indices(divergent)
     replayed_rows = []
     for lane in replay:
@@ -350,6 +441,7 @@ def run_fifo_batch(
     return LaneBatchResult(
         rows=scatter_lanes(len(seeds), replay, replayed_rows, clean_row),
         lanes_clean=len(seeds) - len(replay),
+        lanes_recovered=0,
         lanes_replayed=len(replay),
     )
 
@@ -366,7 +458,8 @@ def _gather_batch_point(point: tuple) -> LaneBatchResult:
     shape — the seed *tuple* — so its content-addressed store key
     (:func:`repro.store.keys.point_key`) can never alias a scalar
     ``(config, ber, seed)`` point (different worker qualname *and*
-    different canonical payload).
+    different canonical payload).  The stored :class:`LaneBatchResult`
+    counts clean, recovered and replayed lanes.
     """
     config, ber, seeds = point
     return run_gather_campaign_batch(config, ber, seeds)
@@ -375,7 +468,9 @@ def _gather_batch_point(point: tuple) -> LaneBatchResult:
 def _mesh_batch_point(point: tuple) -> LaneBatchResult:
     """Picklable sweep worker: one lockstep mesh batch.
 
-    Canonical payload ``(CampaignConfig, ((dead_links, seed), …))``.
+    Canonical payload ``(CampaignConfig, ((dead_links, seed), …))``;
+    the stored :class:`LaneBatchResult` counts clean, recovered (always
+    0 on the mesh) and replayed lanes.
     """
     config, lanes = point
     return run_mesh_campaign_batch(config, lanes)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.pscan import Pscan
+from ..core.pscan import Pscan, RetryStats
 from ..core.schedule import transpose_order
 from ..energy.photonic import PhotonicEnergyModel
 from ..fft import fft
@@ -212,26 +212,39 @@ def _execute_gather(
     pscan = Pscan(sim, Waveguide(length_mm=length), positions)
     if fault_hook is not None:
         pscan.fault_hook = fault_hook
-    reliable = ReliableGather(
-        pscan,
-        RetryPolicy(
-            max_retries=config.max_retries,
-            backoff_cycles=config.backoff_cycles,
-        ),
-    )
+    reliable = ReliableGather(pscan, _retry_policy(config))
     data = _fft_row_data(config, data_seed)
-    order = transpose_order(rows=config.processors, cols=config.row_samples)
     result = reliable.gather(
-        order, data, receiver_mm=length, raise_on_exhaust=False
+        _gather_order(config), data, receiver_mm=length, raise_on_exhaust=False
     )
-    stats = result.stats
+    return _gather_row(
+        result.stats, result.residual, result.correct_fraction(data)
+    )
+
+
+def _gather_order(config: CampaignConfig) -> list[tuple[int, int]]:
+    """The transpose burst every campaign gather drives (cycle order)."""
+    return transpose_order(rows=config.processors, cols=config.row_samples)
+
+
+def _retry_policy(config: CampaignConfig) -> RetryPolicy:
+    """The reliable gather's retry policy for a campaign."""
+    return RetryPolicy(
+        max_retries=config.max_retries, backoff_cycles=config.backoff_cycles
+    )
+
+
+def _gather_row(
+    stats: RetryStats, residual: list, correct_fraction: float
+) -> tuple[float, int, int, int, int, bool, int, float]:
+    """A trial's raw row ingredients, in :func:`run_campaign`'s order."""
     return (
-        result.correct_fraction(data),
+        correct_fraction,
         stats.epochs,
         stats.crc_nacks,
         stats.retransmitted_words,
         stats.undetected_errors,
-        bool(result.residual),
+        bool(residual),
         stats.overhead_cycles,
         stats.overhead_fraction,
     )
@@ -311,6 +324,7 @@ def _emit_batch_obs(obs, label: str, results, wall_s: float) -> None:
         label,
         lanes=lanes,
         clean=sum(r.lanes_clean for r in results),
+        recovered=sum(r.lanes_recovered for r in results),
         replayed=sum(r.lanes_replayed for r in results),
         wall_s=wall_s,
     )

@@ -1,27 +1,28 @@
-"""SIMD-lockstep seed lanes: a vectorized CPython-compatible MT19937.
+"""SIMD-lockstep seed lanes: many ``random.Random`` streams as one matrix.
 
 The batched campaign engine (:mod:`repro.faults.batched`) classifies
 hundreds of Monte-Carlo lanes at once by replaying each injector's RNG
 draw stream in lockstep.  The injectors (:mod:`repro.faults.models`)
-draw from :class:`random.Random`, so the lane generator here must be
-*bit-identical* to CPython's Mersenne Twister — numpy's own
-``RandomState`` seeds MT19937 differently for integer seeds
-(``init_genrand`` vs CPython's ``init_by_array``) and cannot be used.
+draw from :class:`random.Random`, so lane ``i``'s draws must be exactly
+``random.Random(seeds[i]).random()``.
 
-:class:`LaneRng` keeps one ``(lanes, 624)`` ``uint32`` state matrix and
-advances every lane with the same vectorized twist/temper, so lane
-``i``'s draws are exactly ``random.Random(seeds[i]).random()`` no
-matter how many other lanes share the batch or in what order they
-appear (property-tested in ``tests/test_lane_properties.py``).
+:class:`LaneRng` gets that by construction: it keeps one
+``random.Random(seed)`` per lane and reads each lane's Mersenne Twister
+outputs in bulk with ``getrandbits``, then assembles the 53-bit
+doubles exactly as CPython's ``random()`` does.  :meth:`LaneRng.below`
+and :func:`draw_below` answer "is this draw below ``p``?" and convert
+only the few draws that can be.  Lanes never share state, so a lane's
+draws do not depend on how many other lanes share the batch or in what
+order they appear (property-tested in ``tests/test_lane_properties.py``).
 
 The module also hosts the small lane-mask primitives the engine uses
-to split a batch into lockstep (clean) and scalar-replay (divergent)
-populations: :func:`merge_masks`, :func:`compact_indices`,
-:func:`scatter_lanes`.
+to split a batch into lockstep (clean) and divergent populations:
+:func:`merge_masks`, :func:`compact_indices`, :func:`scatter_lanes`.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 import numpy as np
@@ -30,169 +31,103 @@ from ..util.errors import ConfigError
 
 __all__ = [
     "LaneRng",
+    "draw_below",
     "merge_masks",
     "compact_indices",
     "scatter_lanes",
 ]
 
-_N = 624  # MT19937 state words
-_M = 397  # twist offset
-_MATRIX_A = np.uint32(0x9908B0DF)
-_UPPER = np.uint32(0x80000000)
-_LOWER = np.uint32(0x7FFFFFFF)
-_MASK32 = 0xFFFFFFFF
+
+def _mt_words(rng: random.Random, count: int) -> np.ndarray:
+    """The 32-bit outputs ``count`` ``rng.random()`` calls would consume.
+
+    ``random()`` uses two outputs, and ``getrandbits(64 * count)``
+    consumes exactly ``2 * count`` of them with the first one in the
+    lowest word, so its little-endian bytes are the outputs in stream
+    order and ``rng`` is left where ``count`` ``random()`` calls leave it.
+    """
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
+    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    return np.frombuffer(raw, dtype="<u4")
 
 
-def _seed_key(seed: int) -> tuple[int, ...]:
-    """CPython's ``random_seed``: abs(seed) as little-endian 32-bit words."""
-    n = abs(int(seed))
-    if n == 0:
-        return (0,)
-    words = []
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return tuple(words)
+def _res53(words: np.ndarray) -> np.ndarray:
+    """CPython's ``genrand_res53`` over consecutive output pairs.
+
+    ``words`` holds 32-bit outputs in stream order along its last axis;
+    each pair becomes one double in ``[0, 1)``.
+    """
+    a = (words[..., 0::2] >> np.uint32(5)).astype(np.float64)
+    b = (words[..., 1::2] >> np.uint32(6)).astype(np.float64)
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
 
-def _init_genrand_row() -> np.ndarray:
-    """The lane-independent ``init_genrand(19650218)`` base state."""
-    base = np.empty(_N, dtype=np.uint64)
-    base[0] = 19650218
-    for i in range(1, _N):
-        prev = base[i - 1]
-        base[i] = (1812433253 * (prev ^ (prev >> np.uint64(30))) + i) & _MASK32
-    return base.astype(np.uint32)
+def _below(words: np.ndarray, p) -> np.ndarray:
+    """``_res53(words) < p``, converting only the pairs that can pass.
+
+    A draw below ``p`` has ``(a >> 5) < p * 2**27`` for its first output
+    ``a``, so one compare on the first outputs leaves the few candidates
+    that need the exact test.  ``p`` broadcasts against the draws.
+    """
+    first = words[..., 0::2]
+    hits = first < np.ceil(np.multiply(p, 2.0 ** 27)) * 32.0
+    where = np.nonzero(hits)
+    if where[0].size:
+        pairs = np.stack((first[where], words[..., 1::2][where]), axis=-1)
+        exact = _res53(pairs)[:, 0]
+        hits[where] = exact < np.broadcast_to(p, hits.shape)[where]
+    return hits
 
 
-# init_genrand(19650218) never changes; compute it once at import.
-_BASE_STATE = _init_genrand_row()
+def draw_below(rng: random.Random, count: int, p: float) -> np.ndarray:
+    """Which of the next ``count`` ``rng.random()`` draws fall below ``p``.
 
-
-def _mag(y: np.ndarray) -> np.ndarray:
-    """``mag01[y & 1]`` vectorized."""
-    return np.where((y & np.uint32(1)).astype(bool), _MATRIX_A, np.uint32(0))
+    Equal to ``[rng.random() < p for _ in range(count)]``, read in bulk,
+    and leaves ``rng`` in the same state.
+    """
+    return _below(_mt_words(rng, count), p)
 
 
 class LaneRng:
-    """``len(seeds)`` CPython-seeded MT19937 streams advanced in lockstep.
+    """``len(seeds)`` CPython ``random.Random`` streams drawn in lockstep.
 
     Parameters
     ----------
     seeds:
         One integer seed per lane, exactly as it would be passed to
-        ``random.Random(seed)``.  Arbitrary magnitude (multi-word keys)
-        and negative values (CPython takes ``abs``) are supported.
+        ``random.Random(seed)`` (any magnitude or sign).
 
-    Only ``random()`` draws are exposed — that is the only primitive
-    the fault injectors consume on their classification-relevant paths
-    (``rng.sample`` is reached *after* a lane has already diverged, at
-    which point the lane is replayed scalar anyway).
+    Only ``random()`` draws, and :meth:`below`'s comparison of them, are
+    exposed — that is the only primitive the fault injectors consume on
+    their classification-relevant paths (``rng.sample`` is reached
+    *after* a lane has already diverged).
     """
 
-    __slots__ = ("lanes", "_state", "_block", "_cursor")
+    __slots__ = ("lanes", "_rngs")
 
     def __init__(self, seeds: Sequence[int]) -> None:
         if len(seeds) < 1:
             raise ConfigError("LaneRng needs at least one lane seed")
         self.lanes = len(seeds)
-        self._state = self._seed_states([int(s) for s in seeds])
-        self._block: np.ndarray | None = None  # tempered uint32 (lanes, 624)
-        self._cursor = _N  # force a refill on first draw
+        self._rngs = [random.Random(int(s)) for s in seeds]
 
-    @staticmethod
-    def _seed_states(seeds: list[int]) -> np.ndarray:
-        """Vectorized ``init_by_array`` over the per-lane seed keys.
-
-        Lanes are grouped by key length so each group's reseeding loop
-        stays a fixed-shape vector op; the per-lane stream is identical
-        to seeding that lane alone (the groups never mix state).
-        """
-        keys = [_seed_key(s) for s in seeds]
-        state = np.empty((len(seeds), _N), dtype=np.uint32)
-        state[:] = _BASE_STATE[None, :]
-        by_len: dict[int, list[int]] = {}
-        for lane, key in enumerate(keys):
-            by_len.setdefault(len(key), []).append(lane)
-        for klen, lanes in by_len.items():
-            idx = np.asarray(lanes)
-            mt = state[idx].astype(np.uint64)
-            kmat = np.asarray([keys[lane] for lane in lanes], dtype=np.uint64)
-            i, j = 1, 0
-            for _ in range(max(_N, klen)):
-                mixed = (mt[:, i - 1] ^ (mt[:, i - 1] >> np.uint64(30))) * 1664525
-                mt[:, i] = ((mt[:, i] ^ mixed) + kmat[:, j] + j) & _MASK32
-                i += 1
-                j += 1
-                if i >= _N:
-                    mt[:, 0] = mt[:, _N - 1]
-                    i = 1
-                if j >= klen:
-                    j = 0
-            for _ in range(_N - 1):
-                mixed = (mt[:, i - 1] ^ (mt[:, i - 1] >> np.uint64(30))) * 1566083941
-                mt[:, i] = ((mt[:, i] ^ mixed) - i) & _MASK32
-                i += 1
-                if i >= _N:
-                    mt[:, 0] = mt[:, _N - 1]
-                    i = 1
-            mt[:, 0] = 0x80000000
-            state[idx] = mt.astype(np.uint32)
-        return state
-
-    def _twist(self) -> None:
-        """One vectorized MT19937 state transition (all lanes at once).
-
-        The reference loop writes ``mt[kk]`` from ``mt[kk+1]`` (always
-        still untwisted when read) and ``mt[(kk+397) % 624]`` (already
-        twisted for ``kk >= 227``), so the vectorized form runs in
-        dependency-respecting chunks: 0..226, 227..453, 454..622, 623.
-        """
-        st = self._state
-        y = (st[:, 0:227] & _UPPER) | (st[:, 1:228] & _LOWER)
-        st[:, 0:227] = st[:, 397:624] ^ (y >> np.uint32(1)) ^ _mag(y)
-        y = (st[:, 227:454] & _UPPER) | (st[:, 228:455] & _LOWER)
-        st[:, 227:454] = st[:, 0:227] ^ (y >> np.uint32(1)) ^ _mag(y)
-        y = (st[:, 454:623] & _UPPER) | (st[:, 455:624] & _LOWER)
-        st[:, 454:623] = st[:, 227:396] ^ (y >> np.uint32(1)) ^ _mag(y)
-        y = (st[:, 623] & _UPPER) | (st[:, 0] & _LOWER)
-        st[:, 623] = st[:, 396] ^ (y >> np.uint32(1)) ^ _mag(y)
-
-    def _refill(self) -> None:
-        self._twist()
-        y = self._state.copy()
-        y ^= y >> np.uint32(11)
-        y ^= (y << np.uint32(7)) & np.uint32(0x9D2C5680)
-        y ^= (y << np.uint32(15)) & np.uint32(0xEFC60000)
-        y ^= y >> np.uint32(18)
-        self._block = y
-        self._cursor = 0
-
-    def _raw(self, count: int) -> np.ndarray:
-        """``(lanes, count)`` tempered 32-bit outputs, in stream order."""
-        parts: list[np.ndarray] = []
-        need = count
-        while need:
-            if self._cursor >= _N:
-                self._refill()
-            take = min(need, _N - self._cursor)
-            assert self._block is not None
-            parts.append(self._block[:, self._cursor : self._cursor + take])
-            self._cursor += take
-            need -= take
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts, axis=1)
+    def _words(self, count: int) -> np.ndarray:
+        """``(lanes, 2 * count)`` outputs of the next ``count`` draws."""
+        return np.stack([_mt_words(rng, count) for rng in self._rngs])
 
     def random(self, count: int) -> np.ndarray:
         """``(lanes, count)`` float64 draws, bit-identical per lane to
         ``random.Random(seed).random()`` (``genrand_res53``)."""
-        if count < 0:
-            raise ConfigError(f"count must be >= 0, got {count}")
-        raw = self._raw(2 * count).astype(np.uint64)
-        a = raw[:, 0::2] >> np.uint64(5)
-        b = raw[:, 1::2] >> np.uint64(6)
-        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+        return _res53(self._words(count))
+
+    def below(self, count: int, p) -> np.ndarray:
+        """``(lanes, count)`` booleans: ``self.random(count) < p``.
+
+        ``p`` is a threshold or one per draw (broadcast along the last
+        axis); only draws that can pass are converted to doubles.
+        """
+        return _below(self._words(count), p)
 
 
 def merge_masks(*masks: np.ndarray) -> np.ndarray:

@@ -23,13 +23,18 @@ injector, so a campaign trial replays bit-exactly from its seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from typing import Any, Sequence
+
+import numpy as np
 
 from ..photonics.devices import Q_AT_SENSITIVITY, ber_from_margin_db
 from ..photonics.thermal import ThermalModel
 from ..util.errors import ConfigError
 from .crc import CRC_BITS, flip_bits, frame_bits
+from .lanes import draw_below
 
 __all__ = [
     "DriftEpisode",
@@ -170,6 +175,64 @@ class PscanFaultModel:
         flips = sum(1 for _ in range(exposed) if self.rng.random() < ber)
         if flips == 0:
             return value
+        return self._corrupt(value, flips)
+
+    def corrupt_burst(self, values: Sequence[Any]) -> list[Any]:
+        """Apply the hook to a burst of words, in arrival order.
+
+        Same outputs, final ``rng`` state and counters as calling the
+        hook once per word, but the no-flip uniforms are read in bulk
+        (:func:`~repro.faults.lanes.draw_below`).  Each scan covers
+        about the expected distance between corrupted words; at the
+        first flip the RNG is rewound and advanced to exactly that
+        word's last uniform, so the word's ``rng.sample`` draws follow
+        as they would in the hook.
+
+        Only for a time-independent BER: with drift episodes the BER of
+        a word depends on its detection time, which a burst does not
+        carry, so this raises :class:`~repro.util.errors.ConfigError`.
+        """
+        if self.drift_episodes:
+            raise ConfigError(
+                "corrupt_burst needs a time-independent BER; drift "
+                "episodes make each word's BER depend on its detection time"
+            )
+        out = list(values)
+        self.words_seen += len(out)
+        ber = self.base_ber
+        if ber <= 0.0:
+            return out
+        exposed = self.bits_per_word + CRC_BITS
+        # Scan windows of about the expected distance between corrupted
+        # words: a longer one wastes draws that must be rewound, and a
+        # rescan of the whole rest after each flip goes quadratic at
+        # high BER.
+        word_p = -math.expm1(exposed * math.log1p(-ber))
+        if word_p * len(out) <= 1.0:
+            window = len(out)
+        else:
+            window = max(1, int(1.0 / word_p))
+        rng = self.rng
+        pos = 0
+        while pos < len(out):
+            span = min(window, len(out) - pos)
+            state = rng.getstate() if span > 1 else None
+            below = draw_below(rng, span * exposed, ber)
+            flips = np.count_nonzero(below.reshape(span, exposed), axis=1)
+            hit = np.flatnonzero(flips)
+            if hit.size == 0:
+                pos += span
+                continue
+            first = int(hit[0])
+            if first + 1 < span:
+                rng.setstate(state)
+                rng.getrandbits(64 * (first + 1) * exposed)
+            out[pos + first] = self._corrupt(out[pos + first], int(flips[first]))
+            pos += first + 1
+        return out
+
+    def _corrupt(self, value, flips: int):
+        """Apply ``flips`` bit errors to one detected word."""
         self.words_corrupted += 1
         self.bits_flipped += flips
         if isinstance(value, (bytes, bytearray)):

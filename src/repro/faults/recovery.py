@@ -21,20 +21,30 @@ The recovery protocol (head-node driven, scheduler-synthesized):
 
 Everything observable lands in :class:`repro.core.pscan.RetryStats`,
 attached to the first epoch's :class:`~repro.core.pscan.ScaExecution`.
+
+Steps 2-4 live in :class:`GatherRecovery`, which never looks at the
+bus: :class:`ReliableGather` feeds it the arrivals of an event-simulated
+epoch, and the batched campaign engine (:mod:`repro.faults.batched`)
+feeds it timeline-free bursts, so recovery semantics exist once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from ..core.pscan import Pscan, RetryStats, ScaExecution
 from ..core.schedule import gather_schedule, retransmission_order
 from ..util.errors import ConfigError, RetryExhaustedError, TransientFaultError
 from .crc import CRC_BITS, pack_word, unpack_word
 
-__all__ = ["RetryPolicy", "ReliableGather", "ReliableGatherResult"]
+__all__ = [
+    "RetryPolicy",
+    "GatherRecovery",
+    "ReliableGather",
+    "ReliableGatherResult",
+]
 
 
 def _jitter_unit(seed: object, retry_index: int) -> float:
@@ -129,15 +139,134 @@ class ReliableGatherResult:
 
     def correct_fraction(self, data: dict[int, list[Any]]) -> float:
         """Fraction of scheduled words delivered *and equal to* the source."""
-        if not self.order:
-            return 1.0
-        good = sum(
+        return _correct_fraction(self.order, self.values, data)
+
+
+class GatherRecovery:
+    """The head node's side of one CRC-protected gather, epoch by epoch.
+
+    Owns every decision recovery makes and nothing about how words cross
+    the bus: which arrivals are NACKed (:func:`~repro.faults.crc.unpack_word`
+    fails), the payload and CRC-sideband cycles of each epoch, the
+    backoff before the next one (:meth:`RetryPolicy.backoff_for`), the
+    retransmission order, when to stop, and the undetected errors,
+    residual and correct fraction at the end.  A caller loops::
+
+        while True:
+            recovery.receive(<arrivals of an epoch driving recovery.pending>)
+            backoff = recovery.next_epoch()
+            if backoff is None:
+                break
+            <idle the bus for backoff cycles>
+        recovery.finish(data)
+    """
+
+    def __init__(
+        self,
+        order: list[tuple[int, int]],
+        policy: RetryPolicy,
+        bits_per_cycle: int,
+        *,
+        jitter_seed: object = None,
+    ) -> None:
+        self.order = list(order)
+        self.policy = policy
+        self.bits_per_cycle = bits_per_cycle
+        self.jitter_seed = jitter_seed
+        self.stats = RetryStats(baseline_cycles=len(self.order))
+        #: Decoded words by provenance ``(node, word_index)``.
+        self.values: dict[tuple[int, int], Any] = {}
+        #: Pairs NACKed in the latest epoch.
+        self.failed: list[tuple[int, int]] = []
+        #: Index of the epoch in flight (0 = the original burst).
+        self.epoch = 0
+        #: The order the epoch in flight drives.
+        self.pending: list[tuple[int, int]] = list(self.order)
+
+    def receive(
+        self, arrivals: Iterable[tuple[tuple[int, int], bytes]]
+    ) -> list[int]:
+        """Check one epoch's ``(pair, frame)`` arrivals, in arrival order.
+
+        Returns the positions (within ``arrivals``) the head node NACKs.
+        """
+        words = len(self.pending)
+        crc = -(-words * CRC_BITS // self.bits_per_cycle)  # ceil
+        self.stats.total_cycles += words + crc
+        self.stats.crc_overhead_cycles += crc
+        self.failed = []
+        nacked: list[int] = []
+        for position, (pair, frame) in enumerate(arrivals):
+            try:
+                self.values[pair] = unpack_word(frame)
+            except TransientFaultError:
+                self.failed.append(pair)
+                nacked.append(position)
+        self.stats.crc_nacks += len(self.failed)
+        return nacked
+
+    def next_epoch(self) -> int | None:
+        """Schedule the retransmission epoch after a NACKed one.
+
+        Returns the idle backoff cycles to wait before driving
+        :attr:`pending`, or ``None`` when the gather is over: the last
+        epoch was clean, or retries are exhausted (then
+        :attr:`residual` is non-empty).
+        """
+        if not self.failed or self.epoch == self.policy.max_retries:
+            return None
+        self.epoch += 1
+        # Epoch-level capped exponential backoff: idle bus cycles
+        # before the retransmission SCA re-drives the NACKed words.
+        backoff = self.policy.backoff_for(self.epoch, seed=self.jitter_seed)
+        self.stats.backoff_cycles += backoff
+        self.pending = retransmission_order(self.order, set(self.failed))
+        self.stats.retransmitted_words += len(self.pending)
+        self.stats.epochs += 1
+        return backoff
+
+    @property
+    def residual(self) -> list[tuple[int, int]]:
+        """Pairs still failing when the gather ended (empty on success)."""
+        return sorted(self.failed)
+
+    def finish(self, data: dict[int, list[Any]]) -> RetryStats:
+        """Count delivered-but-wrong words (CRC collisions); returns the stats.
+
+        The receiver cannot know these; the *simulator* can, because it
+        holds the ground truth.  Campaigns report them as the honest
+        residual risk of a 16-bit checksum.
+        """
+        self.stats.undetected_errors = sum(
             1
-            for node, word in self.order
-            if (node, word) in self.values
-            and self.values[(node, word)] == data[node][word]
+            for (node, word), v in self.values.items()
+            if not _values_equal(v, data[node][word])
         )
-        return good / len(self.order)
+        return self.stats
+
+    def correct_fraction(self, data: dict[int, list[Any]]) -> float:
+        """Fraction of scheduled words delivered *and equal to* the source."""
+        return _correct_fraction(self.order, self.values, data)
+
+
+def frame_words(data: dict[int, list[Any]]) -> dict[int, list[bytes]]:
+    """Every contributor's words wrapped in CRC-16 frames (step 1)."""
+    return {node: [pack_word(v) for v in words] for node, words in data.items()}
+
+
+def _correct_fraction(
+    order: list[tuple[int, int]],
+    values: dict[tuple[int, int], Any],
+    data: dict[int, list[Any]],
+) -> float:
+    if not order:
+        return 1.0
+    good = sum(
+        1
+        for node, word in order
+        if (node, word) in values and values[(node, word)] == data[node][word]
+    )
+    return good / len(order)
 
 
 class ReliableGather:
@@ -170,12 +299,6 @@ class ReliableGather:
         """
         self._obs = obs
 
-    def _epoch_cycles(self, words: int) -> tuple[int, int]:
-        """(payload, crc-sideband) bus cycles of an epoch of ``words``."""
-        bits_per_cycle = self.pscan.wdm.bits_per_cycle
-        crc = -(-words * CRC_BITS // bits_per_cycle)  # ceil
-        return words, crc
-
     def gather(
         self,
         order: list[tuple[int, int]],
@@ -193,102 +316,57 @@ class ReliableGather:
         residual pairs attached) when ``raise_on_exhaust`` and the cap is
         hit; otherwise returns the partial result.
         """
-        frames: dict[int, list[bytes]] = {
-            node: [pack_word(v) for v in words] for node, words in data.items()
-        }
-        stats = RetryStats(baseline_cycles=len(order))
-        values: dict[tuple[int, int], Any] = {}
+        frames = frame_words(data)
+        recovery = GatherRecovery(
+            order,
+            self.policy,
+            self.pscan.wdm.bits_per_cycle,
+            jitter_seed=self.jitter_seed,
+        )
+        sim = self.pscan.sim
         first_execution: ScaExecution | None = None
-        current_order = list(order)
-        failed: list[tuple[int, int]] = []
-
-        for epoch_index in range(self.policy.max_retries + 1):
-            schedule = gather_schedule(current_order)
+        while True:
             if self._obs is not None:
                 self._obs.fault_epoch_begin(
-                    self.pscan.sim.now, epoch_index, len(current_order)
+                    sim.now, recovery.epoch, len(recovery.pending)
                 )
-            execution = self.pscan.execute_gather(schedule, frames, receiver_mm)
+            execution = self.pscan.execute_gather(
+                gather_schedule(recovery.pending), frames, receiver_mm
+            )
             if first_execution is None:
                 first_execution = execution
-            payload, crc = self._epoch_cycles(len(current_order))
-            stats.total_cycles += payload + crc
-            stats.crc_overhead_cycles += crc
-
-            failed = []
-            for arrival in execution.arrivals:
-                pair = (arrival.source_node, arrival.word_index)
-                try:
-                    values[pair] = unpack_word(arrival.value)
-                except TransientFaultError:
-                    failed.append(pair)  # head node NACKs this word
-                    if self._obs is not None:
-                        self._obs.fault_nack(
-                            arrival.time_ns, arrival.source_node,
-                            arrival.word_index,
-                        )
-            stats.crc_nacks += len(failed)
-            if self._obs is not None:
-                self._obs.fault_epoch_end(
-                    self.pscan.sim.now, epoch_index, len(failed)
-                )
-            if not failed:
-                break
-
-            if epoch_index == self.policy.max_retries:
-                stats.undetected_errors = self._count_undetected(values, data)
-                if first_execution is not None:
-                    first_execution.retry = stats
-                if raise_on_exhaust:
-                    raise RetryExhaustedError(
-                        f"{len(failed)} word(s) still failing CRC after "
-                        f"{self.policy.max_retries} retransmission epoch(s)",
-                        residual=sorted(failed),
-                    )
-                break
-
-            # Epoch-level capped exponential backoff: idle bus cycles
-            # before the retransmission SCA re-drives the NACKed words.
-            backoff = self.policy.backoff_for(
-                epoch_index + 1, seed=self.jitter_seed
+            arrivals = execution.arrivals
+            nacked = recovery.receive(
+                ((a.source_node, a.word_index), a.value) for a in arrivals
             )
-            stats.backoff_cycles += backoff
+            if self._obs is not None:
+                for position in nacked:  # the head node NACKs these words
+                    a = arrivals[position]
+                    self._obs.fault_nack(a.time_ns, a.source_node, a.word_index)
+                self._obs.fault_epoch_end(sim.now, recovery.epoch, len(nacked))
+            backoff = recovery.next_epoch()
+            if backoff is None:
+                break
             if backoff:
                 delay_ns = backoff * self.pscan.clock.period_ns
                 if self._obs is not None:
-                    self._obs.fault_backoff(
-                        self.pscan.sim.now, backoff, delay_ns
-                    )
-                self.pscan.sim.run(self.pscan.sim.timeout(delay_ns))
-            current_order = retransmission_order(order, set(failed))
-            stats.retransmitted_words += len(current_order)
-            stats.epochs += 1
+                    self._obs.fault_backoff(sim.now, backoff, delay_ns)
+                sim.run(sim.timeout(delay_ns))
 
-        stats.undetected_errors = self._count_undetected(values, data)
-        assert first_execution is not None
+        stats = recovery.finish(data)
         first_execution.retry = stats
+        if recovery.failed and raise_on_exhaust:
+            raise RetryExhaustedError(
+                f"{len(recovery.failed)} word(s) still failing CRC after "
+                f"{self.policy.max_retries} retransmission epoch(s)",
+                residual=recovery.residual,
+            )
         return ReliableGatherResult(
             execution=first_execution,
             stats=stats,
-            values=values,
+            values=recovery.values,
             order=list(order),
-            residual=sorted(failed),
-        )
-
-    @staticmethod
-    def _count_undetected(
-        values: dict[tuple[int, int], Any], data: dict[int, list[Any]]
-    ) -> int:
-        """Delivered-but-wrong words (CRC collisions), via the oracle.
-
-        The receiver cannot know these; the *simulator* can, because it
-        holds the ground truth.  Campaigns report them as the honest
-        residual risk of a 16-bit checksum.
-        """
-        return sum(
-            1
-            for (node, word), v in values.items()
-            if not _values_equal(v, data[node][word])
+            residual=recovery.residual,
         )
 
 

@@ -353,14 +353,16 @@ class ObsSession:
         *,
         lanes: int,
         clean: int,
+        recovered: int,
         replayed: int,
         wall_s: float,
     ) -> None:
         """A batched campaign section finished its lockstep fan-out.
 
         ``lanes`` Monte-Carlo lanes were advanced; ``clean`` shared the
-        fault-free probe timeline, ``replayed`` diverged and fell back
-        to scalar replay.  Emits per-lane divergence counters and a
+        fault-free probe timeline, ``recovered`` diverged and ran the
+        recovery protocol in lockstep, ``replayed`` diverged and fell
+        back to scalar replay.  Emits per-lane outcome counters and a
         lanes/sec throughput gauge.
         """
         if not self._faults:
@@ -372,6 +374,7 @@ class ObsSession:
                     "label": label,
                     "lanes": lanes,
                     "clean": clean,
+                    "recovered": recovered,
                     "replayed": replayed,
                     "wall_s": round(wall_s, 6),
                 },
@@ -379,6 +382,7 @@ class ObsSession:
         m = self.metrics
         if m.enabled:
             m.counter("campaign_lanes", outcome="clean").inc(clean)
+            m.counter("campaign_lanes", outcome="recovered").inc(recovered)
             m.counter("campaign_lanes", outcome="replayed").inc(replayed)
             if wall_s > 0.0:
                 m.gauge("campaign_lanes_per_s", label=label).set(

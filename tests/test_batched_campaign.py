@@ -6,6 +6,9 @@ This suite pins that contract:
 
 * all four injectors — transient BER, thermal drift episodes, permanent
   dead mesh links, FIFO write drops — each batched vs a scalar loop;
+* lockstep recovery of divergent gather lanes, including retry
+  exhaustion, and its structured refusals (drift, hook order) that
+  send lanes to scalar replay;
 * gather + mesh workloads through ``run_campaign(batch=)`` at batch
   sizes 1, 7, 64 and a non-divisor remainder split;
 * the crashed-then-resumed checkpoint path and the warm-cache path;
@@ -20,11 +23,14 @@ from __future__ import annotations
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
+import repro.faults.batched as batched_mod
 from repro.faults.batched import (
     FifoBatchSpec,
+    _check_lockstep_recovery,
     _gather_batch_point,
     run_fifo_batch,
     run_fifo_trial,
@@ -40,7 +46,12 @@ from repro.faults.campaign import (
 )
 from repro.faults.models import DriftEpisode
 from repro.store import code_fingerprint, point_key
-from repro.util.errors import ConfigError, SweepInterrupted, SweepPointError
+from repro.util.errors import (
+    ConfigError,
+    EngineUnsupportedError,
+    SweepInterrupted,
+    SweepPointError,
+)
 
 
 def _seeds(count: int, master: int = 20130901) -> list[int]:
@@ -51,20 +62,43 @@ def _seeds(count: int, master: int = 20130901) -> list[int]:
 SMALL = CampaignConfig(
     processors=4, row_samples=4, trials=3, seed=11, mesh_link_failures=2
 )
+DRIFT_EPISODES = (
+    DriftEpisode(start_ns=0.0, end_ns=30.0, drift_nm=0.03),
+    DriftEpisode(start_ns=40.0, end_ns=120.0, drift_nm=0.05, node=1),
+)
 
 
 # -- injector-by-injector byte identity --------------------------------------
 
 
 class TestInjectorParity:
-    @pytest.mark.parametrize("ber", [0.0, 1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("ber", [0.0, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2])
     def test_gather_ber(self, ber):
         seeds = _seeds(12)
         batch = run_gather_campaign_batch(SMALL, ber, seeds)
         assert batch.rows == [
             _run_gather_trial(SMALL, ber, s) for s in seeds
         ]
-        assert batch.lanes_clean + batch.lanes_replayed == len(seeds)
+        assert (
+            batch.lanes_clean + batch.lanes_recovered + batch.lanes_replayed
+            == len(seeds)
+        )
+        # Without drift every divergent lane recovers in lockstep.
+        assert batch.lanes_replayed == 0
+
+    @pytest.mark.parametrize("ber", [1e-2, 5e-2])
+    def test_gather_retry_exhaustion(self, ber):
+        # No retries: every NACKed word is residual, and the rows carry
+        # exhausted trials and partial correct fractions.
+        config = CampaignConfig(
+            processors=4, row_samples=4, trials=3, seed=11, max_retries=0
+        )
+        seeds = _seeds(12)
+        batch = run_gather_campaign_batch(config, ber, seeds)
+        scalar = [_run_gather_trial(config, ber, s) for s in seeds]
+        assert batch.rows == scalar
+        assert batch.lanes_recovered > 0
+        assert any(row[5] for row in scalar)  # a residual was reported
 
     @pytest.mark.parametrize("ber", [1e-6, 1e-4])
     def test_gather_thermal_drift(self, ber):
@@ -73,18 +107,16 @@ class TestInjectorParity:
             row_samples=4,
             trials=3,
             seed=11,
-            drift_episodes=(
-                DriftEpisode(start_ns=0.0, end_ns=30.0, drift_nm=0.03),
-                DriftEpisode(
-                    start_ns=40.0, end_ns=120.0, drift_nm=0.05, node=1
-                ),
-            ),
+            drift_episodes=DRIFT_EPISODES,
         )
         seeds = _seeds(10)
         batch = run_gather_campaign_batch(config, ber, seeds)
         assert batch.rows == [
             _run_gather_trial(config, ber, s) for s in seeds
         ]
+        # Drift lanes are refused lockstep recovery: they replay scalar.
+        assert batch.lanes_recovered == 0
+        assert batch.lanes_clean + batch.lanes_replayed == len(seeds)
 
     def test_mesh_dead_links(self):
         lanes = [(dead, seed) for dead in (0, 1, 2) for seed in _seeds(4)]
@@ -115,6 +147,44 @@ class TestInjectorParity:
         ]
 
 
+class TestLockstepRefusal:
+    def test_drift_refused(self):
+        config = CampaignConfig(
+            processors=4, row_samples=4, drift_episodes=DRIFT_EPISODES
+        )
+        calls, _ = batched_mod._probe_gather(config, 1)
+        with pytest.raises(EngineUnsupportedError) as excinfo:
+            _check_lockstep_recovery(config, calls)
+        assert excinfo.value.feature == "drift_episodes"
+
+    def test_probe_order_accepted(self):
+        calls, _ = batched_mod._probe_gather(SMALL, 1)
+        _check_lockstep_recovery(SMALL, calls)
+
+    def test_out_of_order_hook_calls_replay_scalar(self, monkeypatch):
+        # If the probe ever saw the hook out of cycle order, lockstep
+        # recovery's premise fails: the batch must refuse it and replay
+        # every divergent lane scalar, still byte-identical.
+        real_probe = batched_mod._probe_gather
+
+        def swapped_probe(config, data_seed):
+            calls, clean_row = real_probe(config, data_seed)
+            calls[0], calls[1] = calls[1], calls[0]
+            return calls, clean_row
+
+        calls, _ = swapped_probe(SMALL, 1)
+        with pytest.raises(EngineUnsupportedError) as excinfo:
+            _check_lockstep_recovery(SMALL, calls)
+        assert excinfo.value.feature == "hook_order"
+
+        monkeypatch.setattr(batched_mod, "_probe_gather", swapped_probe)
+        seeds = _seeds(8)
+        batch = run_gather_campaign_batch(SMALL, 1e-3, seeds)
+        assert batch.rows == [_run_gather_trial(SMALL, 1e-3, s) for s in seeds]
+        assert batch.lanes_recovered == 0
+        assert batch.lanes_replayed == len(seeds) - batch.lanes_clean > 0
+
+
 # -- run_campaign(batch=) -----------------------------------------------------
 
 
@@ -141,6 +211,26 @@ class TestCampaignBatchSizes:
             self.CONFIG, batch=7, parallel=True, max_workers=2
         )
         assert report.as_table() == scalar_report.as_table()
+
+    def test_obs_counts_every_lane_outcome(self, scalar_report):
+        from repro.obs import ObsConfig, ObsSession
+
+        session = ObsSession(ObsConfig())
+        report = run_campaign(self.CONFIG, batch=7, obs=session)
+        assert report.as_table() == scalar_report.as_table()
+
+        def lanes(outcome):
+            metric = session.metrics.get("campaign_lanes", outcome=outcome)
+            return metric.value if metric is not None else 0
+
+        gather_lanes = self.CONFIG.trials * len(self.CONFIG.fault_rates)
+        mesh_lanes = self.CONFIG.mesh_link_failures + 1
+        assert lanes("recovered") > 0
+        assert lanes("clean") + lanes("recovered") + lanes("replayed") == (
+            gather_lanes + mesh_lanes
+        )
+        # Only the dead-link mesh lanes replay scalar.
+        assert lanes("replayed") == self.CONFIG.mesh_link_failures
 
     def test_batch_zero_rejected(self):
         with pytest.raises(ConfigError):
@@ -212,24 +302,37 @@ class TestReplayFailureContract:
         seeds = [seeder.randrange(2**32) for _ in range(self.CONFIG.trials)]
         return seeds[1], 1
 
-    def test_batched_worker_failure_names_seed_and_point(self, monkeypatch):
+    def _assert_lane_failure_contract(self, monkeypatch, config, lane_fn):
         failing_seed, flat_index = self._failing_seed()
-        import repro.faults.batched as batched_mod
-
-        real = _run_gather_trial
+        real = getattr(batched_mod, lane_fn)
 
         def boom(config, ber, trial_seed):
             if trial_seed == failing_seed:
                 raise OSError("simulated replay crash")
             return real(config, ber, trial_seed)
 
-        monkeypatch.setattr(batched_mod, "_run_gather_trial", boom)
+        monkeypatch.setattr(batched_mod, lane_fn, boom)
         with pytest.raises(SweepPointError) as excinfo:
-            run_campaign(self.CONFIG, batch=4)
+            run_campaign(config, batch=4)
         err = excinfo.value
         assert err.index == flat_index
-        assert err.point == (self.CONFIG, 1e-3, failing_seed)
+        assert err.point == (config, 1e-3, failing_seed)
         assert str(failing_seed) in str(err)
+
+    def test_batched_worker_failure_names_seed_and_point(self, monkeypatch):
+        # At BER 1e-3 every lane diverges and recovers in lockstep.
+        self._assert_lane_failure_contract(
+            monkeypatch, self.CONFIG, "_recover_gather_lane"
+        )
+
+    def test_batched_drift_lane_failure_names_seed_and_point(
+        self, monkeypatch
+    ):
+        # Drift lanes still go through scalar replay.
+        config = replace(self.CONFIG, drift_episodes=DRIFT_EPISODES)
+        self._assert_lane_failure_contract(
+            monkeypatch, config, "_run_gather_trial"
+        )
 
     def test_scalar_worker_failure_names_seed_and_point(self, monkeypatch):
         failing_seed, flat_index = self._failing_seed()

@@ -49,6 +49,17 @@ values = st.recursive(
 )
 
 
+def _crc16_bitwise(data: bytes, crc: int) -> int:
+    """CRC-16/CCITT-FALSE by its shift-register definition: poly 0x1021,
+    MSB first, no reflection, no final XOR."""
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else crc << 1
+            crc &= 0xFFFF
+    return crc
+
+
 class TestRoundTrip:
     @given(values)
     @settings(max_examples=200, deadline=None)
@@ -118,6 +129,18 @@ class TestIdentityIndependence:
     def test_crc16_reference_vector(self):
         # CRC-16/CCITT-FALSE check value for "123456789".
         assert crc16_ccitt(b"123456789") == 0x29B1
+
+    @given(st.binary(max_size=64), st.integers(min_value=0, max_value=0xFFFF))
+    @settings(max_examples=300, deadline=None)
+    def test_crc16_matches_bitwise_reference(self, data, init):
+        assert crc16_ccitt(data, init) == _crc16_bitwise(data, init)
+
+    @pytest.mark.parametrize("length", range(65))
+    def test_crc16_every_length_up_to_64(self, length):
+        data = bytes((7 * i + 3) & 0xFF for i in range(length))
+        assert crc16_ccitt(data) == _crc16_bitwise(data, 0xFFFF)
+        for init in (0x0000, 0x1D0F, 0x8000):
+            assert crc16_ccitt(data, init) == _crc16_bitwise(data, init)
 
 
 class TestCorruption:

@@ -7,6 +7,8 @@ properties checked here against brute-force references:
   :class:`LaneRng` produces draws bit-identical to
   ``random.Random(seeds[i])`` regardless of the batch width, the other
   lanes' seeds, the lane order, or how the draws are chunked;
+* **burst corruption** — :meth:`PscanFaultModel.corrupt_burst` makes
+  exactly the draws, outputs and counter updates of the per-word hook;
 * **mask algebra** — :func:`merge_masks` is the boolean union,
   :func:`compact_indices` / :func:`scatter_lanes` are stable inverses.
 
@@ -24,12 +26,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.faults.crc import pack_word  # noqa: E402
 from repro.faults.lanes import (  # noqa: E402
     LaneRng,
     compact_indices,
+    draw_below,
     merge_masks,
     scatter_lanes,
 )
+from repro.faults.models import DriftEpisode, PscanFaultModel  # noqa: E402
 from repro.util.errors import ConfigError  # noqa: E402
 
 # Seeds cover the interesting ctor shapes: 0 (key [0]), single 32-bit
@@ -94,6 +99,92 @@ class TestLaneRngStreams:
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError):
             LaneRng([1]).random(-1)
+
+
+class TestDrawBelow:
+    @given(lane_seeds, st.integers(min_value=0, max_value=700),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_equals_scalar_and_leaves_same_state(self, seed, count, p):
+        bulk, scalar = random.Random(seed), random.Random(seed)
+        below = draw_below(bulk, count, p)
+        assert list(below) == [scalar.random() < p for _ in range(count)]
+        assert bulk.getstate() == scalar.getstate()
+
+    @given(st.lists(lane_seeds, min_size=1, max_size=8),
+           st.lists(st.floats(min_value=0.0, max_value=1.0),
+                    min_size=1, max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_lane_below_equals_random_compare(self, seeds, thresholds):
+        p = np.asarray(thresholds)
+        below = LaneRng(seeds).below(p.size, p)
+        assert np.array_equal(below, LaneRng(seeds).random(p.size) < p)
+
+    def test_threshold_at_a_draw_is_exclusive(self):
+        # A threshold equal to a draw must not count it (strict <), even
+        # though that draw passes the first-output prefilter.
+        seed = 3
+        first = random.Random(seed).random()
+        assert not draw_below(random.Random(seed), 1, first)[0]
+        assert draw_below(random.Random(seed), 1, np.nextafter(first, 1.0))[0]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigError):
+            draw_below(random.Random(0), -1, 0.5)
+
+
+# A burst of words of one payload kind: CRC frames (the campaign's
+# payload), ints, or opaque objects the hook can only tag.
+bursts = st.one_of(
+    st.lists(st.complex_numbers(allow_nan=False, max_magnitude=1e6),
+             max_size=80).map(lambda vs: [pack_word(v) for v in vs]),
+    st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=80),
+    st.lists(st.text(max_size=4), max_size=80).map(
+        lambda vs: [("opaque", v) for v in vs]
+    ),
+)
+
+
+class TestCorruptBurst:
+    @given(
+        bursts,
+        st.floats(min_value=-6.0, max_value=np.log10(0.3)).map(
+            lambda e: 10.0 ** e
+        ),
+        lane_seeds,
+        st.sampled_from([8, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_word_hook(self, values, ber, seed, bits_per_word):
+        burst = PscanFaultModel(ber=ber, seed=seed, bits_per_word=bits_per_word)
+        hook = PscanFaultModel(ber=ber, seed=seed, bits_per_word=bits_per_word)
+        out = burst.corrupt_burst(values)
+        expected = [hook(0.0, 0, i, v) for i, v in enumerate(values)]
+        assert out == expected
+        assert burst.rng.getstate() == hook.rng.getstate()
+        assert (
+            burst.words_seen, burst.words_corrupted, burst.bits_flipped
+        ) == (hook.words_seen, hook.words_corrupted, hook.bits_flipped)
+
+    def test_consecutive_bursts_continue_the_stream(self):
+        # Retransmission epochs call corrupt_burst again on the same
+        # model: the second burst must see the hook's later draws.
+        values = [pack_word(complex(i, -i)) for i in range(64)]
+        burst = PscanFaultModel(ber=1e-2, seed=5)
+        hook = PscanFaultModel(ber=1e-2, seed=5)
+        for _ in range(3):
+            assert burst.corrupt_burst(values) == [
+                hook(0.0, 0, i, v) for i, v in enumerate(values)
+            ]
+        assert burst.rng.getstate() == hook.rng.getstate()
+
+    def test_drift_refused(self):
+        model = PscanFaultModel(
+            ber=1e-4,
+            drift_episodes=(DriftEpisode(start_ns=0.0, end_ns=1.0, drift_nm=0.03),),
+        )
+        with pytest.raises(ConfigError):
+            model.corrupt_burst([1, 2, 3])
 
 
 class TestMaskAlgebra:
