@@ -41,6 +41,7 @@ from ..mesh import MeshNetwork, MeshTopology, make_transpose_gather
 from ..photonics.waveguide import Waveguide
 from ..sim.engine import Simulator
 from ..util.errors import ConfigError, SweepPointError
+from ..util.validation import require_power_of_two
 from .models import DriftEpisode, MeshFaultPlan, PscanFaultModel
 from .recovery import ReliableGather, RetryPolicy
 
@@ -84,8 +85,7 @@ class CampaignConfig:
         object.__setattr__(self, "drift_episodes", tuple(self.drift_episodes))
         if self.processors < 2:
             raise ConfigError("processors must be >= 2")
-        if self.row_samples < 1:
-            raise ConfigError("row_samples must be >= 1")
+        require_power_of_two("row_samples", self.row_samples)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.mesh_link_failures < 0:
@@ -184,15 +184,15 @@ class CampaignReport:
 
 
 def _fft_row_data(config: CampaignConfig, seed: int) -> dict[int, list[complex]]:
-    """Each node's row-FFT output: the words the transpose gathers."""
+    """Each node's row-FFT output: the words the transpose gathers.
+
+    One draw fills every node's real then imaginary samples in stream
+    order (node-major), and one FFT transforms all rows at once.
+    """
     rng = np.random.default_rng(seed)
-    data: dict[int, list[complex]] = {}
-    for node in range(config.processors):
-        row = rng.standard_normal(config.row_samples) + 1j * rng.standard_normal(
-            config.row_samples
-        )
-        data[node] = [complex(v) for v in fft(row)]
-    return data
+    draws = rng.standard_normal((config.processors, 2, config.row_samples))
+    spectra = fft(draws[:, 0] + 1j * draws[:, 1])
+    return {node: spectra[node].tolist() for node in range(config.processors)}
 
 
 def _execute_gather(

@@ -11,10 +11,18 @@ NumPy is used for storage and vectorized butterflies within a stage;
 the stage loop itself is explicit so the block-scheduling code in
 :mod:`repro.fft.blocks` can execute *partial* FFTs (stages [lo, hi)).
 
+Each size's plan is computed once: the bit-reversal permutation and
+every stage's twiddles sit in small bounded ``functools.lru_cache``
+caches as read-only arrays, so a campaign that transforms thousands
+of rows rebuilds neither.  The twiddle expression is the one the stage
+loop always used, so cached and fresh values are bit-identical.
+
 ``numpy.fft`` remains the test oracle.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,23 +41,48 @@ __all__ = [
 ]
 
 
-def bit_reverse_indices(n: int) -> np.ndarray:
-    """Bit-reversal permutation indices for a power-of-two ``n``."""
+def _require_size(n: int) -> None:
     if not is_power_of_two(n):
         raise ConfigError(f"FFT size must be a power of two, got {n}")
+
+
+@lru_cache(maxsize=64)
+def _bit_reverse_plan(n: int) -> np.ndarray:
+    """Read-only bit-reversal permutation for a validated size ``n``."""
     bits = n.bit_length() - 1
     idx = np.arange(n, dtype=np.int64)
     rev = np.zeros(n, dtype=np.int64)
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
+    rev.setflags(write=False)
     return rev
+
+
+@lru_cache(maxsize=64)
+def _stage_twiddles(stage: int) -> np.ndarray:
+    """Read-only twiddles of one group of DIT stage ``stage``."""
+    half = 1 << stage
+    span = half * 2
+    tw = np.exp(-2j * np.pi * np.arange(half) / span)
+    tw.setflags(write=False)
+    return tw
+
+
+def bit_reverse_indices(n: int) -> np.ndarray:
+    """Bit-reversal permutation indices for a power-of-two ``n``.
+
+    Returns a fresh, writable array; the cached plan stays untouched.
+    """
+    _require_size(n)
+    return _bit_reverse_plan(n).copy()
 
 
 def bit_reverse_permute(x: np.ndarray) -> np.ndarray:
     """Reorder ``x`` (last axis) into bit-reversed order."""
     n = x.shape[-1]
-    return x[..., bit_reverse_indices(n)]
+    _require_size(n)
+    return x[..., _bit_reverse_plan(n)]
 
 
 def fft_stage(x: np.ndarray, stage: int) -> None:
@@ -60,15 +93,14 @@ def fft_stage(x: np.ndarray, stage: int) -> None:
     be in bit-reversed order and is modified along its last axis.
     """
     n = x.shape[-1]
-    if not is_power_of_two(n):
-        raise ConfigError(f"FFT size must be a power of two, got {n}")
+    _require_size(n)
     stages = n.bit_length() - 1
     if not (0 <= stage < stages):
         raise ConfigError(f"stage {stage} out of range for n={n} ({stages} stages)")
     half = 1 << stage
     span = half * 2
     # Twiddles for one group; identical across groups.
-    tw = np.exp(-2j * np.pi * np.arange(half) / span)
+    tw = _stage_twiddles(stage)
     view = x.reshape(*x.shape[:-1], n // span, span)
     even = view[..., :half]
     odd = view[..., half:]
@@ -87,8 +119,7 @@ def fft(x: np.ndarray) -> np.ndarray:
     """Full radix-2 DIT FFT along the last axis (returns a new array)."""
     x = np.asarray(x, dtype=np.complex128)
     n = x.shape[-1]
-    if not is_power_of_two(n):
-        raise ConfigError(f"FFT size must be a power of two, got {n}")
+    _require_size(n)
     out = bit_reverse_permute(x).copy()
     fft_stages(out, 0, n.bit_length() - 1)
     return out
@@ -103,8 +134,7 @@ def ifft(x: np.ndarray) -> np.ndarray:
 
 def butterfly_count(n: int) -> int:
     """Butterflies in an ``n``-point radix-2 FFT: (n/2) * log2(n)."""
-    if not is_power_of_two(n):
-        raise ConfigError(f"FFT size must be a power of two, got {n}")
+    _require_size(n)
     return (n // 2) * (n.bit_length() - 1)
 
 

@@ -25,9 +25,11 @@ import pickle
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.faults.batched as batched_mod
+import repro.faults.campaign as campaign_mod
 from repro.faults.batched import (
     FifoBatchSpec,
     _check_lockstep_recovery,
@@ -39,12 +41,14 @@ from repro.faults.batched import (
 )
 from repro.faults.campaign import (
     CampaignConfig,
+    _fft_row_data,
     _gather_point,
     _run_gather_trial,
     _run_mesh_trial,
     run_campaign,
 )
 from repro.faults.models import DriftEpisode
+from repro.fft import fft
 from repro.store import code_fingerprint, point_key
 from repro.util.errors import (
     ConfigError,
@@ -66,6 +70,47 @@ DRIFT_EPISODES = (
     DriftEpisode(start_ns=0.0, end_ns=30.0, drift_nm=0.03),
     DriftEpisode(start_ns=40.0, end_ns=120.0, drift_nm=0.05, node=1),
 )
+
+
+# -- row-FFT lane data ---------------------------------------------------------
+
+
+def _per_row_fft_data(config, seed):
+    """The original one-row-at-a-time ``_fft_row_data``, kept as the pin."""
+    rng = np.random.default_rng(seed)
+    data = {}
+    for node in range(config.processors):
+        row = rng.standard_normal(config.row_samples) + 1j * rng.standard_normal(
+            config.row_samples
+        )
+        data[node] = [complex(v) for v in fft(row)]
+    return data
+
+
+def _data_bytes(data):
+    return np.array([data[node] for node in sorted(data)]).view(np.float64).tobytes()
+
+
+class TestRowFftData:
+    @pytest.mark.parametrize("processors,row_samples", [(4, 2), (16, 8), (64, 64)])
+    def test_bit_identical_to_per_row_loop(self, processors, row_samples):
+        config = CampaignConfig(processors=processors, row_samples=row_samples)
+        for seed in _seeds(200):
+            batched = _fft_row_data(config, seed)
+            per_row = _per_row_fft_data(config, seed)
+            assert list(batched) == list(per_row)
+            assert _data_bytes(batched) == _data_bytes(per_row)
+
+    def test_one_fft_call_per_invocation(self, monkeypatch):
+        calls = []
+
+        def counting_fft(x):
+            calls.append(np.shape(x))
+            return fft(x)
+
+        monkeypatch.setattr(campaign_mod, "fft", counting_fft)
+        _fft_row_data(CampaignConfig(), 7)
+        assert calls == [(16, 8)]
 
 
 # -- injector-by-injector byte identity --------------------------------------

@@ -504,3 +504,14 @@ class TestCampaign:
             CampaignConfig(processors=6)  # not a perfect square
         with pytest.raises(ConfigError):
             CampaignConfig(trials=0)
+
+    def test_row_samples_must_be_power_of_two(self):
+        with pytest.raises(ConfigError, match="row_samples"):
+            CampaignConfig(row_samples=6)
+
+    def test_cli_rejects_bad_row_samples_before_the_sweep(self):
+        # Caught at config time, not as a SweepPointError mid-campaign.
+        from repro.cli import main
+
+        with pytest.raises(ConfigError, match="row_samples"):
+            main(["faults", "--row-samples", "6"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fft import (
+    BlockedFft,
     bit_reverse_indices,
     bit_reverse_permute,
     butterfly_count,
@@ -34,6 +35,25 @@ class TestBitReversal:
 
     def test_n1(self):
         assert list(bit_reverse_indices(1)) == [0]
+
+    def test_returned_indices_are_fresh_and_writable(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=8) + 1j * rng.normal(size=8)
+        before = fft(x).view(np.float64).tobytes()
+        rev = bit_reverse_indices(8)
+        assert rev.flags.writeable
+        rev[:] = 0
+        assert list(bit_reverse_indices(8)) == [0, 4, 2, 6, 1, 5, 3, 7]
+        assert fft(x).view(np.float64).tobytes() == before
+
+    def test_block_samples_mutation_does_not_reach_fft(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=8) + 1j * rng.normal(size=8)
+        before = fft(x).view(np.float64).tobytes()
+        samples = BlockedFft(8, 2).block_samples(1)
+        samples[:] = 0
+        assert list(BlockedFft(8, 2).block_samples(1)) == [1, 5, 3, 7]
+        assert fft(x).view(np.float64).tobytes() == before
 
 
 class TestFftCorrectness:
@@ -76,6 +96,16 @@ class TestFftCorrectness:
         rng = np.random.default_rng(7)
         m = rng.normal(size=(5, 32)) + 1j * rng.normal(size=(5, 32))
         assert np.allclose(fft(m), np.fft.fft(m, axis=-1))
+
+    @pytest.mark.parametrize("n", [2**k for k in range(7)])
+    def test_batched_rows_bit_identical_to_per_row(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.normal(size=(16, n)) + 1j * rng.normal(size=(16, n))
+        rows = np.stack([fft(row) for row in m])
+        assert (
+            fft(m).view(np.float64).tobytes()
+            == rows.view(np.float64).tobytes()
+        )
 
     def test_ifft_roundtrip(self):
         rng = np.random.default_rng(8)
