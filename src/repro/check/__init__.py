@@ -9,14 +9,14 @@ Three parts (see ``docs/correctness.md``):
   buffer-bound checks.  Violations become structured
   :class:`~repro.check.analyzer.Diagnostic` records with source spans
   rather than a first-failure exception.
-* :mod:`repro.check.fuzz` — a **seeded differential fuzzer** that
-  generates randomized workloads/configs and cross-executes every
-  equivalent-engine pair in the repo (reference ↔ fast mesh, measured
-  mesh ↔ analytic Table III model within documented bands, obs trace
-  oracles, CRC frame codec, reliable-gather determinism), failing on
-  any divergence.
+* :mod:`repro.check.fuzz` — a **seeded differential fuzzer** driven by
+  one table, ``KINDS``: each kind's row holds its generator, its
+  engine pairs (reference ↔ fast mesh, event ↔ compiled SCA, …), its
+  property checks (analytic Table III band, CRC codec laws, …) and its
+  shrink rules.  Any divergence fails the run.
 * :mod:`repro.check.shrink` — a **config shrinker** that minimizes a
-  failing fuzz case and emits a committed regression seed under
+  failing fuzz case within its row's floors and constructibility
+  predicate, and emits a committed regression seed under
   ``tests/corpus/``, auto-replayed by ``tests/test_check_corpus.py``.
 
 CLI: ``python -m repro check lint`` / ``python -m repro check fuzz``.

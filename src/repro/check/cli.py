@@ -30,10 +30,22 @@ import sys
 from pathlib import Path
 
 from .analyzer import lint_all, lint_targets
-from .fuzz import CASE_KINDS, run_case, run_fuzz
+from .fuzz import CASE_KINDS, FuzzCase, run_case, run_fuzz
 from .shrink import iter_corpus, load_seed, shrink_case, write_seed
 
 __all__ = ["main", "build_parser"]
+
+
+def _kinds(text: str) -> tuple[str, ...]:
+    """``--kinds`` value: a non-empty comma list of kind-table rows."""
+    kinds = tuple(k.strip() for k in text.split(",") if k.strip())
+    unknown = [k for k in kinds if k not in CASE_KINDS]
+    if unknown or not kinds:
+        problem = f"unknown kind(s) {','.join(unknown)}" if unknown else "no kinds"
+        raise argparse.ArgumentTypeError(
+            f"{problem}; choose from {','.join(CASE_KINDS)}"
+        )
+    return kinds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--cases", type=int, default=50)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument(
-        "--kinds", default=None,
+        "--kinds", type=_kinds, default=None,
         help=f"comma-separated subset of {','.join(CASE_KINDS)}",
     )
     fuzz.add_argument(
@@ -114,24 +126,22 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if errors == 0 else 1
 
 
+def _write_shrunk(case: FuzzCase, directory: str) -> Path:
+    """Shrink ``case`` and write it, labelled with what *it* diverges on."""
+    small = shrink_case(case)
+    divergences = run_case(small)
+    note = divergences[0].oracle.replace(".", "-") if divergences else None
+    return write_seed(small, directory, note=note, divergences=divergences)
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    kinds = None
-    if args.kinds:
-        kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    result = run_fuzz(cases=args.cases, seed=args.seed, kinds=kinds)
+    result = run_fuzz(cases=args.cases, seed=args.seed, kinds=args.kinds)
     for div in result.divergences:
         print(f"DIVERGENCE {div}", file=sys.stderr)
     if result.divergences and args.shrink:
-        by_case = {}
-        for div in result.divergences:
-            by_case.setdefault(id(div.case), (div.case, []))[1].append(div)
-        for case, divs in by_case.values():
-            small = shrink_case(case)
-            path = write_seed(
-                small, args.shrink,
-                note=divs[0].oracle.replace(".", "-"),
-                divergences=divs,
-            )
+        cases = {id(div.case): div.case for div in result.divergences}
+        for case in cases.values():
+            path = _write_shrunk(case, args.shrink)
             print(f"shrunk seed written: {path}", file=sys.stderr)
     print(result.summary())
     return 0 if result.ok else 1
@@ -166,19 +176,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
     case = load_seed(args.path)
-    divergences = run_case(case)
-    if not divergences:
+    if not run_case(case):
         print(f"{args.path}: case no longer diverges; nothing to shrink")
         return 0
-    small = shrink_case(case)
     if args.out:
-        path = write_seed(
-            small, args.out,
-            note=divergences[0].oracle.replace(".", "-"),
-            divergences=divergences,
-        )
-        print(f"minimized seed written: {path}")
+        print(f"minimized seed written: {_write_shrunk(case, args.out)}")
     else:
+        small = shrink_case(case)
         print(json.dumps(small.to_json(), indent=2, sort_keys=True))
     return 1
 

@@ -28,58 +28,22 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .fuzz import Divergence, FuzzCase, run_case
+from .fuzz import KINDS, Divergence, FuzzCase, run_case
 
 __all__ = ["shrink_case", "write_seed", "load_seed", "iter_corpus"]
 
-#: Parameters the shrinker must never touch: structural selectors whose
-#: "smaller" values change the case's meaning rather than its size.
-_FROZEN_PARAMS = {
-    "workload", "family", "mutation", "fault", "trace", "drift", "target",
-}
 
-#: Divisibility couplings: (dividend, divisor) pairs that must hold for
-#: the case to stay constructible.
-_COUPLINGS = (
-    ("words_per_processor", "k"),
-    ("data_words", "k"),
-    ("words", "block"),
-)
+def _candidate_values(value: Any, floor: int | tuple[int, ...]) -> list[Any]:
+    """Smaller candidate values for one parameter, best first.
 
-
-def _candidate_values(name: str, value: Any) -> list[Any]:
-    """Smaller candidate values for one parameter, best first."""
+    ``floor`` comes from the kind's row in :data:`~repro.check.fuzz.KINDS`:
+    a tuple lists the allowed values, an int is the bottom of a halving
+    ladder.
+    """
     if isinstance(value, bool) or not isinstance(value, int):
         return []
-    if name in ("seed", "wseed", "fseed", "pseed", "sseed"):
-        # RNG seeds shrink toward 0 — not "smaller" semantically, but a
-        # canonical value makes the committed seed easier to reason about.
-        return [0] if value != 0 else []
-    floors = {
-        "processors": 4,
-        "nodes": 2,
-        "rows": 2,
-        "cols": 1,
-        "words": 1,
-        "block": 1,
-        "k": 1,
-        "reorder": 1,
-        "values": 1,
-        "depth": 1,
-        "flip_trials": 1,
-        "max_flips": 1,
-        "ber_exp": 0,
-        "control_words": 0,
-        "data_words": 1,
-        "words_per_processor": 1,
-        "packets_per_node": 1,
-        "lanes": 1,
-        "row_samples": 1,
-        "prob_exp": 0,
-        "max_dead": 0,
-        "depth": 1,
-    }
-    floor = floors.get(name, 0)
+    if isinstance(floor, tuple):
+        return [c for c in floor if c < value]
     if value <= floor:
         return []
     out = [floor]
@@ -89,24 +53,7 @@ def _candidate_values(name: str, value: Any) -> list[Any]:
         v = floor + (v - floor) // 2
         if v not in out and v < value:
             out.append(v)
-    # Mesh processor counts must stay perfect squares.
-    if name == "processors":
-        out = [c for c in out if int(c ** 0.5) ** 2 == c and c >= 4]
     return sorted(set(out))
-
-
-def _constructible(case: FuzzCase) -> bool:
-    """Cheap structural validity check before paying for a run."""
-    p = case.params
-    for dividend, divisor in _COUPLINGS:
-        if dividend in p and divisor in p:
-            if p[divisor] < 1 or p[dividend] % p[divisor] != 0:
-                return False
-    if case.kind == "analytic":
-        # pscan reference: whole DRAM rows (64-bit words, 2048-bit rows).
-        if (p["processors"] * p["cols"]) % 32 != 0:
-            return False
-    return True
 
 
 def shrink_case(
@@ -119,13 +66,16 @@ def shrink_case(
     The default predicate is "``run_case`` still reports a divergence".
     Each round tries every shrinkable parameter's candidate ladder
     (smallest first) and keeps the first reduction that still fails;
-    rounds repeat until a fixpoint or ``max_rounds``.
+    rounds repeat until a fixpoint or ``max_rounds``.  Only the
+    parameters the kind's row gives floors for move, and a candidate
+    its constructibility predicate rejects is never run.
     """
     if predicate is None:
         predicate = lambda c: bool(run_case(c))  # noqa: E731
     if not predicate(case):
         return case
 
+    row = KINDS[case.kind]
     current = FuzzCase(
         kind=case.kind, seed=case.seed, params=dict(case.params),
         note=case.note,
@@ -133,16 +83,17 @@ def shrink_case(
     for _ in range(max_rounds):
         improved = False
         for name in sorted(current.params):
-            if name in _FROZEN_PARAMS:
+            if name not in row.floors:
                 continue
-            for candidate in _candidate_values(name, current.params[name]):
+            value = current.params[name]
+            for candidate in _candidate_values(value, row.floors[name]):
                 trial = FuzzCase(
                     kind=current.kind,
                     seed=current.seed,
                     params={**current.params, name: candidate},
                     note=current.note,
                 )
-                if not _constructible(trial):
+                if row.constructible and not row.constructible(trial.params):
                     continue
                 if predicate(trial):
                     current = trial

@@ -9,7 +9,9 @@ unconditional-``return 0`` bug this PR fixes.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.check.cli import main as check_main
 from repro.check.fuzz import (
     ANALYTIC_BAND,
     CASE_KINDS,
+    KINDS,
     Divergence,
     FuzzCase,
     generate_case,
@@ -55,6 +58,35 @@ class TestGeneration:
     def test_all_kinds_reachable(self):
         kinds = {generate_case(seed).kind for seed in range(120)}
         assert kinds == set(CASE_KINDS)
+
+
+class TestCaseStream:
+    """The seed -> case stream is pinned.
+
+    Corpus seeds and CI's fixed-seed runs name cases by seed alone, so
+    an intended generator change must update these digests visibly.
+    """
+
+    DIGESTS = {
+        "all": "d9fa8021b493bf10604e3be97c14df5aa30ffd76425e599c6edbec26af5f73e5",
+        "mesh": "00b3d7a923aa6f4b4d3225144037e98d02bb4a67440430cff74259f798bb5b68",
+        "crc": "cbc5c7a704782b2b759c5f1de9018cf362fe1ed443953378ecd6ed5d9083ef80",
+        "analytic": "9651b9eb7582d071cf806ad196dc66021291f698700b7cfac2663a9710ad7727",
+        "gather": "d6b3285621cfa0506fa5cc42287e52222a1922cb9118670318f7d9c3a868e70f",
+        "schedule": "cad85eb8f967f09c07424021c5a41ee2384f48ee2322294b3040a3b2029cdc0e",
+        "compiled": "9344d50ba9ea802761b3f2745195b6d6f975dc9f0147b62258745652cd915703",
+        "batched": "09712fc68424717682f2a90608b224fd4eb841f698daee1b9560ef4c4385f94b",
+        "workload": "e55101603520abc57b375a45be8f0e240eec8bf01b5aab59e5c777f3ac419ea9",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name):
+        if name == "all":
+            cases = [generate_case(s) for s in range(5000)]
+        else:
+            cases = [generate_case(s, kinds=[name]) for s in range(500)]
+        blob = json.dumps([c.to_json() for c in cases], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGESTS[name]
 
 
 class TestOracles:
@@ -160,6 +192,23 @@ class TestShrinker:
         assert small.params["trace"] is True
 
 
+class TestShrinkConstructible:
+    @pytest.mark.parametrize("kind", CASE_KINDS)
+    def test_unconditional_shrink_never_crashes(self, kind):
+        # Shrinking as far as the floors allow must still give a case
+        # the engines can build: a shrink into a ConfigError turns a
+        # real divergence into an unrelated <kind>.exception.
+        for seed in range(10):
+            small = shrink_case(
+                generate_case(seed, kinds=[kind]), predicate=lambda c: True
+            )
+            crashes = [
+                str(d) for d in run_case(small)
+                if d.oracle.endswith(".exception")
+            ]
+            assert not crashes, crashes
+
+
 class TestSeedIO:
     def test_write_and_load_roundtrip(self, tmp_path):
         case = generate_case(7, kinds=["crc"])
@@ -207,6 +256,43 @@ class TestCheckCli:
 
     def test_replay_missing_dir_exits_nonzero(self, tmp_path):
         assert check_main(["replay", str(tmp_path / "empty")]) == 1
+
+    @pytest.mark.parametrize("kinds", ["mesh,queue", ","])
+    def test_fuzz_rejects_bad_kinds(self, kinds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            check_main(["fuzz", "--kinds", kinds])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert "fuzz:" not in out
+        assert ",".join(CASE_KINDS) in err
+
+    @pytest.mark.parametrize("command", ["fuzz", "shrink"])
+    def test_shrunk_seed_names_its_own_oracles(
+        self, command, tmp_path, monkeypatch
+    ):
+        # An oracle whose name depends on the case size: the shrunk
+        # seed must be labelled with what *it* trips, not the original.
+        def by_size(case):
+            yield ("crc.big" if case.params["values"] > 2 else "crc.small"), ""
+
+        monkeypatch.setitem(
+            KINDS, "crc", replace(KINDS["crc"], checks=(by_size,))
+        )
+        out = tmp_path / "out"
+        if command == "fuzz":
+            argv = ["fuzz", "--cases", "1", "--kinds", "crc",
+                    "--shrink", str(out)]
+        else:
+            case = generate_case(0, kinds=["crc"])
+            argv = ["shrink", str(write_seed(case, tmp_path)),
+                    "--out", str(out)]
+        assert generate_case(0, kinds=["crc"]).params["values"] > 2
+        assert check_main(argv) == 1
+        (seed_file,) = out.glob("*.json")
+        payload = json.loads(seed_file.read_text())
+        assert payload["params"]["values"] == 1
+        assert payload["oracles"] == ["crc.small"]
+        assert payload["note"] == "crc-small"
 
 
 class TestReproCliExitCodes:
