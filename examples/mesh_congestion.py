@@ -35,8 +35,7 @@ def run(multi_mc: bool):
     else:
         net.add_memory_interface((0, 0))
         workload = make_transpose_gather(topo, cols=COLS)
-    for packet in workload.packets:
-        net.inject(packet)
+    net.inject_all(workload.packets)
     stats = net.run()
     return topo, net, stats
 

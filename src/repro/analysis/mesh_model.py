@@ -104,8 +104,7 @@ def measure_scatter(
         MeshConfig(buffer_flits=buffer_flits, header_route_cycles=t_r),
     )
     packets = make_scatter_delivery(topo, words_per_processor, k=k)
-    for pkt in packets:
-        net.inject(pkt)
+    net.inject_all(packets)
     stats = net.run()
     # Ideal excludes headers: P * F data flits through one injection port.
     ideal = scatter_cycles_ideal(processors, words_per_processor)

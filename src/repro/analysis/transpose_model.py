@@ -134,8 +134,7 @@ def measure_mesh_transpose(
     workload = make_transpose_gather(
         topo, row_samples, (0, 0), header_flits=header_flits
     )
-    for pkt in workload.packets:
-        net.inject(pkt)
+    net.inject_all(workload.packets)
     stats = net.run()
     pscan = pscan_transpose_cycles(
         row_samples=row_samples, processors=processors

@@ -585,8 +585,7 @@ def _run_mesh_case(
     if session is not None:
         net.attach_observer(session)
     net.add_memory_interface((0, 0))
-    for packet in _mesh_packets(topology, params):
-        net.inject(packet)
+    net.inject_all(_mesh_packets(topology, params))
     fault = params.get("fault", "none")
     if fault == "link":
         net.fail_link((1, 0), (0, 0))

@@ -173,8 +173,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> None:
     net = MeshNetwork(topo, MeshConfig(memory_reorder_cycles=1))
     net.add_memory_interface((0, 0))
     wl = make_transpose_gather(topo, cols=args.row_samples)
-    for p in wl.packets:
-        net.inject(p)
+    net.inject_all(wl.packets)
     stats = net.run()
     print(render_mesh_heatmap(stats.flits_through_node, topo.width, topo.height))
     print(f"completion: {stats.cycles} cycles; mean packet latency "

@@ -270,8 +270,7 @@ def _run_mesh_trial(config: CampaignConfig, dead_links: int, seed: int) -> MeshC
     if dead_links:
         MeshFaultPlan.random_links(topology, dead_links, seed=seed).install(network)
     workload = make_transpose_gather(topology, cols=config.row_samples)
-    for packet in workload.packets:
-        network.inject(packet)
+    network.inject_all(workload.packets)
     total = len(workload.packets)
     stats, report = network.run_resilient(max_cycles=500_000)
     return MeshCampaignRow(

@@ -118,8 +118,7 @@ class MeshBlockTranspose:
         )
         net.add_memory_interface(self.memory_node)
         workload = make_transpose_gather(topo, cols, self.memory_node)
-        for pkt in workload.packets:
-            net.inject(pkt)
+        net.inject_all(workload.packets)
         stats = net.run()
         # Reassemble from the delivered (address, via packet source) flits.
         out = np.zeros(rows * cols, dtype=np.complex128)

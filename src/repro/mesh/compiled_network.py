@@ -53,23 +53,34 @@ that the closed form does not model; the tail-ejection *instants*
 (``packet_latencies``, in delivery order) and every other ``MeshStats``
 field are exact, and the differential suites compare exactly those.
 
-Whole-packet intake
--------------------
-The closed forms only need per-source packet counts, so :meth:`inject`
-never materializes flits: no :class:`~repro.mesh.flit.Flit` objects are
-built and the inherited per-node injection queues stay empty.  It keeps
-the bookkeeping other layers read — the same endpoint
+Shape intake
+------------
+The closed forms only need per-source packet counts, so the engine never
+materializes flits: no :class:`~repro.mesh.flit.Flit` objects are built
+and the inherited per-node injection queues stay empty.  It keeps the
+bookkeeping other layers read — the same endpoint
 :class:`~repro.util.errors.ConfigError`, ``_packet_meta`` (injection
 cycle and source per packet id), ``_pending_flits`` (so
 ``traffic_remaining`` is correct before and after :meth:`run`) and the
-``mesh_inject`` obs event — and folds each packet into a running
-summary (packets per source, destinations, flit counts, a staggered
-injection flag).  The domain check and the heat map read that summary
-in O(nodes), whatever the packet count.
+``mesh_inject`` obs event — and folds the traffic into a running summary
+(packets per source, destinations, flit counts, a staggered-injection
+flag).  The domain check and the heat map read that summary in O(nodes),
+whatever the packet count.
+
+Traffic arrives one of two ways.  :meth:`inject` folds one whole packet.
+:meth:`inject_all` given a transpose gather whose packets were never
+read (:class:`~repro.mesh.workloads.TransposePackets`) folds the shape
+itself: one summary update per source and one C-level ``_packet_meta``
+fill per source, with no :class:`~repro.mesh.flit.Packet` built.  It
+does so only with no observer attached (the observer wants one
+``mesh_inject`` event per packet) and when every endpoint is on this
+network (otherwise the per-packet path raises the same ``ConfigError``
+at the same packet); anything else takes the per-packet path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any
 
 from ..util.errors import EngineUnsupportedError, NetworkError
@@ -77,6 +88,7 @@ from .flit import Packet
 from .network import MeshNetwork, MeshStats
 from .routing import MinimalAdaptiveRouting
 from .topology import MeshTopology
+from .workloads import TransposePackets
 
 __all__ = ["CompiledMeshNetwork"]
 
@@ -88,8 +100,9 @@ class CompiledMeshNetwork(MeshNetwork):
     :meth:`inject` takes whole packets: it raises the same endpoint
     ``ConfigError``, records ``_packet_meta`` and ``_pending_flits`` and
     emits the same ``mesh_inject`` obs event as the other engines, but
-    builds no flits and fills no injection queues.  :meth:`run` replaces
-    the cycle loop with the analytic evaluation.
+    builds no flits and fills no injection queues.  :meth:`inject_all`
+    folds an unread transpose shape without building packets.
+    :meth:`run` replaces the cycle loop with the analytic evaluation.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
@@ -125,6 +138,40 @@ class CompiledMeshNetwork(MeshNetwork):
             self._obs.mesh_inject(
                 self.cycle, packet.packet_id, source, dest, flits
             )
+
+    def inject_all(self, packets: Iterable[Packet]) -> None:
+        """Fold an unread transpose shape in O(nodes), else inject each packet.
+
+        The fold leaves exactly the state per-packet :meth:`inject`
+        would; see "Shape intake" in the module docstring for when it
+        applies.
+        """
+        if (
+            type(packets) is not TransposePackets
+            or packets.read
+            or self._obs is not None
+        ):
+            super().inject_all(packets)
+            return
+        sources = packets.sources()
+        on_net = self._occupancy
+        if packets.dest not in on_net or not all(s in on_net for s in sources):
+            super().inject_all(packets)
+            return
+        per = packets.per_source
+        flits = packets.flit_count
+        meta = self._packet_meta
+        counts = self._per_source
+        first = packets.ids.start
+        for source in sources:
+            meta.update(
+                dict.fromkeys(range(first, first + per), (self.cycle, source))
+            )
+            first += per
+            counts[source] = counts.get(source, 0) + per
+        self._pending_flits += len(packets) * flits
+        self._dests.add(packets.dest)
+        self._flit_counts.add(flits)
 
     # -- refused capabilities -------------------------------------------
 

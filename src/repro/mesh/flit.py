@@ -9,14 +9,35 @@ delivery study also needs multi-flit block packets.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..util.errors import ConfigError
 
-__all__ = ["Flit", "Packet"]
+__all__ = ["Flit", "Packet", "require_header_flits", "reserve_packet_ids"]
 
 _packet_ids = itertools.count()
+
+
+def reserve_packet_ids(count: int) -> range:
+    """Take the next ``count`` packet ids from the global counter.
+
+    The ids are drawn in one C-level pass (``islice`` into a one-slot
+    deque), so they are consecutive and exactly ``count`` are consumed —
+    the same ids ``count`` default-constructed :class:`Packet` objects
+    would have taken, without building any of them.
+    """
+    if count < 1:
+        return range(0)
+    last = deque(itertools.islice(_packet_ids, count), maxlen=1).pop()
+    return range(last - count + 1, last + 1)
+
+
+def require_header_flits(header_flits: int) -> None:
+    """Raise :class:`ConfigError` unless packets get >= 1 header flit."""
+    if header_flits < 1:
+        raise ConfigError(f"packets need >= 1 header flit, got {header_flits}")
 
 
 @dataclass(slots=True)
@@ -63,10 +84,7 @@ class Packet:
     created_cycle: int = 0
 
     def __post_init__(self) -> None:
-        if self.header_flits < 1:
-            raise ConfigError(
-                f"packets need >= 1 header flit, got {self.header_flits}"
-            )
+        require_header_flits(self.header_flits)
 
     @property
     def flit_count(self) -> int:

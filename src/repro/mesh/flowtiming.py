@@ -66,8 +66,7 @@ def _scatter_cycles(topology: MeshTopology, matrix: np.ndarray) -> tuple[int, di
     rows, cols = matrix.shape
     net = MeshNetwork(topology, MeshConfig())
     packets = make_scatter_delivery(topology, words_per_processor=cols, k=1)
-    for pkt in packets:
-        net.inject(pkt)
+    net.inject_all(packets)
     stats = net.run()
     # Deliveries carry (node_index, word) markers; attach real data.
     delivered: dict[int, np.ndarray] = {
@@ -117,8 +116,7 @@ def run_mesh_fft2d_flow(
     net = MeshNetwork(topo, MeshConfig(memory_reorder_cycles=reorder_cycles))
     net.add_memory_interface((0, 0))
     workload = make_transpose_gather(topo, cols)
-    for pkt in workload.packets:
-        net.inject(pkt)
+    net.inject_all(workload.packets)
     t_stats = net.run()
     timing.phases_ns["transpose"] = t_stats.cycles * cycle_ns
     memory = np.zeros(rows * cols, dtype=np.complex128)
@@ -137,8 +135,7 @@ def run_mesh_fft2d_flow(
     packets = make_scatter_delivery(
         topo, words_per_processor=max(1, (rows * cols) // rows), k=1
     )
-    for pkt in packets:
-        net2.inject(pkt)
+    net2.inject_all(packets)
     l_stats = net2.run()
     timing.phases_ns["load"] = l_stats.cycles * cycle_ns
 

@@ -18,7 +18,9 @@ committed together, so intra-cycle ripple cannot teleport flits.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from ..util.errors import ConfigError, NetworkError, RoutingError
@@ -44,6 +46,32 @@ __all__ = [
 
 _MESH_PORTS = (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
 _ALL_PORTS = (Port.LOCAL, *_MESH_PORTS)
+
+#: One router's links: (out_port, neighbor, downstream-buffer key) per
+#: connected mesh port, in ``_MESH_PORTS`` order.
+_Adjacency = tuple[tuple[Port, tuple[int, int], tuple[tuple[int, int], Port]], ...]
+
+
+@lru_cache(maxsize=64)
+def _adjacency(
+    topology: MeshTopology,
+) -> tuple[tuple[tuple[int, int], _Adjacency], ...]:
+    """Every router's links, row-major, built once per (frozen) topology.
+
+    Immutable tuples only, so networks on equal topologies can share
+    the result without sharing any mutable state.
+    """
+    return tuple(
+        (
+            node,
+            tuple(
+                (port, nbr, (nbr, port.opposite))
+                for port in _MESH_PORTS
+                if (nbr := topology.neighbor(node, port)) is not None
+            ),
+        )
+        for node in topology.nodes()
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,8 +234,7 @@ class MeshNetwork:
 
         net = MeshNetwork(MeshTopology.square(16))
         net.add_memory_interface((0, 0))
-        for packet in workload:
-            net.inject(packet)
+        net.inject_all(make_transpose_gather(net.topology, cols=8).packets)
         stats = net.run()
     """
 
@@ -259,11 +286,14 @@ class MeshNetwork:
         #: region instead of ping-ponging into it.
         self._detour: set[int] = set()
         self.cycle = 0
-        # Input buffers: (node, port) -> deque of flits.
+        self._nodes = topology.nodes()
+        adjacency = _adjacency(topology)
+        # Input buffers: (node, port) -> deque of flits, LOCAL first and
+        # then every connected mesh port.
         self._buffers: dict[tuple[tuple[int, int], Port], deque[Flit]] = {}
-        for node in topology.nodes():
+        for node, entries in adjacency:
             self._buffers[(node, Port.LOCAL)] = deque()
-            for port in topology.mesh_ports(node):
+            for port, _nbr, _key in entries:
                 self._buffers[(node, port)] = deque()
         # Wormhole output-channel ownership: (node, out_port) -> packet_id.
         self._owner: dict[tuple[tuple[int, int], Port], int] = {}
@@ -273,7 +303,7 @@ class MeshNetwork:
         self._rr: dict[tuple[tuple[int, int], Port], int] = {}
         # Injection queues: node -> deque of flits awaiting buffer space.
         self._inject: dict[tuple[int, int], deque[Flit]] = {
-            node: deque() for node in topology.nodes()
+            node: deque() for node in self._nodes
         }
         # Memory interfaces: node -> cycle the reorder pipeline frees up.
         self._memory_nodes: dict[tuple[int, int], int] = {}
@@ -282,23 +312,14 @@ class MeshNetwork:
         self._pending_flits = 0
         # Buffered-flit count per router, to skip idle routers in the
         # planning loop (the hot path at benchmark scale).
-        self._occupancy: dict[tuple[int, int], int] = {
-            node: 0 for node in topology.nodes()
-        }
-        self._nodes = topology.nodes()
+        self._occupancy: dict[tuple[int, int], int] = dict.fromkeys(
+            self._nodes, 0
+        )
         # Precomputed adjacency for the planning hot path: per node, the
-        # list of (out_port, neighbor, downstream-buffer key).
-        self._adjacent: dict[
-            tuple[int, int],
-            list[tuple[Port, tuple[int, int], tuple[tuple[int, int], Port]]],
-        ] = {}
-        for node in self._nodes:
-            entries = []
-            for port in _MESH_PORTS:
-                nbr = topology.neighbor(node, port)
-                if nbr is not None:
-                    entries.append((port, nbr, (nbr, port.opposite)))
-            self._adjacent[node] = entries
+        # (out_port, neighbor, downstream-buffer key) entries.  The
+        # entries are the topology's shared immutable tuples; the dict
+        # is this network's own.
+        self._adjacent: dict[tuple[int, int], _Adjacency] = dict(adjacency)
         self.stats = MeshStats()
         self.sunk: list[SinkRecord] = []
         # Optional observability hook (duck-typed ObsSession); None keeps
@@ -346,6 +367,16 @@ class MeshNetwork:
                 self.cycle, packet.packet_id, packet.source, packet.dest,
                 len(flits),
             )
+
+    def inject_all(self, packets: Iterable[Packet]) -> None:
+        """Queue every packet of ``packets``, in order (see :meth:`inject`).
+
+        The compiled engine overrides this to fold a transpose-gather
+        shape without building its packets; every engine leaves the same
+        state as injecting the packets one by one.
+        """
+        for packet in packets:
+            self.inject(packet)
 
     # -- fault injection ----------------------------------------------------
 

@@ -85,8 +85,7 @@ def run_mesh_model2_overlap(
         k=k,
         memory_node=memory_node,
     )
-    for pkt in packets:
-        net.inject(pkt)
+    net.inject_all(packets)
     stats = net.run()
 
     # Reconstruct per-node block completion from the sink records.

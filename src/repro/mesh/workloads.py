@@ -1,21 +1,31 @@
 """Workload generators for the mesh simulator (paper Sections V-B2, V-C2).
 
-Each generator returns a list of :class:`~repro.mesh.flit.Packet` ready to
-inject, plus enough metadata to check delivery.  The headline workload is
-the **transpose gather**: every processor writes its FFT row back to a
-single memory interface, where elements must interleave column-major —
-maximally non-local traffic with a single hot sink.
+Each generator returns a sequence of :class:`~repro.mesh.flit.Packet`
+ready to inject, plus enough metadata to check delivery.  The headline
+workload is the **transpose gather**: every processor writes its FFT row
+back to a single memory interface, where elements must interleave
+column-major — maximally non-local traffic with a single hot sink.
+
+:func:`make_transpose_gather` reserves its packet ids when it is called
+but keeps the traffic as a shape (:class:`TransposePackets`): the
+``Packet`` tuple is built on first read, with the ids, order and payloads
+an eager loop would have produced.  The flit engines read it; the
+compiled engine folds a never-read shape in O(nodes) instead
+(:meth:`~repro.mesh.network.MeshNetwork.inject_all`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from ..util.errors import ConfigError
-from .flit import Packet
+from .flit import Packet, require_header_flits, reserve_packet_ids
 from .topology import MeshTopology
 
 __all__ = [
+    "TransposePackets",
     "TransposeWorkload",
     "make_transpose_gather",
     "make_scatter_delivery",
@@ -37,7 +47,7 @@ class TransposeWorkload:
     first of them for single-sink consumers.
     """
 
-    packets: tuple[Packet, ...]
+    packets: Sequence[Packet]
     rows: int
     cols: int
     memory_node: tuple[int, int]
@@ -60,6 +70,112 @@ def _processor_for_row(topology: MeshTopology, row: int) -> tuple[int, int]:
     return (x, y)
 
 
+class TransposePackets(Sequence):
+    """The transpose gather's packets, kept as a shape until first read.
+
+    Behaves as the ``tuple`` of :class:`~repro.mesh.flit.Packet` the
+    eager loop used to return — ``len``, iteration, indexing, slicing,
+    ``+``, ``==``, ``hash`` and ``repr`` all act on that tuple — but
+    the tuple is only built (and then cached) on the first read that
+    needs packets; ``len`` needs none.  The ids in :attr:`ids` were
+    reserved when the workload was made, so a late read yields exactly
+    the packets an eager build would have.
+
+    Row ``r``'s processor sends ``cols // elements_per_packet`` packets
+    to :attr:`dest`, in column order; :attr:`read` tells an engine
+    whether that shape still describes the traffic (once the packets
+    are out, a caller may have mutated them).
+    """
+
+    __slots__ = (
+        "topology", "rows", "cols", "elements_per_packet", "header_flits",
+        "dest", "ids", "_packets",
+    )
+
+    def __init__(
+        self,
+        topology: MeshTopology,
+        cols: int,
+        dest: tuple[int, int],
+        elements_per_packet: int,
+        header_flits: int,
+    ) -> None:
+        self.topology = topology
+        self.rows = topology.node_count
+        self.cols = cols
+        self.elements_per_packet = elements_per_packet
+        self.header_flits = header_flits
+        self.dest = dest
+        self.ids = reserve_packet_ids(self.rows * self.per_source)
+        self._packets: tuple[Packet, ...] | None = None
+
+    @property
+    def per_source(self) -> int:
+        """Packets each row's processor sends."""
+        return self.cols // self.elements_per_packet
+
+    @property
+    def flit_count(self) -> int:
+        """Flits per packet: headers plus one per element."""
+        return self.header_flits + self.elements_per_packet
+
+    @property
+    def read(self) -> bool:
+        """True once the packet tuple has been built."""
+        return self._packets is not None
+
+    def sources(self) -> list[tuple[int, int]]:
+        """Each row's processor, in row (= packet id) order."""
+        return [_processor_for_row(self.topology, r) for r in range(self.rows)]
+
+    def _tuple(self) -> tuple[Packet, ...]:
+        packets = self._packets
+        if packets is None:
+            rows, epp = self.rows, self.elements_per_packet
+            dest, header_flits = self.dest, self.header_flits
+            ids = iter(self.ids)
+            built: list[Packet] = []
+            for r, src in enumerate(self.sources()):
+                for c0 in range(0, self.cols, epp):
+                    built.append(
+                        Packet(
+                            source=src,
+                            dest=dest,
+                            payloads=[(c0 + j) * rows + r for j in range(epp)],
+                            header_flits=header_flits,
+                            packet_id=next(ids),
+                        )
+                    )
+            packets = self._packets = tuple(built)
+        return packets
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Packet]:
+        return iter(self._tuple())
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._tuple()[index]
+
+    def __add__(self, other: Any) -> tuple[Packet, ...]:
+        return self._tuple() + other
+
+    def __radd__(self, other: Any) -> tuple[Packet, ...]:
+        return other + self._tuple()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TransposePackets):
+            other = other._tuple()
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
 def make_transpose_gather(
     topology: MeshTopology,
     cols: int,
@@ -74,6 +190,10 @@ def make_transpose_gather(
     ``c * rows + r``.  With ``elements_per_packet == 1`` this is the
     paper's per-element traffic ("each element is output independently");
     larger values model software coalescing (an ablation).
+
+    The ``rows * cols / elements_per_packet`` packet ids are taken now;
+    the packets themselves are built on first read
+    (:class:`TransposePackets`).
     """
     topology.require_node(memory_node)
     if cols < 1:
@@ -84,24 +204,13 @@ def make_transpose_gather(
         raise ConfigError(
             f"elements_per_packet {elements_per_packet} must divide cols {cols}"
         )
-    rows = topology.node_count
-    packets: list[Packet] = []
-    for r in range(rows):
-        src = _processor_for_row(topology, r)
-        for c0 in range(0, cols, elements_per_packet):
-            addresses = [
-                (c0 + j) * rows + r for j in range(elements_per_packet)
-            ]
-            packets.append(
-                Packet(
-                    source=src,
-                    dest=memory_node,
-                    payloads=addresses,
-                    header_flits=header_flits,
-                )
-            )
+    # Packet.__post_init__'s check, made here because no packet is built.
+    require_header_flits(header_flits)
+    packets = TransposePackets(
+        topology, cols, memory_node, elements_per_packet, header_flits
+    )
     return TransposeWorkload(
-        packets=tuple(packets), rows=rows, cols=cols, memory_node=memory_node
+        packets=packets, rows=packets.rows, cols=cols, memory_node=memory_node
     )
 
 

@@ -45,8 +45,7 @@ def run_transpose_workload(
     )
     net.attach_observer(session)
     net.add_memory_interface((0, 0))
-    for packet in make_transpose_gather(topo, cols=cols).packets:
-        net.inject(packet)
+    net.inject_all(make_transpose_gather(topo, cols=cols).packets)
     return net.run()
 
 
@@ -131,8 +130,7 @@ def run_faults_workload(
     net.attach_observer(session)
     net.add_memory_interface((0, 0))
     net.fail_link((1, 0), (1, 1))
-    for packet in make_transpose_gather(topo, cols=4).packets:
-        net.inject(packet)
+    net.inject_all(make_transpose_gather(topo, cols=4).packets)
     stats, report = net.run_resilient(max_cycles=50_000)
     return {"gather": result, "mesh_stats": stats, "mesh_report": report}
 

@@ -89,8 +89,7 @@ def _run_mesh_once(engine: str, processors: int, cols: int, reorder: int) -> tup
         topo, MeshConfig(engine=engine, memory_reorder_cycles=reorder)
     )
     net.add_memory_interface((0, 0))
-    for packet in make_transpose_gather(topo, cols=cols).packets:
-        net.inject(packet)
+    net.inject_all(make_transpose_gather(topo, cols=cols).packets)
     t0 = time.perf_counter()
     stats = net.run()
     wall = time.perf_counter() - t0
@@ -160,8 +159,7 @@ def _run_mesh_obs_once(
     )
     net.attach_observer(ObsSession(ObsConfig.disabled()))
     net.add_memory_interface((0, 0))
-    for packet in make_transpose_gather(topo, cols=cols).packets:
-        net.inject(packet)
+    net.inject_all(make_transpose_gather(topo, cols=cols).packets)
     t0 = time.perf_counter()
     stats = net.run()
     wall = time.perf_counter() - t0

@@ -108,8 +108,7 @@ def run_on_mesh(
     net.attach_observer(session)
     for node in description.memory_nodes:
         net.add_memory_interface(node)
-    for packet in description.packets:
-        net.inject(packet)
+    net.inject_all(description.packets)
     stats = net.run(max_cycles)
 
     metrics = session.metrics

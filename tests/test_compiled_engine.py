@@ -512,7 +512,7 @@ class TestMeshRefusals:
 
 
 # ---------------------------------------------------------------------------
-# Mesh: whole-packet intake parity
+# Mesh: intake parity (whole packets and transpose shapes)
 # ---------------------------------------------------------------------------
 
 
@@ -538,8 +538,32 @@ def _inject_events(session, net):
     return out
 
 
+def _intake(net, workload, how):
+    """Inject ``workload`` whole (``inject_all``) or packet by packet."""
+    if how == "all":
+        net.inject_all(workload.packets)
+    else:
+        for p in workload.packets:
+            net.inject(p)
+
+
+def _intake_state(net):
+    """Every piece of intake bookkeeping, ids taken from the base."""
+    base = packet_id_base(net)
+    return (
+        [(pid - base, meta) for pid, meta in net._packet_meta.items()],
+        net._pending_flits,
+        list(net._per_source.items()),
+        net._dests,
+        net._flit_counts,
+        net._staggered,
+        [list(q) for q in net._inject.values()],
+    )
+
+
 class TestMeshIntakeParity:
-    """Compiled ``inject`` keeps every piece of bookkeeping others read."""
+    """Compiled ``inject`` and ``inject_all`` keep every piece of
+    bookkeeping others read."""
 
     def test_inject_events_and_counter_identical(self):
         runs = {}
@@ -598,6 +622,106 @@ class TestMeshIntakeParity:
         net, comp = _run_mesh_transpose("compiled", 16, 2)
         assert comp == ref
         assert not any(net._inject.values())
+
+    # -- inject_all: an unread transpose shape folds to the same state --
+
+    @pytest.mark.parametrize(
+        "processors,cols,epp,hf,reorder",
+        [(4, 1, 1, 1, 2), (4, 4, 2, 1, 4), (16, 2, 1, 2, 4), (16, 8, 4, 1, 2),
+         (64, 4, 1, 1, 8), (64, 8, 8, 2, 4)],
+    )
+    def test_fold_matches_per_packet(self, processors, cols, epp, hf, reorder):
+        runs = {}
+        for how in ("all", "each"):
+            topology, net = _mesh_net("compiled", processors, reorder=reorder)
+            wl = make_transpose_gather(
+                topology, cols=cols, elements_per_packet=epp, header_flits=hf
+            )
+            _intake(net, wl, how)
+            assert wl.packets.read is (how == "each")
+            state = _intake_state(net)
+            assert list(net._packet_meta) == [p.packet_id for p in wl.packets]
+            assert net.traffic_remaining
+            runs[how] = (state, _mesh_signature(net, net.run()))
+            assert not net.traffic_remaining
+        assert runs["all"] == runs["each"]
+        _, ref = _run_mesh_transpose(
+            "reference", processors, cols, reorder=reorder, epp=epp, hf=hf
+        )
+        assert runs["all"][1] == ref
+
+    def test_two_shapes_accumulate(self):
+        states = {}
+        for how in ("all", "each"):
+            topology, net = _mesh_net("compiled", 16)
+            for cols in (2, 4):
+                _intake(net, make_transpose_gather(topology, cols=cols), how)
+            states[how] = _intake_state(net)
+        assert states["all"] == states["each"]
+
+    def test_fold_builds_no_packet(self, monkeypatch):
+        _, ref = _run_mesh_transpose("reference", 16, 4)
+
+        def no_packets(self, *args, **kwargs):
+            raise AssertionError("the fold built a Packet")
+
+        monkeypatch.setattr(Packet, "__init__", no_packets)
+        topology, net = _mesh_net("compiled", 16)
+        net.inject_all(make_transpose_gather(topology, cols=4).packets)
+        assert _mesh_signature(net, net.run()) == ref
+
+    @pytest.mark.parametrize("how", ["all", "each"])
+    def test_sink_column_refused(self, how):
+        topology = MeshTopology.square(16)
+        net = MeshNetwork(
+            topology, MeshConfig(engine="compiled", memory_reorder_cycles=4)
+        )
+        net.add_memory_interface((1, 0))
+        _intake(net, make_transpose_gather(topology, 2, (1, 0)), how)
+        _refusal("sink_column")(net.run)
+
+    @pytest.mark.parametrize("how", ["all", "each"])
+    def test_reorder_one_refused(self, how):
+        topology, net = _mesh_net("compiled", 16, reorder=1)
+        _intake(net, make_transpose_gather(topology, cols=2), how)
+        _refusal("reorder_cycles")(net.run)
+
+    def test_foreign_topology_same_config_error(self):
+        # A 64-node workload's sources run off a 16-node network: both
+        # intakes raise at the same packet and keep the same prefix.
+        outcomes = {}
+        for how in ("all", "each"):
+            _, net = _mesh_net("compiled", 16)
+            wl = make_transpose_gather(MeshTopology.square(64), cols=2)
+            with pytest.raises(ConfigError) as exc:
+                _intake(net, wl, how)
+            outcomes[how] = (str(exc.value), _intake_state(net))
+        assert outcomes["all"] == outcomes["each"]
+        assert outcomes["all"][1][0]  # the on-mesh prefix was injected
+
+    def test_observer_sees_the_same_events(self):
+        runs = {}
+        for how in ("all", "each"):
+            session = ObsSession(ObsConfig())
+            topology, net = _mesh_net("compiled", 16)
+            net.attach_observer(session)
+            _intake(net, make_transpose_gather(topology, cols=2), how)
+            runs[how] = (
+                _inject_events(session, net),
+                session.metrics.get("mesh_packets_injected").value,
+                session.metrics.get("mesh_flits_injected").value,
+                _intake_state(net),
+            )
+        assert runs["all"][0]
+        assert runs["all"] == runs["each"]
+
+    def test_read_then_mutated_packets_are_not_folded(self):
+        topology, net = _mesh_net("compiled", 16)
+        wl = make_transpose_gather(topology, cols=2)
+        for p in wl.packets:
+            p.created_cycle = 3
+        net.inject_all(wl.packets)
+        _refusal("staggered_injection")(net.run)
 
 
 # ---------------------------------------------------------------------------

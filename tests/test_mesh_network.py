@@ -1,5 +1,8 @@
 """Tests for the wormhole mesh simulator (repro.mesh.network)."""
 
+import dataclasses
+from collections import deque
+
 import pytest
 
 from repro.mesh import (
@@ -7,6 +10,8 @@ from repro.mesh import (
     MeshNetwork,
     MeshTopology,
     Packet,
+    Port,
+    TorusTopology,
     XYRouting,
     make_transpose_gather,
 )
@@ -202,3 +207,82 @@ class TestStatsIntegrity:
         net.inject(Packet(source=(0, 0), dest=(2, 2), payloads=[0] * 50))
         with pytest.raises(NetworkError):
             net.run(max_cycles=3)
+
+
+def _per_network_adjacency(topology):
+    """``_buffers`` keys and ``_adjacent`` as each network once built them."""
+    buffers = []
+    for node in topology.nodes():
+        buffers.append((node, Port.LOCAL))
+        for port in topology.mesh_ports(node):
+            buffers.append((node, port))
+    adjacent = {}
+    for node in topology.nodes():
+        entries = []
+        for port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST):
+            nbr = topology.neighbor(node, port)
+            if nbr is not None:
+                entries.append((port, nbr, (nbr, port.opposite)))
+        adjacent[node] = entries
+    return buffers, adjacent
+
+
+def _mutable_ids(root):
+    """Ids of every mutable object reachable from ``root``."""
+    out, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (int, float, str, type(None))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            out.add(id(obj))
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set, deque)):
+            out.add(id(obj))
+            stack.extend(obj)
+        elif isinstance(obj, (tuple, frozenset)):
+            stack.extend(obj)
+        else:
+            if not (
+                dataclasses.is_dataclass(obj)
+                and type(obj).__dataclass_params__.frozen
+            ):
+                out.add(id(obj))
+            for cls in type(obj).__mro__:
+                stack.extend(
+                    getattr(obj, name)
+                    for name in getattr(cls, "__slots__", ())
+                    if hasattr(obj, name)
+                )
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return out
+
+
+_TOPOLOGIES = [
+    MeshTopology(1, 1), MeshTopology(1, 4), MeshTopology(3, 5),
+    MeshTopology(8, 8), TorusTopology(1, 3), TorusTopology(2, 2),
+    TorusTopology(4, 4),
+]
+
+
+class TestAdjacencyOncePerTopology:
+    @pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
+    @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=repr)
+    def test_same_as_per_network_construction(self, topology, engine):
+        net = MeshNetwork(topology, MeshConfig(engine=engine))
+        buffers, adjacent = _per_network_adjacency(topology)
+        assert list(net._buffers) == buffers
+        assert list(net._adjacent) == list(adjacent)
+        assert {n: list(e) for n, e in net._adjacent.items()} == adjacent
+        assert all(type(e) is tuple for e in net._adjacent.values())
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
+    @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=repr)
+    def test_equal_topologies_share_no_mutable_state(self, topology, engine):
+        twin = type(topology)(topology.width, topology.height)
+        a = MeshNetwork(topology, MeshConfig(engine=engine))
+        b = MeshNetwork(twin, MeshConfig(engine=engine))
+        assert a._adjacent == b._adjacent
+        assert not _mutable_ids(a) & _mutable_ids(b)

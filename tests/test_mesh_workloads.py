@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.mesh import flit
 from repro.mesh import (
     MeshTopology,
     make_scatter_delivery,
     make_transpose_gather,
     make_uniform_random,
 )
+from repro.mesh.flit import Packet
 from repro.util.errors import ConfigError
 
 
@@ -58,6 +60,97 @@ class TestTransposeGather:
         topo = MeshTopology.square(9)
         wl = make_transpose_gather(topo, cols=5)
         assert wl.total_elements == 45
+
+
+def _eager_transpose(topology, cols, memory_node, elements_per_packet, header_flits):
+    """The transpose gather as an eager loop built it, packet by packet."""
+    rows = topology.node_count
+    packets = []
+    for r in range(rows):
+        src = (r % topology.width, r // topology.width)
+        for c0 in range(0, cols, elements_per_packet):
+            addresses = [
+                (c0 + j) * rows + r for j in range(elements_per_packet)
+            ]
+            packets.append(
+                Packet(
+                    source=src,
+                    dest=memory_node,
+                    payloads=addresses,
+                    header_flits=header_flits,
+                )
+            )
+    return tuple(packets)
+
+
+def _fields(packets):
+    """Every packet field, with ids relative to the first packet's."""
+    base = packets[0].packet_id
+    return [
+        (p.source, p.dest, p.payloads, p.header_flits, p.packet_id - base,
+         p.created_cycle)
+        for p in packets
+    ]
+
+
+_STREAM_GRID = [
+    (processors, cols, epp, hf, memory_node)
+    for processors in (4, 16, 64)
+    for cols in (1, 4, 8)
+    for epp in range(1, cols + 1)
+    if cols % epp == 0
+    for hf in (1, 2)
+    for memory_node in ((0, 0), (1, 0))
+]
+
+
+class TestTransposePacketStream:
+    """The shape-kept transpose yields exactly the eager loop's packets."""
+
+    @pytest.mark.parametrize("processors,cols,epp,hf,memory_node", _STREAM_GRID)
+    def test_ids_reserved_and_packets_pinned(
+        self, processors, cols, epp, hf, memory_node
+    ):
+        topo = MeshTopology.square(processors)
+        count = processors * cols // epp
+        for read in (False, True):
+            before = next(flit._packet_ids)
+            wl = make_transpose_gather(
+                topo, cols, memory_node, elements_per_packet=epp,
+                header_flits=hf,
+            )
+            if read:
+                wl.packets[0]
+            after = next(flit._packet_ids)
+            assert after - before - 1 == count
+            assert len(wl.packets) == count
+            assert wl.packets.read is read
+        packets = tuple(wl.packets)
+        assert packets[0].packet_id == before + 1
+        eager = _eager_transpose(topo, cols, memory_node, epp, hf)
+        assert _fields(packets) == _fields(eager)
+        assert all(a is b for a, b in zip(packets, wl.packets))
+        assert wl.packets[-1] is packets[-1]
+
+    def test_header_flits_checked_at_make_time(self):
+        topo = MeshTopology.square(4)
+        with pytest.raises(ConfigError) as packet_error:
+            Packet(source=(0, 0), dest=(0, 0), header_flits=0)
+        with pytest.raises(ConfigError) as make_error:
+            make_transpose_gather(topo, cols=2, header_flits=0)
+        assert str(make_error.value) == str(packet_error.value)
+
+    def test_tuple_compatible(self):
+        topo = MeshTopology.square(4)
+        wl = make_transpose_gather(topo, cols=2)
+        packets = tuple(wl.packets)
+        assert wl.packets == packets
+        assert wl.packets[1:] == packets[1:]
+        assert wl.packets + (packets[0],) == packets + (packets[0],)
+        assert (packets[0],) + wl.packets == (packets[0],) + packets
+        assert repr(wl.packets) == repr(packets)
+        with pytest.raises(TypeError):
+            hash(wl.packets)  # as unhashable as the tuple of packets
 
 
 class TestScatterDelivery:
