@@ -3,7 +3,9 @@
 Measures the congestion factor (completion over the sink-service floor)
 on the flit simulator at three scales and both t_p values, alongside the
 paper-scale factors the calibrated model uses.  Records the honest
-picture: t_p = 1 congestion grows with scale toward the paper's 1.68;
+picture: t_p = 1 congestion grows with scale, following
+(3k² − 2k + 1)/(2k²) on a k × k mesh, which tends to 1.5 and so stays
+below the paper's 1.68;
 t_p = 4 congestion is 1.0 at reachable scales (backpressure fully
 regulates the slow sink), so the paper's implied 1.25 is an
 extrapolation our dynamics do not independently confirm.

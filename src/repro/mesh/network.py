@@ -45,11 +45,21 @@ __all__ = [
 ]
 
 _MESH_PORTS = (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST)
-_ALL_PORTS = (Port.LOCAL, *_MESH_PORTS)
 
 #: One router's links: (out_port, neighbor, downstream-buffer key) per
 #: connected mesh port, in ``_MESH_PORTS`` order.
 _Adjacency = tuple[tuple[Port, tuple[int, int], tuple[tuple[int, int], Port]], ...]
+
+#: One router's row of the reference planner's tables: ``(node,
+#: ((in_port, buffer), ...), {out_port: (neighbor, key, buffer)})``.
+#: Input ports come LOCAL first, then in ``_MESH_PORTS`` order; the
+#: buffers are the network's own ``_buffers`` deques, so the rows always
+#: see live state.
+_PlanTable = tuple[
+    tuple[int, int],
+    tuple[tuple[Port, deque[Flit]], ...],
+    dict[Port, tuple[tuple[int, int], tuple[tuple[int, int], Port], deque[Flit]]],
+]
 
 
 @lru_cache(maxsize=64)
@@ -90,8 +100,13 @@ class MeshConfig:
     #: simulator; ``"fast"`` selects the structure-of-arrays
     #: :class:`~repro.mesh.fast_network.FastMeshNetwork`, which produces
     #: identical :class:`MeshStats` and delivery orderings
-    #: (differentially tested in ``tests/test_fast_engine.py``) but runs
-    #: several times faster; ``"compiled"`` selects the closed-form
+    #: (differentially tested in ``tests/test_fast_engine.py``).  Its
+    #: measured wall-clock lead over the reference engine is about 2.2x
+    #: on the 64-processor transpose gather, 4-5x on the 1024-processor
+    #: one at t_p = 1, and about 0.85x (it is slower) on the
+    #: 16-processor ``all_to_all`` and ``halo2d`` workloads; see
+    #: docs/performance.md, "Reference planner".  ``"compiled"``
+    #: selects the closed-form
     #: :class:`~repro.mesh.compiled_network.CompiledMeshNetwork`, which
     #: skips flit-level simulation entirely for single-sink coalesced
     #: gathers (identical :class:`MeshStats`, differentially tested in
@@ -320,6 +335,13 @@ class MeshNetwork:
         # entries are the topology's shared immutable tuples; the dict
         # is this network's own.
         self._adjacent: dict[tuple[int, int], _Adjacency] = dict(adjacency)
+        # The reference planner's per-router tables, built on the first
+        # planned (or fault-ticked) cycle: the compiled engine shares
+        # this constructor and never plans a cycle.
+        self._plan_tables: list[_PlanTable] | None = None
+        # Livelock bound per packet id, filled as the hop-budget scan
+        # meets each packet (source and dest never change).
+        self._hop_limits: dict[int, int] = {}
         self.stats = MeshStats()
         self.sunk: list[SinkRecord] = []
         # Optional observability hook (duck-typed ObsSession); None keeps
@@ -439,6 +461,28 @@ class MeshNetwork:
             port: cap - len(buffers[key])
             for port, _nbr, key in self._adjacent[node]
         }
+
+    def _router_tables(self) -> list[_PlanTable]:
+        """The planner's per-router tables, built on first use.
+
+        Valid for the network's lifetime: ``_drop_packet`` clears and
+        refills the buffer deques in place and never rebinds them.
+        """
+        tables = self._plan_tables
+        if tables is None:
+            buffers = self._buffers
+            tables = self._plan_tables = [
+                (
+                    node,
+                    (
+                        (Port.LOCAL, buffers[(node, Port.LOCAL)]),
+                        *((port, buffers[(node, port)]) for port, _n, _k in entries),
+                    ),
+                    {port: (nbr, key, buffers[key]) for port, nbr, key in entries},
+                )
+                for node, entries in self._adjacent.items()
+            ]
+        return tables
 
     def _sink_ready(self, node: tuple[int, int]) -> bool:
         """Can the sink at ``node`` eject one flit this cycle?"""
@@ -592,15 +636,19 @@ class MeshNetwork:
         self._cut_off.clear()
         # 3. Hop budget: bound livelock of non-minimal detours.
         over: set[int] = set()
-        for node in self._nodes:
-            if self._occupancy[node] == 0:
+        occupancy = self._occupancy
+        hop_limits = self._hop_limits
+        for node, ins, _outs in self._router_tables():
+            if occupancy[node] == 0:
                 continue
-            for in_port in _ALL_PORTS:
-                buf = self._buffers.get((node, in_port))
+            for _in_port, buf in ins:
                 if not buf:
                     continue
                 flit = buf[0]
-                if flit.hops > self._hop_limit(flit):
+                limit = hop_limits.get(flit.packet_id)
+                if limit is None:
+                    limit = hop_limits[flit.packet_id] = self._hop_limit(flit)
+                if flit.hops > limit:
                     over.add(flit.packet_id)
         for pid in sorted(over):
             self._drop_packet(pid)
@@ -618,12 +666,11 @@ class MeshNetwork:
         nothing to drop (the stall is not fault-induced).
         """
         candidates: list[tuple[int, int]] = []
-        for node in self._nodes:
+        for node, ins, _outs in self._router_tables():
             if self._occupancy[node] == 0:
                 continue
             near_quarantine = 0 if self._quarantined.get(node) else 1
-            for in_port in _ALL_PORTS:
-                buf = self._buffers.get((node, in_port))
+            for _in_port, buf in ins:
                 if buf:
                     candidates.append((near_quarantine, buf[0].packet_id))
         if not candidates:
@@ -650,76 +697,89 @@ class MeshNetwork:
         # Space is judged on start-of-cycle occupancy; reserve as we plan
         # so two flits cannot claim the same last slot.
         space_left: dict[tuple[tuple[int, int], Port], int] = {}
-        sink_used: set[tuple[int, int]] = set()
 
-        buffers = self._buffers
+        occupancy = self._occupancy
+        route_cache = self._route
         owner_map = self._owner
+        rr = self._rr
+        cap = self.config.buffer_flits
         cycle = self.cycle
         faults_on = self._faults_enabled
         dead = self._dead
-        for node in self._nodes:
-            if self._occupancy[node] == 0:
+        local = Port.LOCAL
+        for node, ins, outs in self._router_tables():
+            if occupancy[node] == 0:
                 continue
-            downstream = self._downstream_space(node)
-            # Classify each input port's head flit by the output it wants
-            # (one route computation per input, not one per output pair).
+            # Classify each movable input head by the output it wants.
+            # Heads that cannot move this cycle drop out here, before any
+            # arbitration: at benchmark scale most routers sit blocked
+            # behind full downstream buffers.
             wants: dict[Port, list[Port]] = {}
-            for in_port in _ALL_PORTS:
-                buf = buffers.get((node, in_port))
+            downstream: dict[Port, int] | None = None
+            for in_port, buf in ins:
                 if not buf:
                     continue
                 flit = buf[0]
                 if flit.ready_cycle > cycle:
                     continue
-                route = self._flit_route(node, flit, downstream, in_port)
-                if route is None:  # head still in route computation
-                    continue
-                if faults_on and route is not Port.LOCAL and (node, route) in dead:
-                    # Dead link: the flit cannot traverse.  It sits here
-                    # until the credit timeout quarantines the port.
-                    continue
-                owner = owner_map.get((node, route))
-                if owner is not None and flit.packet_id != owner:
-                    continue
-                if not flit.is_head and owner != flit.packet_id:
-                    # Body flit cannot start a channel it doesn't own.
-                    continue
-                wants.setdefault(route, []).append(in_port)
-
-            if not wants:
-                continue
-            adjacency = {p: (nbr, key) for p, nbr, key in self._adjacent[node]}
-            for out_port, candidates in wants.items():
-                # Downstream capacity / sink availability.
-                if out_port is Port.LOCAL:
-                    if node in sink_used or not self._sink_ready(node):
+                pid = flit.packet_id
+                route = route_cache.get((node, pid))
+                if route is None:
+                    # A new head: route it on start-of-cycle space, which
+                    # planning never changes, so one snapshot per router
+                    # serves every head routed here this cycle.
+                    if downstream is None:
+                        downstream = self._downstream_space(node)
+                    route = self._flit_route(node, flit, downstream, in_port)
+                    if route is None:  # head still in route computation
                         continue
-                else:
-                    if out_port not in adjacency:
+                if route is not local:
+                    out = outs.get(route)
+                    if out is None:
                         # Route points off-mesh (hostile policy): the flit
                         # can never move; the deadlock detector handles it.
                         continue
-                    nbr, key = adjacency[out_port]
+                    if len(out[2]) >= cap:
+                        # Downstream full (reservations only lower it).
+                        continue
+                    if faults_on and (node, route) in dead:
+                        # Dead link: the flit cannot traverse.  It sits
+                        # here until the credit timeout quarantines it.
+                        continue
+                owner = owner_map.get((node, route))
+                if owner is None:
+                    if not flit.is_head:
+                        # Body flit cannot start a channel it doesn't own.
+                        continue
+                elif owner != pid:
+                    continue
+                wants.setdefault(route, []).append(in_port)
+
+            for out_port, candidates in wants.items():
+                # Downstream capacity / sink availability.
+                if out_port is local:
+                    if not self._sink_ready(node):
+                        continue
+                else:
+                    nbr, key, down = outs[out_port]
                     left = space_left.get(key)
                     if left is None:
-                        left = self.config.buffer_flits - len(buffers[key])
+                        left = cap - len(down)
                     if left <= 0:
                         continue
                 # Round-robin arbitration among candidate inputs.
                 rr_key = (node, out_port)
-                start = self._rr.get(rr_key, 0)
-                winner = min(
-                    candidates, key=lambda p: ((int(p) - start) % 5, int(p))
-                )
-                self._rr[rr_key] = (int(winner) + 1) % 5
-                if out_port is Port.LOCAL:
-                    sink_used.add(node)
+                if len(candidates) == 1:
+                    winner = candidates[0]
+                else:
+                    start = rr.get(rr_key, 0)
+                    winner = min(
+                        candidates, key=lambda p: ((int(p) - start) % 5, int(p))
+                    )
+                rr[rr_key] = (int(winner) + 1) % 5
+                if out_port is local:
                     moves.append((node, winner, None, None))
                 else:
-                    nbr, key = adjacency[out_port]
-                    left = space_left.get(key)
-                    if left is None:
-                        left = self.config.buffer_flits - len(buffers[key])
                     space_left[key] = left - 1
                     moves.append((node, winner, nbr, key[1]))
         return moves
@@ -827,16 +887,20 @@ class MeshNetwork:
 
     def _do_injection(self) -> int:
         injected = 0
+        buffers = self._buffers
+        occupancy = self._occupancy
+        cap = self.config.buffer_flits
+        cycle = self.cycle
+        local = Port.LOCAL
         for node, queue in self._inject.items():
             if not queue:
                 continue
-            buf = self._buffers[(node, Port.LOCAL)]
-            while queue and len(buf) < self.config.buffer_flits:
-                flit = queue[0]
-                if flit.injected_cycle > self.cycle:
+            buf = buffers[(node, local)]
+            while queue and len(buf) < cap:
+                if queue[0].injected_cycle > cycle:
                     break
                 buf.append(queue.popleft())
-                self._occupancy[node] += 1
+                occupancy[node] += 1
                 injected += 1
         return injected
 

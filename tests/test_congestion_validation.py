@@ -22,8 +22,8 @@ class TestMeasuredCongestion:
             assert c > 1.2
 
     def test_tp1_grows_toward_paper_factor(self, validation):
-        """Measured factors grow with scale, heading for the paper-scale
-        1.68 — they must stay below it at these small meshes."""
+        """Measured factors grow with scale and stay below the paper-scale
+        1.68; the exact small-mesh law (3k² − 2k + 1)/(2k²) tends to 1.5."""
         series = validation.congestion_at(1)
         assert series == sorted(series)
         assert all(c < 1.68 for c in series)
