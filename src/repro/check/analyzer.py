@@ -409,6 +409,8 @@ def analyze_mesh_config(
       input-buffer flits per channel to overlap header routing with body
       flits; 1 serializes every hop (legal, but a known footgun).
     """
+    from ..mesh.network import MESH_ENGINES
+
     report = LintReport(target=name)
     buffer_flits = _cfg_get(config, "buffer_flits", 2)
     header = _cfg_get(config, "header_route_cycles", 1)
@@ -432,8 +434,8 @@ def analyze_mesh_config(
           f"memory_reorder_cycles (t_p) must be >= 1, got {reorder}")
     bound(deadlock < 10, "deadlock_cycles",
           f"deadlock_cycles must be >= 10, got {deadlock}")
-    bound(engine not in ("reference", "fast"), "engine",
-          f"engine must be 'reference' or 'fast', got {engine!r}")
+    bound(engine not in MESH_ENGINES, "engine",
+          f"engine must be one of {MESH_ENGINES}, got {engine!r}")
     if vcs is not None:
         bound(vcs < 1, "virtual_channels",
               f"virtual_channels must be >= 1, got {vcs}")
@@ -789,6 +791,7 @@ def _lint_mesh_configs() -> LintReport:
     for label, cfg in (
         ("MeshConfig()", MeshConfig()),
         ("MeshConfig(engine='fast')", MeshConfig(engine="fast")),
+        ("MeshConfig(engine='compiled')", MeshConfig(engine="compiled")),
         ("MeshConfig(memory_reorder_cycles=4)",
          MeshConfig(memory_reorder_cycles=4)),
         ("VcMeshConfig()", VcMeshConfig()),

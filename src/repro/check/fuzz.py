@@ -2,12 +2,12 @@
 
 The repo ships several *pairs* (or families) of implementations that claim
 observational equivalence — a fast mesh engine behind
-``MeshConfig(engine="fast")``, cycle skipping behind
-``MeshConfig(cycle_skip=...)``, an analytic Table III model next to the
-measured flit simulator, a canonical CRC frame codec, and the
-CRC-protected retransmitting gather.  Each pair is covered by targeted
-unit tests on a handful of hand-picked workloads; this module generates
-*randomized* workloads from a seed and fails on any divergence.
+``MeshConfig(engine="fast")`` (which also jumps the clock over idle
+cycles), an analytic Table III model next to the measured flit
+simulator, a canonical CRC frame codec, and the CRC-protected
+retransmitting gather.  Each pair is covered by targeted unit tests on
+a handful of hand-picked workloads; this module generates *randomized*
+workloads from a seed and fails on any divergence.
 
 The kind table
 --------------
@@ -25,8 +25,9 @@ Case kinds
 ----------
 
 ``mesh``
-    Reference vs fast engine (and cycle-skip on/off) on randomized
-    topology size / workload / reorder latency / fault plan, compared by
+    Reference vs fast engine (the fast one skips idle cycles, the
+    reference one steps every cycle) on randomized topology size /
+    workload / reorder latency / fault plan, compared by
     full observable signature (stats, per-packet delivery order,
     normalized packet ids) and — when ``trace`` is set — by the
     normalized semantic obs trace (categories ``mesh``/``mesh.fault``).
@@ -73,13 +74,12 @@ Case kinds
 
 ``batched``
     The SIMD-lockstep campaign engine (:mod:`repro.faults.batched`) vs
-    the per-seed scalar path, across all three batched injector
-    families — CRC-protected gathers under BER / thermal drift, mesh
-    transposes under permanent dead links, dual-clock FIFOs under
-    seeded write drops.  Batched rows must be byte-identical to a
-    scalar loop over the same lanes, the clean/replayed lane accounting
-    must balance, and a disabled injector (BER or drop probability 0)
-    must never trigger a scalar replay.
+    the per-seed scalar path, across both batched injector families —
+    CRC-protected gathers under BER / thermal drift and mesh transposes
+    under permanent dead links.  Batched rows must be byte-identical to
+    a scalar loop over the same lanes, the clean/replayed lane
+    accounting must balance, and a disabled injector (BER 0, or no dead
+    link in any lane) must never trigger a scalar replay.
 
 ``workload``
     The :mod:`repro.workloads` registry, per family: the same
@@ -385,7 +385,7 @@ def _gen_compiled(rng: random.Random) -> dict[str, Any]:
 
 
 def _gen_batched(rng: random.Random) -> dict[str, Any]:
-    target = rng.choice(["gather", "gather", "mesh", "fifo"])
+    target = rng.choice(["gather", "gather", "mesh"])
     params: dict[str, Any] = {
         "target": target,
         "lanes": rng.randrange(2, 13),
@@ -399,18 +399,11 @@ def _gen_batched(rng: random.Random) -> dict[str, Any]:
             "ber_exp": rng.choice([0, 6, 4, 3, 2]),
             "drift": rng.random() < 0.3,
         })
-    elif target == "mesh":
+    else:  # mesh
         params["lanes"] = rng.randrange(2, 7)
         params.update({
             "processors": rng.choice([4, 16]),
             "max_dead": rng.choice([1, 2]),
-        })
-    else:  # fifo
-        params.update({
-            "words": rng.choice([16, 48]),
-            "depth": rng.choice([4, 8]),
-            # Drop-probability exponent: 0 disables the injector.
-            "prob_exp": rng.choice([0, 3, 2, 1]),
         })
     return params
 
@@ -561,7 +554,6 @@ def _run_mesh_case(
     params: Params,
     engine: str = "reference",
     *,
-    cycle_skip: bool | None = None,
     session=None,
 ):
     """One observed run; returns ``(signature, fault_report_or_None)``."""
@@ -576,11 +568,7 @@ def _run_mesh_case(
     topology = MeshTopology.square(params["processors"])
     net = MeshNetwork(
         topology,
-        MeshConfig(
-            engine=engine,
-            memory_reorder_cycles=params["reorder"],
-            cycle_skip=cycle_skip,
-        ),
+        MeshConfig(engine=engine, memory_reorder_cycles=params["reorder"]),
     )
     if session is not None:
         net.attach_observer(session)
@@ -1040,9 +1028,6 @@ def _check_batched(case: FuzzCase) -> Iterable[tuple[str, str]]:
     instead of recovering in lockstep.
     """
     from ..faults.batched import (
-        FifoBatchSpec,
-        run_fifo_batch,
-        run_fifo_trial,
         run_gather_campaign_batch,
         run_mesh_campaign_batch,
     )
@@ -1089,14 +1074,6 @@ def _check_batched(case: FuzzCase) -> Iterable[tuple[str, str]]:
         injector_off = all(dead == 0 for dead, _ in lanes)
         batch = run_mesh_campaign_batch(config, lanes)
         scalar = [_run_mesh_trial(config, dead, s) for dead, s in lanes]
-    elif target == "fifo":
-        probability = 10.0 ** -p["prob_exp"] if p["prob_exp"] else 0.0
-        injector_off = probability == 0.0
-        spec = FifoBatchSpec(
-            words=p["words"], depth=p["depth"], probability=probability
-        )
-        batch = run_fifo_batch(spec, seeds)
-        scalar = [run_fifo_trial(spec, s) for s in seeds]
     else:
         raise ValueError(f"unknown batched target {target!r}")
 
@@ -1179,8 +1156,6 @@ KINDS: dict[str, Kind] = {
         pairs=(
             Pair("mesh.engine", partial(_run_mesh_case, engine="reference"),
                  partial(_run_mesh_case, engine="fast")),
-            Pair("mesh.cycle_skip", partial(_run_mesh_case, cycle_skip=True),
-                 partial(_run_mesh_case, cycle_skip=False)),
             Pair("mesh.trace", partial(_mesh_trace, engine="reference"),
                  partial(_mesh_trace, engine="fast"),
                  when=lambda p: p.get("trace")),
@@ -1238,8 +1213,7 @@ KINDS: dict[str, Kind] = {
         _gen_batched,
         checks=(_check_batched,),
         floors={"lanes": 1, "sseed": _SEED, "processors": _SQUARES,
-                "row_samples": 1, "ber_exp": 0, "max_dead": 0, "words": 1,
-                "depth": 1, "prob_exp": 0},
+                "row_samples": 1, "ber_exp": 0, "max_dead": 0},
     ),
     "workload": Kind(
         _gen_workload,

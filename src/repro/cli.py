@@ -399,9 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out-dir", dest="out_dir", type=_Path,
                            default=_Path.cwd(),
                            help="directory for trace.json / metrics.json")
-            p.add_argument("--engine",
-                           choices=("reference", "fast", "compiled"),
-                           default="reference",
+            # No choices here: the value is forwarded to repro.obs.cli,
+            # whose parser checks it against mesh.network.MESH_ENGINES;
+            # importing mesh.network here would slow every command.
+            p.add_argument("--engine", default="reference",
                            help="mesh engine for the transpose workload "
                                 "('compiled' emits the run-level summary "
                                 "only: no per-flit events)")

@@ -40,8 +40,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "batched": (
-        "FifoBatchSpec", "LaneBatchResult", "run_fifo_batch", "run_fifo_trial",
-        "run_gather_campaign_batch", "run_mesh_campaign_batch",
+        "LaneBatchResult", "run_gather_campaign_batch", "run_mesh_campaign_batch",
     ),
     "campaign": (
         "CampaignConfig", "CampaignReport", "GatherCampaignRow", "MeshCampaignRow", "run_campaign",

@@ -12,11 +12,11 @@ at once by exploiting the injector contract of
   one shared fault-free probe run;
 * each injector owns a ``random.Random(seed)`` and consumes a *fixed,
   data-independent* number of draws per hook call on the no-fault path
-  (``bits_per_word + CRC_BITS`` uniforms per gather word, one uniform
-  per FIFO write), so "would lane *i* fire a fault?" is answerable by
-  drawing the streams of all lanes in lockstep with
-  :class:`repro.faults.lanes.LaneRng` (one ``random.Random(seed)`` per
-  lane, read in bulk) against the probe's hook-call timeline.
+  (``bits_per_word + CRC_BITS`` uniforms per gather word), so "would
+  lane *i* fire a fault?" is answerable by drawing the streams of all
+  lanes in lockstep with :class:`repro.faults.lanes.LaneRng` (one
+  ``random.Random(seed)`` per lane, read in bulk) against the probe's
+  hook-call timeline.
 
 The control flow per batch is therefore:
 
@@ -46,11 +46,10 @@ and (b) lockstep recovery does not apply.  For the gather,
 (the BER then depends on detection time) and probes whose hook calls
 are out of the schedule's cycle order; a fault rate of exactly 0 never
 installs an injector and is trivially clean.  For the mesh that is
-*any* dead link (permanent faults perturb routing from cycle 0), for
-the FIFO any dropped write.  Hook calls whose effective BER is ``<= 0``
-consume no draws (the injector early-returns) and are excluded from
-the draw matrix, keeping consumption lockstep even under partial drift
-coverage.
+*any* dead link (permanent faults perturb routing from cycle 0).  Hook
+calls whose effective BER is ``<= 0`` consume no draws (the injector
+early-returns) and are excluded from the draw matrix, keeping
+consumption lockstep even under partial drift coverage.
 
 Byte-identity of every batched result against the per-seed scalar path
 is the module's contract, pinned by ``tests/test_batched_campaign.py``
@@ -65,8 +64,6 @@ from typing import Sequence
 import numpy as np
 
 from ..photonics.wdm import paper_pscan_plan
-from ..sim.engine import Simulator
-from ..sim.fifo import DualClockFifo
 from ..util.errors import ConfigError, EngineUnsupportedError, SweepPointError
 from .campaign import (
     CampaignConfig,
@@ -81,16 +78,13 @@ from .campaign import (
 )
 from .crc import CRC_BITS
 from .lanes import LaneRng, compact_indices, merge_masks, scatter_lanes
-from .models import FifoDropFault, PscanFaultModel
+from .models import PscanFaultModel
 from .recovery import GatherRecovery, frame_words
 
 __all__ = [
     "LaneBatchResult",
-    "FifoBatchSpec",
     "run_gather_campaign_batch",
     "run_mesh_campaign_batch",
-    "run_fifo_trial",
-    "run_fifo_batch",
 ]
 
 
@@ -323,124 +317,6 @@ def run_mesh_campaign_batch(
     return LaneBatchResult(
         rows=rows,
         lanes_clean=len(lanes) - len(replay),
-        lanes_recovered=0,
-        lanes_replayed=len(replay),
-    )
-
-
-# ---------------------------------------------------------------------------
-# FIFO batches (write-path drop injector)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class FifoBatchSpec:
-    """Shape of one dual-clock-FIFO drop trial (canonical payload)."""
-
-    #: Words the producer writes, one per write-clock edge.
-    words: int = 64
-    #: FIFO capacity (reads are waiter-driven, so this rarely binds).
-    depth: int = 8
-    write_period_ns: float = 1.0
-    read_period_ns: float = 0.8
-    sync_stages: int = 2
-    #: Per-write silent-drop probability (the injector's knob).
-    probability: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if self.words < 1:
-            raise ConfigError(f"words must be >= 1, got {self.words!r}")
-        if not (0.0 <= self.probability <= 1.0):
-            raise ConfigError(
-                f"probability must be in [0, 1], got {self.probability!r}"
-            )
-
-
-def _execute_fifo(spec: FifoBatchSpec, fault_hook) -> tuple:
-    """One FIFO stream trial against ``fault_hook`` (``None`` = clean)."""
-    sim = Simulator()
-    fifo = DualClockFifo(
-        sim,
-        depth=spec.depth,
-        write_period_ns=spec.write_period_ns,
-        read_period_ns=spec.read_period_ns,
-        sync_stages=spec.sync_stages,
-    )
-    if fault_hook is not None:
-        fifo.fault_hook = fault_hook
-    delivered: list[int] = []
-    for k in range(spec.words):
-        tmo = sim.timeout(k * spec.write_period_ns, k)
-        tmo.callbacks.append(lambda ev: fifo.write(ev.value))
-    for _ in range(spec.words):
-        fifo.read_event().callbacks.append(
-            lambda ev: delivered.append(ev.value)
-        )
-    sim.run()
-    stats = fifo.stats
-    return (
-        tuple(delivered),
-        stats.writes,
-        stats.reads,
-        stats.dropped_items,
-        stats.max_occupancy,
-        sim.now,
-    )
-
-
-def run_fifo_trial(spec: FifoBatchSpec, seed: int) -> tuple:
-    """Scalar reference: one seeded FIFO drop trial."""
-    hook = None
-    if spec.probability > 0.0:
-        hook = FifoDropFault(spec.probability, seed=seed).__call__
-    return _execute_fifo(spec, hook)
-
-
-def run_fifo_batch(
-    spec: FifoBatchSpec, seeds: Sequence[int]
-) -> LaneBatchResult:
-    """Advance ``len(seeds)`` FIFO drop trials in lockstep.
-
-    The injector consumes exactly one uniform per accepted write, so the
-    classification matrix is ``(lanes, writes)``; a lane with any draw
-    below ``probability`` drops a word (diverging the occupancy
-    timeline) and replays scalar.
-    """
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ConfigError("fifo batch needs at least one seed")
-    probe_calls = [0]
-
-    def counting_hook(_item) -> bool:
-        probe_calls[0] += 1
-        return False
-
-    clean_row = _execute_fifo(spec, counting_hook)
-    if spec.probability <= 0.0 or probe_calls[0] == 0:
-        return LaneBatchResult(
-            rows=[clean_row for _ in seeds],
-            lanes_clean=len(seeds),
-            lanes_recovered=0,
-            lanes_replayed=0,
-        )
-    drops = LaneRng(seeds).below(probe_calls[0], spec.probability)
-    divergent = merge_masks(drops.any(axis=1))
-    replay = compact_indices(divergent)
-    replayed_rows = []
-    for lane in replay:
-        lane = int(lane)
-        try:
-            replayed_rows.append(run_fifo_trial(spec, seeds[lane]))
-        except Exception as exc:
-            raise SweepPointError(
-                f"batched fifo lane {lane} (seed {seeds[lane]}) failed "
-                f"during scalar fault replay: {type(exc).__name__}: {exc}",
-                index=lane,
-                point=(spec, seeds[lane]),
-            ) from exc
-    return LaneBatchResult(
-        rows=scatter_lanes(len(seeds), replay, replayed_rows, clean_row),
-        lanes_clean=len(seeds) - len(replay),
         lanes_recovered=0,
         lanes_replayed=len(replay),
     )

@@ -90,6 +90,17 @@ class CampaignConfig:
             raise ConfigError("trials must be >= 1")
         if self.mesh_link_failures < 0:
             raise ConfigError("mesh_link_failures must be >= 0")
+        # Each rate is one printed row aggregating ``trials`` trials, so a
+        # repeated rate would double-count; a BER is a probability < 1.
+        for rate in self.fault_rates:
+            if not 0.0 <= rate < 1.0:
+                raise ConfigError(
+                    f"fault_rates must each be in [0, 1), got {rate!r}"
+                )
+        if len(set(self.fault_rates)) != len(self.fault_rates):
+            raise ConfigError(
+                f"fault_rates must be unique, got {tuple(self.fault_rates)!r}"
+            )
         side = int(self.processors ** 0.5)
         if side * side != self.processors:
             raise ConfigError(

@@ -8,8 +8,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "flit": ("Flit", "Packet"),
     "flowtiming": ("MeshFlowTiming", "run_mesh_fft2d_flow"),
     "network": (
-        "MeshConfig", "MeshFaultConfig", "MeshFaultReport", "MeshNetwork", "MeshStats",
-        "SinkRecord", "mesh_signature", "packet_id_base",
+        "MESH_ENGINES", "MeshConfig", "MeshFaultConfig", "MeshFaultReport", "MeshNetwork",
+        "MeshStats", "SinkRecord", "mesh_signature", "packet_id_base",
     ),
     "overlap": ("MeshOverlapResult", "run_mesh_model2_overlap"),
     "routing": (

@@ -63,6 +63,16 @@ to the reference's eager computation because buffers are immutable
 during planning (moves are planned from start-of-cycle state and
 committed together).
 
+Cycle skipping
+--------------
+The same schedules tell the run loop when the network is quiescent:
+after a move-less cycle, :meth:`FastMeshNetwork._skip_idle_cycles`
+jumps the clock to the earliest scheduled wake-up, capped so the
+deadlock watchdog and ``max_cycles`` fire at the cycle the reference
+engine reaches by stepping.  Skipping is always on for this engine
+and never for the reference one; it is off while the fault layer is
+armed.
+
 Fault handling
 --------------
 Arming the fault layer (``fail_link`` / ``fail_router``) permanently
@@ -409,9 +419,20 @@ class FastMeshNetwork(MeshNetwork):
 
     # -- cycle skipping ------------------------------------------------------
 
-    def _next_wake_cycle(self) -> float:
-        if self._faults_enabled:  # pragma: no cover - skip is gated off too
-            return super()._next_wake_cycle()
+    _skips_idle = True
+
+    def _skip_idle_cycles(self, idle: int, max_cycles: int | None) -> int:
+        """Jump the clock over a quiescent interval; returns the new idle count.
+
+        Called by the inherited run loops right after a move-less
+        :meth:`step` on a fault-free network.  Advances ``self.cycle``
+        to the earliest wake-up (capped so the deadlock watchdog and
+        ``max_cycles`` fire at exactly the cycle the reference engine's
+        cycle-by-cycle loop reaches) and credits the skipped cycles to
+        the idle counter.  Skipped cycles are ones where the reference
+        would plan, move nothing and re-plan, so stats and delivery
+        orders are untouched.
+        """
         # The schedules *are* the exhaustive set of time-driven wake-ups
         # (router pipelines, memory drains, future injections); every
         # other unblocking requires a flit to move first.
@@ -419,7 +440,13 @@ class FastMeshNetwork(MeshNetwork):
         if self._wake_sched:
             wake = float(min(self._wake_sched))
         if self._inj_sched:
-            inj = float(min(self._inj_sched))
-            if inj < wake:
-                wake = inj
-        return wake
+            wake = min(wake, float(min(self._inj_sched)))
+        limit = self.cycle + (self.config.deadlock_cycles - idle)
+        if max_cycles is not None and max_cycles < limit:
+            limit = max_cycles
+        target = min(wake, limit)
+        if target > self.cycle:
+            jumped = int(target) - self.cycle
+            idle += jumped
+            self.cycle += jumped
+        return idle

@@ -34,6 +34,7 @@ from .routing import (
 from .topology import MeshTopology, Port
 
 __all__ = [
+    "MESH_ENGINES",
     "MeshConfig",
     "MeshFaultConfig",
     "MeshFaultReport",
@@ -84,6 +85,12 @@ def _adjacency(
     )
 
 
+#: Every value :attr:`MeshConfig.engine` accepts.  The config, the
+#: static linter and the ``--engine`` options of ``repro obs`` and
+#: ``repro sweep run`` all read this tuple.
+MESH_ENGINES = ("reference", "fast", "compiled")
+
+
 @dataclass(frozen=True, slots=True)
 class MeshConfig:
     """Microarchitecture parameters of the mesh."""
@@ -97,15 +104,17 @@ class MeshConfig:
     #: cycles with undelivered traffic.
     deadlock_cycles: int = 10_000
     #: Simulation engine: ``"reference"`` is the seed flit-by-flit
-    #: simulator; ``"fast"`` selects the structure-of-arrays
-    #: :class:`~repro.mesh.fast_network.FastMeshNetwork`, which produces
-    #: identical :class:`MeshStats` and delivery orderings
-    #: (differentially tested in ``tests/test_fast_engine.py``).  Its
-    #: measured wall-clock lead over the reference engine is about 2.2x
-    #: on the 64-processor transpose gather, 4-5x on the 1024-processor
-    #: one at t_p = 1, and about 0.85x (it is slower) on the
-    #: 16-processor ``all_to_all`` and ``halo2d`` workloads; see
-    #: docs/performance.md, "Reference planner".  ``"compiled"``
+    #: simulator and steps every cycle; ``"fast"`` selects the
+    #: structure-of-arrays :class:`~repro.mesh.fast_network.FastMeshNetwork`,
+    #: which jumps the clock over quiescent intervals on fault-free runs
+    #: and produces identical :class:`MeshStats`, delivery orderings and
+    #: deadlock cycles (differentially tested in
+    #: ``tests/test_fast_engine.py``).  Its measured wall-clock lead
+    #: over the reference engine is about 2.2x on the 64-processor
+    #: transpose gather, 4-5x on the 1024-processor one at t_p = 1, and
+    #: about 0.85x (it is slower) on the 16-processor ``all_to_all`` and
+    #: ``halo2d`` workloads; see docs/performance.md, "Reference
+    #: planner".  ``"compiled"``
     #: selects the closed-form
     #: :class:`~repro.mesh.compiled_network.CompiledMeshNetwork`, which
     #: skips flit-level simulation entirely for single-sink coalesced
@@ -114,13 +123,6 @@ class MeshConfig:
     #: :class:`~repro.util.errors.EngineUnsupportedError` outside its
     #: documented applicability predicate.
     engine: str = "reference"
-    #: Jump the clock over quiescent intervals (no movable flit, no
-    #: pending injection, no sink becoming free) instead of idling
-    #: cycle-by-cycle.  ``None`` means "auto": enabled for the fast
-    #: engine, off for the reference engine (preserving seed behaviour
-    #: exactly).  Cycle totals and stats are unaffected either way; the
-    #: skip fires only on cycles where the reference would do nothing.
-    cycle_skip: bool | None = None
 
     def __post_init__(self) -> None:
         if self.buffer_flits < 1:
@@ -131,18 +133,10 @@ class MeshConfig:
             raise ConfigError("memory_reorder_cycles must be >= 1")
         if self.deadlock_cycles < 10:
             raise ConfigError("deadlock_cycles must be >= 10")
-        if self.engine not in ("reference", "fast", "compiled"):
+        if self.engine not in MESH_ENGINES:
             raise ConfigError(
-                f"engine must be 'reference', 'fast' or 'compiled', "
-                f"got {self.engine!r}"
+                f"engine must be one of {MESH_ENGINES}, got {self.engine!r}"
             )
-
-    @property
-    def cycle_skip_enabled(self) -> bool:
-        """Resolved cycle-skip setting (auto follows the engine choice)."""
-        if self.cycle_skip is None:
-            return self.engine == "fast"
-        return self.cycle_skip
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,6 +246,12 @@ class MeshNetwork:
         net.inject_all(make_transpose_gather(net.topology, cols=8).packets)
         stats = net.run()
     """
+
+    #: Whether :meth:`run` and :meth:`run_resilient` jump the clock over
+    #: quiescent intervals.  The reference engine steps every cycle;
+    #: :class:`~repro.mesh.fast_network.FastMeshNetwork` overrides this
+    #: and supplies ``_skip_idle_cycles``.
+    _skips_idle = False
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "MeshNetwork":
         # Engine dispatch: ``MeshConfig(engine="fast")`` transparently
@@ -923,64 +923,6 @@ class MeshNetwork:
             return True
         return any(self._buffers.values()) or any(self._inject.values())
 
-    # -- cycle skipping ------------------------------------------------------
-
-    def _next_wake_cycle(self) -> float:
-        """Earliest future cycle at which *time alone* can unblock a flit.
-
-        Only meaningful right after a cycle in which nothing moved: every
-        buffered head has then been routed (route computation happens
-        during planning even on move-less cycles), so the only
-        time-driven state changes left are router-pipeline delays
-        (``Flit.ready_cycle``), future-dated injections
-        (``Flit.injected_cycle``) and memory-interface reorder pipelines
-        draining (``_memory_nodes`` busy-until).  Contributors at the
-        *current* cycle count too — they were charged during the plan
-        that just ran and become actionable on the very next step, so a
-        wake equal to ``self.cycle`` means "do not jump".  Returns
-        ``inf`` when no time-driven wake-up exists (a true deadlock).
-        """
-        cycle = self.cycle
-        wake = float("inf")
-        for buf in self._buffers.values():
-            if buf:
-                ready = buf[0].ready_cycle
-                if cycle <= ready < wake:
-                    wake = ready
-        for queue in self._inject.values():
-            if queue:
-                inj = queue[0].injected_cycle
-                if cycle <= inj < wake:
-                    wake = inj
-        for busy_until in self._memory_nodes.values():
-            if cycle <= busy_until < wake:
-                wake = busy_until
-        return wake
-
-    def _skip_idle_cycles(
-        self, idle: int, max_cycles: int | None
-    ) -> int:
-        """Jump the clock over a quiescent interval; returns the new idle count.
-
-        Called right after a move-less :meth:`step`.  Advances
-        ``self.cycle`` to the earliest wake-up (capped so the deadlock
-        watchdog and ``max_cycles`` fire at exactly the same cycle the
-        cycle-by-cycle loop would reach) and credits the skipped cycles
-        to the idle counter.  Skipped cycles are ones where the
-        reference loop would plan, move nothing and re-plan — stats and
-        delivery orders are untouched.
-        """
-        wake = self._next_wake_cycle()
-        limit = self.cycle + (self.config.deadlock_cycles - idle)
-        if max_cycles is not None and max_cycles < limit:
-            limit = max_cycles
-        target = min(wake, limit)
-        if target > self.cycle:
-            jumped = int(target) - self.cycle
-            idle += jumped
-            self.cycle += jumped
-        return idle
-
     def run(self, max_cycles: int | None = None) -> MeshStats:
         """Simulate until all traffic is delivered.
 
@@ -989,7 +931,7 @@ class MeshNetwork:
         ``max_cycles`` elapses with traffic still in the network.
         """
         idle = 0
-        skip = self.config.cycle_skip_enabled
+        skip = self._skips_idle
         if self._obs is not None:
             self._obs.mesh_run_begin(self.cycle, "run")
         while self.traffic_remaining:
@@ -1028,7 +970,7 @@ class MeshNetwork:
         """
         idle = 0
         aborted: str | None = None
-        skip = self.config.cycle_skip_enabled
+        skip = self._skips_idle
         stall_window = max(4 * self.fault_config.link_timeout_cycles, 64)
         if self._obs is not None:
             self._obs.mesh_run_begin(self.cycle, "run_resilient")

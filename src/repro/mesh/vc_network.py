@@ -44,11 +44,6 @@ class VcMeshConfig:
     header_route_cycles: int = 1
     memory_reorder_cycles: int = 1
     deadlock_cycles: int = 10_000
-    #: Jump the clock over quiescent intervals (see
-    #: ``docs/performance.md``).  Off by default: the VC mesh is the
-    #: cross-check implementation, so it keeps the literal
-    #: cycle-by-cycle loop unless a bench opts in.
-    cycle_skip: bool = False
 
     def __post_init__(self) -> None:
         if self.virtual_channels < 1:
@@ -416,56 +411,9 @@ class VcMeshNetwork:
             return True
         return any(self._buffers.values()) or any(self._inject.values())
 
-    def _next_wake_cycle(self) -> float:
-        """Earliest future cycle at which time alone can unblock a flit.
-
-        Same contract as
-        :meth:`~repro.mesh.network.MeshNetwork._next_wake_cycle`: only
-        meaningful right after a move-less cycle, when every head is
-        either routed or waiting on a downstream VC that only a *move*
-        can free.  The remaining time-driven wake-ups are router
-        pipeline delays, future-dated injections, and the memory
-        interface draining.  A wake equal to ``self.cycle`` means "do
-        not jump"; ``inf`` means a true deadlock.
-        """
-        cycle = self.cycle
-        wake = float("inf")
-        for buf in self._buffers.values():
-            if buf:
-                ready = buf[0].ready_cycle
-                if cycle <= ready < wake:
-                    wake = ready
-        for queue in self._inject.values():
-            if queue:
-                inj = queue[0].injected_cycle
-                if cycle <= inj < wake:
-                    wake = inj
-        for busy_until in self._memory_nodes.values():
-            if cycle <= busy_until < wake:
-                wake = busy_until
-        return wake
-
-    def _skip_idle_cycles(self, idle: int, max_cycles: int | None) -> int:
-        """Jump the clock over a quiescent interval; returns new idle count.
-
-        Capped so the deadlock watchdog and ``max_cycles`` fire at
-        exactly the cycle the cycle-by-cycle loop would reach.
-        """
-        wake = self._next_wake_cycle()
-        limit = self.cycle + (self.config.deadlock_cycles - idle)
-        if max_cycles is not None and max_cycles < limit:
-            limit = max_cycles
-        target = min(wake, limit)
-        if target > self.cycle:
-            jumped = int(target) - self.cycle
-            idle += jumped
-            self.cycle += jumped
-        return idle
-
     def run(self, max_cycles: int | None = None) -> VcMeshStats:
         """Simulate to completion; detects deadlock and cycle overrun."""
         idle = 0
-        skip = self.config.cycle_skip
         if self._obs is not None:
             self._obs.mesh_run_begin(self.cycle, "run")
         while self.traffic_remaining:
@@ -474,8 +422,6 @@ class VcMeshNetwork:
             moved = self.step()
             if moved == 0:
                 idle += 1
-                if skip and not self._faults_enabled:
-                    idle = self._skip_idle_cycles(idle, max_cycles)
                 if idle >= self.config.deadlock_cycles:
                     raise NetworkError(
                         f"deadlock: idle for {idle} cycles at {self.cycle}"
@@ -500,7 +446,6 @@ class VcMeshNetwork:
         """
         idle = 0
         aborted: str | None = None
-        skip = self.config.cycle_skip
         if self._obs is not None:
             self._obs.mesh_run_begin(self.cycle, "run_resilient")
         while self.traffic_remaining:
@@ -510,8 +455,6 @@ class VcMeshNetwork:
             moved = self.step()
             if moved == 0:
                 idle += 1
-                if skip and not self._faults_enabled:
-                    idle = self._skip_idle_cycles(idle, max_cycles)
                 if idle >= self.config.deadlock_cycles:
                     aborted = "stall"
                     break

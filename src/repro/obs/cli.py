@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from ..mesh.network import MESH_ENGINES
 from .config import ObsConfig
 from .session import ObsSession
 from .workloads import WORKLOADS, run_workload
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for trace.json / metrics.json (default: cwd)",
     )
     parser.add_argument(
-        "--engine", choices=("reference", "fast", "compiled"),
+        "--engine", choices=MESH_ENGINES,
         default="reference",
         help="mesh engine for mesh-driven workloads ('compiled' emits "
              "the run-level summary only: no per-flit events)",

@@ -23,6 +23,7 @@ import argparse
 from collections.abc import Sequence
 from pathlib import Path
 
+from ..mesh.network import MESH_ENGINES
 from ..util.errors import ReproError, SweepInterrupted
 
 __all__ = ["main", "build_parser"]
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     # transpose workload knobs.  The engine is part of each grid point's
     # payload, so the content-addressed point key covers it: a compiled
     # result can never alias a reference one in the store.
-    run.add_argument("--engine", choices=("reference", "fast", "compiled"),
+    run.add_argument("--engine", choices=MESH_ENGINES,
                      default="reference",
                      help="mesh backend for --workload transpose "
                           "(compiled enables paper-scale grids)")

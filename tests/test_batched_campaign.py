@@ -4,8 +4,8 @@ The SIMD-lockstep engine (:mod:`repro.faults.batched`) promises results
 *bit-identical* to the per-seed sequential path across every injector.
 This suite pins that contract:
 
-* all four injectors — transient BER, thermal drift episodes, permanent
-  dead mesh links, FIFO write drops — each batched vs a scalar loop;
+* all three batched injectors — transient BER, thermal drift episodes,
+  permanent dead mesh links — each batched vs a scalar loop;
 * lockstep recovery of divergent gather lanes, including retry
   exhaustion, and its structured refusals (drift, hook order) that
   send lanes to scalar replay;
@@ -31,11 +31,8 @@ import pytest
 import repro.faults.batched as batched_mod
 import repro.faults.campaign as campaign_mod
 from repro.faults.batched import (
-    FifoBatchSpec,
     _check_lockstep_recovery,
     _gather_batch_point,
-    run_fifo_batch,
-    run_fifo_trial,
     run_gather_campaign_batch,
     run_mesh_campaign_batch,
 )
@@ -171,15 +168,6 @@ class TestInjectorParity:
         ]
         # dead-link lanes always replay scalar; fault-free lanes never do.
         assert batch.lanes_replayed == sum(1 for d, _ in lanes if d > 0)
-
-    @pytest.mark.parametrize("probability", [0.0, 5e-3, 0.2])
-    def test_fifo_drops(self, probability):
-        spec = FifoBatchSpec(words=48, probability=probability)
-        seeds = _seeds(16)
-        batch = run_fifo_batch(spec, seeds)
-        assert batch.rows == [run_fifo_trial(spec, s) for s in seeds]
-        if probability == 0.0:
-            assert batch.lanes_replayed == 0
 
     def test_clean_lanes_share_probe_result(self):
         # At a tiny BER almost every lane is clean: the shared row must

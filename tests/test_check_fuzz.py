@@ -68,14 +68,14 @@ class TestCaseStream:
     """
 
     DIGESTS = {
-        "all": "d9fa8021b493bf10604e3be97c14df5aa30ffd76425e599c6edbec26af5f73e5",
+        "all": "388d5ba498fb40758011f4b8497351f6cfbfc8b2a86ad4e7696807eec419bb9d",
         "mesh": "00b3d7a923aa6f4b4d3225144037e98d02bb4a67440430cff74259f798bb5b68",
         "crc": "cbc5c7a704782b2b759c5f1de9018cf362fe1ed443953378ecd6ed5d9083ef80",
         "analytic": "9651b9eb7582d071cf806ad196dc66021291f698700b7cfac2663a9710ad7727",
         "gather": "d6b3285621cfa0506fa5cc42287e52222a1922cb9118670318f7d9c3a868e70f",
         "schedule": "cad85eb8f967f09c07424021c5a41ee2384f48ee2322294b3040a3b2029cdc0e",
         "compiled": "9344d50ba9ea802761b3f2745195b6d6f975dc9f0147b62258745652cd915703",
-        "batched": "09712fc68424717682f2a90608b224fd4eb841f698daee1b9560ef4c4385f94b",
+        "batched": "54721d891f930e254792edfc78d1414c826efeafea0d1daca9ba101273545cc7",
         "workload": "e55101603520abc57b375a45be8f0e240eec8bf01b5aab59e5c777f3ac419ea9",
     }
 
@@ -93,7 +93,8 @@ class TestOracles:
     """Each oracle family stays clean on a short fixed-seed run.
 
     Every equivalent-engine pair in the repo is cross-executed here:
-    reference vs fast mesh (and cycle-skip on/off, and obs traces),
+    reference vs fast mesh (the fast one skipping idle cycles, plus
+    obs traces),
     codec vs corruption, measured vs analytic transpose, protected
     gather vs itself, and compiled schedules vs the static analyzer.
     """

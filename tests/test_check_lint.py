@@ -26,6 +26,7 @@ from repro.check.analyzer import (
     lint_target,
     lint_targets,
 )
+from repro.cli import main as cli_main
 from repro.core.schedule import (
     block_interleave_order,
     control_then_data_order,
@@ -34,8 +35,10 @@ from repro.core.schedule import (
     scatter_schedule,
     transpose_order,
 )
-from repro.mesh import MeshConfig, MeshFaultConfig, MeshTopology
+from repro.mesh import MESH_ENGINES, MeshConfig, MeshFaultConfig, MeshTopology
 from repro.mesh.workloads import make_transpose_gather
+from repro.obs.cli import build_parser as obs_parser
+from repro.store.cli import build_parser as sweep_parser
 from repro.util.errors import ConfigError
 
 
@@ -213,6 +216,31 @@ class TestMeshConfigLint:
         report = analyze_mesh_config({"buffer_flits": 0, "engine": "warp"})
         codes = [d.code for d in report.errors]
         assert codes.count("MSH001") == 2
+
+    @pytest.mark.parametrize("engine", MESH_ENGINES)
+    def test_every_engine_accepted_everywhere(self, engine):
+        # MeshConfig, the linter and both --engine options read one tuple.
+        assert analyze_mesh_config(MeshConfig(engine=engine)).ok
+        assert obs_parser().parse_args(["--engine", engine]).engine == engine
+        args = sweep_parser().parse_args(["run", "--engine", engine])
+        assert args.engine == engine
+
+    def test_unknown_engine_rejected_everywhere(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="engine"):
+            MeshConfig(engine="warp")
+        assert "MSH001" in analyze_mesh_config({"engine": "warp"}).codes()
+        for parse in (
+            lambda: obs_parser().parse_args(["--engine", "warp"]),
+            lambda: sweep_parser().parse_args(["run", "--engine", "warp"]),
+            # The top-level CLI forwards --engine to the obs sub-CLI.
+            lambda: cli_main(["obs", "--workload", "fig4", "--engine", "warp",
+                              "--out-dir", str(tmp_path)]),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                parse()
+            assert excinfo.value.code == 2
+        assert "invalid choice: 'warp'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_credit_imbalance_flagged(self):
         # Stall window = max(4*timeout, 64); a deadlock watchdog at or

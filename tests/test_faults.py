@@ -509,6 +509,16 @@ class TestCampaign:
         with pytest.raises(ConfigError, match="row_samples"):
             CampaignConfig(row_samples=6)
 
+    @pytest.mark.parametrize("rates", [
+        (1e-3, 1e-3),          # would print one row aggregating both copies
+        (0.0, -1e-3),          # would run fault-free and print BER -1e-03
+        (1e-4, 1.0),           # would fail mid-sweep as a SweepPointError
+        (float("nan"),),
+    ])
+    def test_fault_rates_must_be_unique_probabilities(self, rates):
+        with pytest.raises(ConfigError, match="fault_rates"):
+            CampaignConfig(fault_rates=rates)
+
     def test_cli_rejects_bad_row_samples_before_the_sweep(self):
         # Caught at config time, not as a SweepPointError mid-campaign.
         from repro.cli import main
