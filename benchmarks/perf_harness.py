@@ -2,8 +2,8 @@
 """Perf harness: regenerate ``BENCH_mesh.json`` / ``BENCH_engine.json``.
 
 Thin wrapper around :mod:`repro.perf.cli` (also reachable as
-``python -m repro perf``) that defaults the bench/baseline directory to
-the repository root, so CI and developers write and compare the same
+``python -m repro perf``), which defaults the bench/baseline directory
+to the repository root, so CI and developers write and compare the same
 committed files.
 
 Usage::
@@ -29,4 +29,4 @@ if str(_REPO_ROOT / "src") not in sys.path:  # direct-script convenience
 from repro.perf.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    raise SystemExit(main(default_dir=_REPO_ROOT))
+    raise SystemExit(main())

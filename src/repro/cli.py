@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Sequence
+from importlib import import_module
 
 __all__ = ["main"]
 
@@ -56,21 +57,10 @@ def _cmd_table3(args: argparse.Namespace) -> None:
 
 
 def _cmd_fig4(_args: argparse.Namespace) -> None:
-    from .core import Pscan, gather_schedule
-    from .photonics import Waveguide
-    from .sim import Simulator
+    from .core import fig4_gather
     from .viz import render_sca_timing
 
-    sim = Simulator()
-    pscan = Pscan(sim, Waveguide(length_mm=140.0), {0: 0.0, 1: 14.0})
-    order, counters = [], {0: 0, 1: 0}
-    for _ in range(3):
-        for node in (0, 1):
-            for _ in range(2):
-                order.append((node, counters[node]))
-                counters[node] += 1
-    data = {0: [f"a{i}" for i in range(6)], 1: [f"b{i}" for i in range(6)]}
-    execution = pscan.execute_gather(gather_schedule(order), data, receiver_mm=140.0)
+    execution = fig4_gather()
     print(render_sca_timing(execution))
     print(f"\nstream: {execution.stream}")
     print(f"gapless={execution.is_gapless} "
@@ -227,58 +217,6 @@ def _cmd_faults(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .perf.cli import main as perf_main
-
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    if args.check:
-        argv.append("--check")
-    argv += ["--tolerance", str(args.tolerance)]
-    if args.bench is not None:
-        argv += ["--bench", args.bench]
-    if args.obs_overhead_limit is not None:
-        argv += ["--obs-overhead-limit", str(args.obs_overhead_limit)]
-    # Default the bench/baseline dir to the repo root when running from
-    # a source checkout (src/repro/cli.py -> repo root), else the cwd.
-    root = Path(__file__).resolve().parent.parent.parent
-    default_dir = root if (root / "benchmarks").is_dir() else Path.cwd()
-    return perf_main(argv, default_dir=default_dir)
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    from .obs.cli import main as obs_main
-
-    argv = ["--workload", args.workload, "--out-dir", str(args.out_dir),
-            "--engine", args.engine, "--sample-cycles", str(args.sample_cycles)]
-    if args.sim_dispatch:
-        argv.append("--sim-dispatch")
-    if args.max_trace_events is not None:
-        argv += ["--max-trace-events", str(args.max_trace_events)]
-    return obs_main(argv)
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from .check.cli import main as check_main
-
-    return check_main(list(args.check_args))
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .store.cli import main as sweep_main
-
-    return sweep_main(list(args.sweep_args))
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.cli import main as serve_main
-
-    return serve_main(list(args.serve_args))
-
-
 def _cmd_optimize(args: argparse.Namespace) -> None:
     from .llmore.optimize import best_block_count
 
@@ -311,12 +249,17 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int | None]]] = {
     "sensitivity": ("Fig. 13 calibration sensitivity", _cmd_sensitivity),
     "lambda": ("measured vs paper-implied mesh latency", _cmd_lambda),
     "faults": ("seeded fault-injection / resilience campaign", _cmd_faults),
-    "perf": ("simulator fast-path benchmarks (BENCH_*.json)", _cmd_perf),
-    "obs": ("instrumented workload -> trace.json + metrics.json", _cmd_obs),
-    "check": ("static invariant lint + differential fuzzer", _cmd_check),
-    "sweep": ("resumable checkpointed sweeps (run/status/gc)", _cmd_sweep),
+}
+
+#: Commands that own their argument parser: ``repro NAME ARGS...`` runs
+#: ``MODULE.main(ARGS)``, so each flag is declared once, in ``MODULE``.
+_SUB_CLIS: dict[str, tuple[str, str]] = {
+    "perf": ("simulator fast-path benchmarks (BENCH_*.json)", "repro.perf.cli"),
+    "obs": ("instrumented workload -> trace.json + metrics.json", "repro.obs.cli"),
+    "check": ("static invariant lint + differential fuzzer", "repro.check.cli"),
+    "sweep": ("resumable checkpointed sweeps (run/status/gc)", "repro.store.cli"),
     "serve": ("fault-tolerant job server (start/submit/status/drain)",
-              _cmd_serve),
+              "repro.serve.cli"),
 }
 
 
@@ -376,71 +319,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-resume", dest="resume",
                            action="store_false",
                            help="with --checkpoint: re-execute every point")
-        elif name == "perf":
-            p.add_argument("--quick", action="store_true",
-                           help="CI-scale workloads (~seconds)")
-            p.add_argument("--check", action="store_true",
-                           help="fail on regression vs checked-in baselines")
-            p.add_argument("--tolerance", type=float, default=0.30,
-                           help="allowed fractional slowdown (default 0.30)")
-            p.add_argument("--bench", metavar="SUBSTR", default=None,
-                           help="run only benches whose name contains "
-                                "SUBSTR (e.g. 'compiled'); filtered runs "
-                                "never rewrite the BENCH_*.json baselines")
-            p.add_argument("--obs-overhead-limit", dest="obs_overhead_limit",
-                           type=float, default=None, metavar="FRAC",
-                           help="fail if disabled-instrumentation overhead "
-                                "exceeds FRAC (default: no gate)")
-        elif name == "obs":
-            from pathlib import Path as _Path
-            p.add_argument("--workload", default="transpose",
-                           help="canned instrumented workload "
-                                "(fig4/faults/fft2d/transpose)")
-            p.add_argument("--out-dir", dest="out_dir", type=_Path,
-                           default=_Path.cwd(),
-                           help="directory for trace.json / metrics.json")
-            # No choices here: the value is forwarded to repro.obs.cli,
-            # whose parser checks it against mesh.network.MESH_ENGINES;
-            # importing mesh.network here would slow every command.
-            p.add_argument("--engine", default="reference",
-                           help="mesh engine for the transpose workload "
-                                "('compiled' emits the run-level summary "
-                                "only: no per-flit events)")
-            p.add_argument("--sim-dispatch", dest="sim_dispatch",
-                           action="store_true",
-                           help="also record per-event kernel dispatches")
-            p.add_argument("--sample-cycles", dest="sample_cycles", type=int,
-                           default=16,
-                           help="mesh occupancy sampling interval (0 = off)")
-            p.add_argument("--max-trace-events", dest="max_trace_events",
-                           type=int, default=None,
-                           help="ring-buffer cap on kept trace events")
-        elif name == "check":
-            p.add_argument("check_args", nargs=argparse.REMAINDER,
-                           help="arguments for the check sub-CLI "
-                                "(lint / fuzz / replay / shrink)")
-        elif name == "sweep":
-            p.add_argument("sweep_args", nargs=argparse.REMAINDER,
-                           help="arguments for the sweep sub-CLI "
-                                "(run / status / gc)")
-        elif name == "serve":
-            p.add_argument("serve_args", nargs=argparse.REMAINDER,
-                           help="arguments for the serve sub-CLI "
-                                "(start / submit / status / drain)")
         elif name == "optimize":
             p.add_argument("--n", type=int, default=1024)
             p.add_argument("--processors", type=int, default=256)
             p.add_argument("--bandwidth", type=float, default=512.0,
                            help="delivery bandwidth, Gb/s")
+    for name, (help_text, _module) in _SUB_CLIS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Checked before any parsing: an argparse REMAINDER positional would
+    # reject a rest that starts with an option (``repro obs --workload``).
+    if argv and argv[0] in _SUB_CLIS:
+        _help, module = _SUB_CLIS[argv[0]]
+        return import_module(module).main(argv[1:])
+    args = build_parser().parse_args(argv)
     if args.command == "list":
-        for name, (help_text, _fn) in _COMMANDS.items():
+        for name, (help_text, _target) in {**_COMMANDS, **_SUB_CLIS}.items():
             print(f"{name:>9}  {help_text}")
         return 0
     _help, fn = _COMMANDS[args.command]

@@ -44,9 +44,9 @@ from ..util.errors import (
     ScheduleError,
 )
 from .cp import Role
-from .schedule import GlobalSchedule
+from .schedule import GlobalSchedule, gather_schedule
 
-__all__ = ["Pscan", "ScaExecution", "Arrival", "RetryStats"]
+__all__ = ["Pscan", "ScaExecution", "Arrival", "RetryStats", "fig4_gather"]
 
 #: Tolerance for matching an arrival time to a bus-cycle index, as a
 #: fraction of the clock period.
@@ -518,3 +518,29 @@ class Pscan:
         if self._obs is not None:
             self._obs.sca_execution(result)
         return result
+
+
+def fig4_gather(obs: Any = None) -> ScaExecution:
+    """The paper's Fig. 4 gather: 2 nodes × 6 words on a 140 mm bus.
+
+    Nodes 0 and 1 sit at 0 and 14 mm and take turns driving two words
+    each, three rounds, to the receiver at the far end.  ``repro fig4``
+    renders this execution, and the golden trace
+    (``tests/golden/fig4_trace.json``) records it with ``obs`` (an
+    :class:`~repro.obs.session.ObsSession`) attached to the kernel and
+    the bus.
+    """
+    sim = Simulator()
+    pscan = Pscan(sim, Waveguide(length_mm=140.0), {0: 0.0, 1: 14.0})
+    if obs is not None:
+        sim.attach_observer(obs)
+        pscan.attach_observer(obs)
+    order: list[tuple[int, int]] = []
+    counters = {0: 0, 1: 0}
+    for _ in range(3):
+        for node in (0, 1):
+            for _ in range(2):
+                order.append((node, counters[node]))
+                counters[node] += 1
+    data = {0: [f"a{i}" for i in range(6)], 1: [f"b{i}" for i in range(6)]}
+    return pscan.execute_gather(gather_schedule(order), data, receiver_mm=140.0)

@@ -1,6 +1,6 @@
 """``python -m repro obs``: run an instrumented workload, emit artifacts.
 
-Runs one of the canned :mod:`repro.obs.workloads` with a fully wired
+Runs one of the :mod:`repro.obs.workloads` with a fully wired
 :class:`~repro.obs.session.ObsSession`, then writes
 
 * ``trace.json`` — Chrome ``trace_event`` JSON, schema-validated before
@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload",
         choices=sorted(WORKLOADS),
         default="transpose",
-        help="which canned workload to instrument (default: transpose)",
+        help="which workload to instrument: fig4, faults, fft2d or a "
+             "registry family (default: transpose)",
     )
     parser.add_argument(
         "--out-dir", type=Path, default=Path.cwd(),
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine", choices=MESH_ENGINES,
         default="reference",
-        help="mesh engine for mesh-driven workloads ('compiled' emits "
+        help="mesh engine for the registry families ('compiled' emits "
              "the run-level summary only: no per-flit events)",
     )
     parser.add_argument(
@@ -70,11 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         max_trace_events=args.max_trace_events,
     )
     session = ObsSession(config)
-    # Every mesh-driven workload (the canned transpose plus all registry
-    # families) takes an engine; the photonic/analytic ones do not.
-    engine_free = {"fig4", "faults", "fft2d"}
-    kwargs = {} if args.workload in engine_free else {"engine": args.engine}
-    result = run_workload(args.workload, session, **kwargs)
+    result = run_workload(args.workload, session, engine=args.engine)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = args.out_dir / "trace.json"
@@ -83,8 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     series = session.write_metrics(metrics_path)
 
     summary = session.summary()
-    desc, _fn = WORKLOADS[args.workload]
-    print(f"workload : {args.workload} — {desc}")
+    print(f"workload : {args.workload} — {WORKLOADS[args.workload]}")
     print(
         f"trace    : {trace_path} ({check['events']} events on "
         f"{check['tracks']} tracks; {summary['trace_dropped']} dropped)"

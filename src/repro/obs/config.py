@@ -2,8 +2,10 @@
 
 Everything is off-by-default *at the attachment level*: a simulator with
 no observer attached pays exactly one ``is not None`` check per hook
-site.  Once an :class:`~repro.obs.session.ObsSession` is attached, this
-config decides which layers record:
+site.  Once an :class:`~repro.obs.session.ObsSession` is attached, every
+instrumented layer (mesh, SCA, fault recovery, LLMORE phases, sweeps,
+the job server) records while either recorder is on.  This config picks
+the recorders and what they keep:
 
 ``trace`` / ``metrics``
     Master switches for the two recorders.
@@ -13,19 +15,6 @@ config decides which layers record:
     per processed event — so it is **off** by default; turn it on to see
     every kernel dispatch behind an SCA run, one ``sim`` record per
     :attr:`~repro.sim.engine.Simulator.events_processed`.
-``mesh`` / ``sca`` / ``faults`` / ``phases``
-    Semantic events from the mesh simulators (inject/deliver/fault), the
-    PSCAN executor (modulate/arrival/deliver), the recovery layer
-    (epochs/NACKs/backoff) and the LLMORE phase simulator.
-``sweep``
-    Per-point spans and cache-hit metrics from the checkpointed sweep
-    runtime (:func:`repro.perf.sweep.run_sweep`) — one instant per grid
-    point (executed or cache hit) plus a run-level begin/end span, so
-    hour-long campaigns are observable mid-flight.
-``serve``
-    Request spans, attempt outcomes, queue-depth/breaker-state gauges
-    and latency histograms from the :mod:`repro.serve` job server (one
-    span per request, instants per retry attempt / breaker transition).
 ``mesh_sample_cycles``
     When > 0, sample mesh occupancy counters every N cycles into the
     ``mesh.sample`` category.  Sampled events are *engine-dependent*
@@ -46,19 +35,13 @@ __all__ = ["ObsConfig"]
 
 @dataclass(frozen=True, slots=True)
 class ObsConfig:
-    """Which layers the attached observer records; see module docstring."""
+    """What the attached observer records; see module docstring."""
 
     trace: bool = True
     metrics: bool = True
     max_trace_events: int | None = None
     sim_dispatch: bool = False
-    mesh: bool = True
     mesh_sample_cycles: int = 0
-    sca: bool = True
-    faults: bool = True
-    phases: bool = True
-    sweep: bool = True
-    serve: bool = True
 
     def __post_init__(self) -> None:
         if self.max_trace_events is not None and self.max_trace_events < 1:
@@ -69,11 +52,6 @@ class ObsConfig:
             raise ConfigError(
                 f"mesh_sample_cycles must be >= 0, got {self.mesh_sample_cycles}"
             )
-
-    @classmethod
-    def everything(cls, *, mesh_sample_cycles: int = 16) -> "ObsConfig":
-        """A config with every layer (including the hot ones) enabled."""
-        return cls(sim_dispatch=True, mesh_sample_cycles=mesh_sample_cycles)
 
     @classmethod
     def disabled(cls) -> "ObsConfig":

@@ -7,16 +7,16 @@ what the ``python -m repro obs`` CLI turns into ``trace.json`` +
 
 * a :class:`~repro.obs.tracing.SpanTracer` (Chrome-exportable events),
 * a :class:`~repro.obs.metrics.MetricsRegistry` (labeled accumulators),
-* an :class:`~repro.obs.config.ObsConfig` deciding which hook methods
-  record anything.
+* an :class:`~repro.obs.config.ObsConfig` deciding what the hook
+  methods record.
 
 Hook-method contract
 --------------------
 Instrumented modules never import :mod:`repro.obs`; they duck-type
 against the hook methods here, guarding every call site with
 ``if self._obs is not None:`` so the unattached path costs one pointer
-comparison.  Each hook re-checks its layer flag and returns immediately
-when the layer is off, so an attached-but-disabled session
+comparison.  Each hook checks one "recording" flag and returns
+immediately when it is off, so an attached-but-disabled session
 (:meth:`ObsConfig.disabled`) costs one extra method call per hook — the
 shape the ``obs_overhead`` perf bench bounds below 5%.
 
@@ -71,17 +71,11 @@ class ObsSession:
         )
         self.metrics = MetricsRegistry(enabled=self.config.metrics)
         cfg = self.config
-        active = cfg.trace or cfg.metrics
-        # Pre-resolved per-layer switches: each hook does one attribute
-        # read + branch when its layer is off.
-        self._sim = active and cfg.sim_dispatch
-        self._mesh = active and cfg.mesh
-        self._sample = cfg.mesh_sample_cycles if active and cfg.mesh else 0
-        self._sca = active and cfg.sca
-        self._faults = active and cfg.faults
-        self._phases = active and cfg.phases
-        self._sweep = active and cfg.sweep
-        self._serve = active and cfg.serve
+        # Pre-resolved switches: each hook does one attribute read +
+        # branch when both recorders are off.
+        self._on = cfg.trace or cfg.metrics
+        self._sim = self._on and cfg.sim_dispatch
+        self._sample = cfg.mesh_sample_cycles if self._on else 0
 
     @property
     def active(self) -> bool:
@@ -113,7 +107,7 @@ class ObsSession:
         flits: int,
     ) -> None:
         """A packet entered the injection queue at its source node."""
-        if not self._mesh:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -139,7 +133,7 @@ class ObsSession:
         latency: int | None,
     ) -> None:
         """A flit ejected at a sink (``latency`` set on the tail flit)."""
-        if not self._mesh:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -169,7 +163,7 @@ class ObsSession:
 
     def mesh_fault(self, cycle: int, kind: str, **details: Any) -> None:
         """A recovery event: quarantine / drop / reroute / stall_break."""
-        if not self._faults:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -209,14 +203,14 @@ class ObsSession:
 
     def mesh_run_begin(self, cycle: int, label: str) -> None:
         """Open the run span (``run`` or ``run_resilient``)."""
-        if not self._mesh:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.begin("mesh", label, track="run", ts=float(cycle))
 
     def mesh_run_end(self, cycle: int, label: str, stats: Any) -> None:
         """Close the run span and export the final :class:`MeshStats`."""
-        if not self._mesh:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -236,7 +230,7 @@ class ObsSession:
 
     def sca_modulate(self, ts: float, node: int, cycle: int) -> None:
         """A node drove one bus word at absolute time ``ts`` (ns)."""
-        if not self._sca:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -250,7 +244,7 @@ class ObsSession:
 
     def sca_arrival(self, ts: float, node: int, cycle: int, word: int) -> None:
         """One word detected at the gather receiver."""
-        if not self._sca:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -264,7 +258,7 @@ class ObsSession:
 
     def sca_deliver(self, ts: float, node: int, cycle: int, word: int) -> None:
         """One scatter word peeled off at its listener."""
-        if not self._sca:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -278,7 +272,7 @@ class ObsSession:
 
     def sca_execution(self, execution: Any) -> None:
         """Export summary metrics of a finished :class:`ScaExecution`."""
-        if not self._sca:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled and execution.arrivals:
@@ -303,7 +297,7 @@ class ObsSession:
 
     def fault_epoch_begin(self, ts: float, epoch: int, words: int) -> None:
         """A (re)transmission epoch of ``words`` scheduled words opened."""
-        if not self._faults:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.begin(
@@ -315,7 +309,7 @@ class ObsSession:
 
     def fault_epoch_end(self, ts: float, epoch: int, nacks: int) -> None:
         """The epoch's CRC scan finished with ``nacks`` failed words."""
-        if not self._faults:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.end(
@@ -327,7 +321,7 @@ class ObsSession:
 
     def fault_nack(self, ts: float, node: int, word: int) -> None:
         """The head node NACKed one word (CRC failure)."""
-        if not self._faults:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.instant(
@@ -337,7 +331,7 @@ class ObsSession:
 
     def fault_backoff(self, ts: float, cycles: int, dur_ns: float) -> None:
         """Idle exponential-backoff window before a retransmission epoch."""
-        if not self._faults:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.complete(
@@ -365,7 +359,7 @@ class ObsSession:
         back to scalar replay.  Emits per-lane outcome counters and a
         lanes/sec throughput gauge.
         """
-        if not self._faults:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.instant(
@@ -395,7 +389,7 @@ class ObsSession:
         self, machine: str, phase: str, t0_ns: float, dur_ns: float
     ) -> None:
         """One LLMORE phase of ``machine`` spanning [t0, t0+dur) ns."""
-        if not self._phases:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.complete(
@@ -408,7 +402,7 @@ class ObsSession:
 
     def llmore_result(self, breakdown: Any) -> None:
         """Export the headline gauges of a :class:`PhaseBreakdown`."""
-        if not self._phases:
+        if not self._on:
             return
         m = self.metrics
         if m.enabled:
@@ -425,7 +419,7 @@ class ObsSession:
         self, label: str, total: int, cached: int, pending: int
     ) -> None:
         """A checkpointed sweep run started (``run_sweep`` duck-types this)."""
-        if not self._sweep:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.begin(
@@ -441,7 +435,7 @@ class ObsSession:
         self, index: int, key: str | None, cached: bool, wall_s: float
     ) -> None:
         """One grid point finished: executed (``cached=False``) or a hit."""
-        if not self._sweep:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.instant(
@@ -464,7 +458,7 @@ class ObsSession:
         self, label: str, executed: int, cached: int, wall_s: float
     ) -> None:
         """The sweep run finished (or raised past its last completion)."""
-        if not self._sweep:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.end(
@@ -483,7 +477,7 @@ class ObsSession:
 
     def serve_submitted(self, tenant: str, workload: str, job_id: str) -> None:
         """A request was admitted and enqueued (``ServeServer.submit``)."""
-        if not self._serve:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.begin(
@@ -508,7 +502,7 @@ class ObsSession:
         ``stale`` (degraded-mode answer), ``cold`` (executed), or ``""``
         for requests that failed before resolution.
         """
-        if not self._serve:
+        if not self._on:
             return
         tr = self.tracer
         if tr.enabled:
@@ -533,7 +527,7 @@ class ObsSession:
     ) -> None:
         """One cold-execution attempt finished (``ok``/``timeout``/
         ``pool``/``error``/``chaos``)."""
-        if not self._serve:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.instant(
@@ -550,7 +544,7 @@ class ObsSession:
 
     def serve_queue(self, depth: int, active: int) -> None:
         """Queue-depth / in-flight gauges (sampled at scheduler decisions)."""
-        if not self._serve:
+        if not self._on:
             return
         m = self.metrics
         if m.enabled:
@@ -559,7 +553,7 @@ class ObsSession:
 
     def serve_breaker(self, state: str) -> None:
         """The worker-pool circuit breaker transitioned to ``state``."""
-        if not self._serve:
+        if not self._on:
             return
         if self.tracer.enabled:
             self.tracer.instant(

@@ -1,88 +1,30 @@
-"""Canned workloads for the ``python -m repro obs`` CLI and the trace tests.
+"""Workloads for the ``python -m repro obs`` CLI and the trace tests.
 
-Each ``run_*_workload`` function drives one instrumented subsystem under
+``fig4`` (:func:`repro.core.pscan.fig4_gather`, the gather
+``python -m repro fig4`` renders), ``faults`` and ``fft2d`` drive the
+photonic, recovery and LLMORE layers through their own runners; every
+other name is a :mod:`repro.workloads` registry family, run at its
+default params through the shared mesh driver
+:func:`~repro.workloads.runner.run_on_mesh`.  Each runner works under
 an attached :class:`~repro.obs.session.ObsSession` and returns the
-subsystem's own result object.  The Fig.-4 builder is shared between the
-CLI and the golden-trace regression test
-(``tests/test_golden_fig4.py``), so the committed golden file and the
-CLI's ``trace.json`` come from the *same* construction.
+subsystem's own result object.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from ..core.pscan import fig4_gather
 from ..util.errors import ConfigError
+from ..workloads import build_workload, get_workload, list_workloads, run_on_mesh
 from .session import ObsSession
 
 __all__ = [
     "WORKLOADS",
-    "build_fig4_pscan",
-    "run_fig4_workload",
-    "run_transpose_workload",
     "run_faults_workload",
     "run_fft2d_workload",
-    "run_zoo_workload",
     "run_workload",
 ]
-
-
-def run_transpose_workload(
-    session: ObsSession,
-    *,
-    processors: int = 64,
-    cols: int = 8,
-    engine: str = "reference",
-    reorder: int = 4,
-) -> Any:
-    """The 8×8 2D-FFT transpose gather (Table III) on the mesh."""
-    from ..mesh import MeshConfig, MeshNetwork, MeshTopology
-    from ..mesh.workloads import make_transpose_gather
-
-    topo = MeshTopology.square(processors)
-    net = MeshNetwork(
-        topo, MeshConfig(engine=engine, memory_reorder_cycles=reorder)
-    )
-    net.attach_observer(session)
-    net.add_memory_interface((0, 0))
-    net.inject_all(make_transpose_gather(topo, cols=cols).packets)
-    return net.run()
-
-
-def build_fig4_pscan(sim: Any = None, session: ObsSession | None = None):
-    """The Fig.-4 SCA construction: 2 nodes × 6 words on a 140 mm bus.
-
-    Returns ``(pscan, order, data)`` — exactly the waveform
-    ``python -m repro fig4`` renders, so traces produced from it are the
-    canonical Fig.-4 timeline.
-    """
-    from ..core import Pscan
-    from ..photonics import Waveguide
-    from ..sim import Simulator
-
-    sim = sim or Simulator()
-    if session is not None:
-        sim.attach_observer(session)
-    pscan = Pscan(sim, Waveguide(length_mm=140.0), {0: 0.0, 1: 14.0})
-    if session is not None:
-        pscan.attach_observer(session)
-    order: list[tuple[int, int]] = []
-    counters = {0: 0, 1: 0}
-    for _ in range(3):
-        for node in (0, 1):
-            for _ in range(2):
-                order.append((node, counters[node]))
-                counters[node] += 1
-    data = {0: [f"a{i}" for i in range(6)], 1: [f"b{i}" for i in range(6)]}
-    return pscan, order, data
-
-
-def run_fig4_workload(session: ObsSession) -> Any:
-    """Execute the Fig.-4 gather under observation; returns the execution."""
-    from ..core import gather_schedule
-
-    pscan, order, data = build_fig4_pscan(session=session)
-    return pscan.execute_gather(gather_schedule(order), data, receiver_mm=140.0)
 
 
 def run_faults_workload(
@@ -148,32 +90,8 @@ def run_fft2d_workload(session: ObsSession, *, n: int = 1024) -> Any:
     return results
 
 
-def run_zoo_workload(
-    session: ObsSession,
-    *,
-    name: str,
-    engine: str = "reference",
-    reorder: int = 4,
-) -> Any:
-    """One :mod:`repro.workloads` registry family at its default params.
-
-    Returns the :class:`~repro.workloads.runner.WorkloadRunResult`, so the
-    CLI can print the shared SLO latency block alongside the artifacts.
-    """
-    from ..workloads import build_workload, run_on_mesh
-
-    return run_on_mesh(
-        build_workload(name), engine=engine, reorder=reorder, session=session
-    )
-
-
-#: name -> (description, runner) for the CLI.
-WORKLOADS = {
-    "transpose": (
-        "8x8 mesh transpose gather (Table III workload)",
-        run_transpose_workload,
-    ),
-    "fig4": ("Fig. 4 SCA waveform gather", run_fig4_workload),
+_CANNED = {
+    "fig4": ("Fig. 4 SCA waveform gather", fig4_gather),
     "faults": (
         "CRC-protected gather under bit errors + degraded mesh run",
         run_faults_workload,
@@ -181,46 +99,33 @@ WORKLOADS = {
     "fft2d": ("LLMORE five-phase 2D FFT phase timeline", run_fft2d_workload),
 }
 
-
-def _zoo_entry(name: str, description: str):
-    def _run(
-        session: ObsSession,
-        *,
-        engine: str = "reference",
-        reorder: int = 4,
-    ) -> Any:
-        return run_zoo_workload(
-            session, name=name, engine=engine, reorder=reorder
-        )
-
-    _run.__name__ = f"run_{name}_workload"
-    return (f"registry family: {description}", _run)
+#: name -> description, for the CLI: the canned runners above, then
+#: every registry family.
+WORKLOADS: dict[str, str] = {
+    **{name: desc for name, (desc, _run) in _CANNED.items()},
+    **{
+        name: f"registry family: {get_workload(name).description}"
+        for name in list_workloads()
+    },
+}
 
 
-def _register_zoo() -> None:
-    """Expose every registry family on the CLI under its own name.
+def run_workload(
+    name: str, session: ObsSession, *, engine: str = "reference"
+) -> Any:
+    """Run one named workload under ``session``.
 
-    The canned ``transpose`` entry keeps its golden-trace runner (the
-    committed golden file depends on its exact construction), so the
-    registry's ``transpose`` family does not shadow it here.
+    ``engine`` picks the mesh engine of a registry family, which runs
+    with a 4-cycle memory reorder cost and returns a
+    :class:`~repro.workloads.runner.WorkloadRunResult`; the ``fig4``,
+    ``faults`` and ``fft2d`` runners take no engine.
     """
-    from ..workloads import get_workload, list_workloads
-
-    for name in list_workloads():
-        if name in WORKLOADS:
-            continue
-        WORKLOADS[name] = _zoo_entry(name, get_workload(name).description)
-
-
-_register_zoo()
-
-
-def run_workload(name: str, session: ObsSession, **kwargs: Any) -> Any:
-    """Dispatch one named workload under ``session``."""
-    try:
-        _desc, runner = WORKLOADS[name]
-    except KeyError:
+    if name in _CANNED:
+        return _CANNED[name][1](session)
+    if name not in WORKLOADS:
         raise ConfigError(
             f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
-        ) from None
-    return runner(session, **kwargs)
+        )
+    return run_on_mesh(
+        build_workload(name), engine=engine, reorder=4, session=session
+    )

@@ -55,10 +55,16 @@ def _obs_overheads(payloads: dict[str, dict]) -> list[tuple[str, float]]:
 
 
 def main(argv: list[str] | None = None, default_dir: Path | None = None) -> int:
-    """Run the harness; returns a process exit code."""
-    default_dir = default_dir or Path.cwd()
+    """Run the harness; returns a process exit code.
+
+    ``default_dir`` (the bench/baseline directory) defaults to the
+    repository root when running from a source checkout, else the cwd.
+    """
+    if default_dir is None:
+        root = Path(__file__).resolve().parents[3]  # src/repro/perf/cli.py
+        default_dir = root if (root / "benchmarks").is_dir() else Path.cwd()
     parser = argparse.ArgumentParser(
-        prog="perf_harness",
+        prog="repro perf",
         description="Simulator fast-path benchmarks with JSON baselines.",
     )
     parser.add_argument("--quick", action="store_true",

@@ -30,6 +30,7 @@ from typing import Any
 
 from ..store.keys import canonical_json
 from ..util.errors import ConfigError, ServeError
+from ..workloads.runner import evaluate_workload_point
 
 __all__ = [
     "JobState",
@@ -43,7 +44,6 @@ __all__ = [
     "wl_count",
     "wl_flaky",
     "wl_crc_epochs",
-    "wl_workload_zoo",
 ]
 
 
@@ -325,28 +325,6 @@ def wl_mesh_transpose(
     }
 
 
-def wl_workload_zoo(
-    *,
-    name: str,
-    engine: str = "reference",
-    reorder: int = 4,
-    **params: Any,
-) -> dict[str, Any]:
-    """Any :mod:`repro.workloads` registry family at one grid point.
-
-    The point carries the registry name, the mesh engine, the reorder
-    cost, and the family params verbatim — all of it lands in the
-    content-addressed store key, so engines and parameterizations never
-    alias.  Unknown family params fail the job with the registry's
-    structured ``ConfigError`` instead of silently minting a new key.
-    """
-    from ..workloads import evaluate_workload_point
-
-    return evaluate_workload_point(
-        name=name, engine=engine, reorder=reorder, **params
-    )
-
-
 for _name, _fn in (
     ("noop", wl_noop),
     ("sleep", wl_sleep),
@@ -354,6 +332,9 @@ for _name, _fn in (
     ("flaky", wl_flaky),
     ("crc_epochs", wl_crc_epochs),
     ("mesh_transpose", wl_mesh_transpose),
-    ("workload", wl_workload_zoo),
+    # The sweep worker itself, not a wrapper: a store key names its
+    # worker, so this is what lets `repro sweep run --workload zoo`
+    # results answer serve requests (and the other way round).
+    ("workload", evaluate_workload_point),
 ):
     register_workload(_name, _fn)

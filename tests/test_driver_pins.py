@@ -73,27 +73,13 @@ class TestDriverPins:
 
     def test_obs_transpose_workload_pin(self):
         from repro.obs import ObsConfig, ObsSession
-        from repro.obs.workloads import run_transpose_workload
+        from repro.obs.workloads import run_workload
+        from repro.workloads import build_workload
+        from repro.workloads.runner import run_on_mesh
 
-        stats = run_transpose_workload(
-            ObsSession(ObsConfig(trace=False)),
-            processors=16, cols=4, reorder=2,
-        )
-        hand = _hand_mesh(
-            16, reorder=2, session=ObsSession(ObsConfig(trace=False))
-        )
-        expected = _run_transpose(hand, 4)
-        assert (
-            stats.cycles,
-            stats.packets_delivered,
-            stats.flit_hops,
-            tuple(stats.packet_latencies),
-        ) == (
-            expected.cycles,
-            expected.packets_delivered,
-            expected.flit_hops,
-            tuple(expected.packet_latencies),
-        )
+        result = run_workload("transpose", ObsSession(ObsConfig(trace=False)))
+        expected = run_on_mesh(build_workload("transpose"), reorder=4)
+        assert result.mesh_signature == expected.mesh_signature
 
     def test_obs_faults_workload_mesh_pin(self):
         from repro.obs import ObsConfig, ObsSession

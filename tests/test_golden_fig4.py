@@ -3,8 +3,8 @@
 The committed ``tests/golden/fig4_trace.json`` is the normalized
 (:func:`repro.obs.chrome.normalize_events`) event trace of the canonical
 Fig.-4 gather — 2 nodes × 6 words on a 140 mm waveguide, the exact
-construction ``python -m repro fig4`` renders (shared via
-:func:`repro.obs.workloads.build_fig4_pscan`).  Any change to the SCA
+construction ``python -m repro fig4`` renders
+(:func:`repro.core.pscan.fig4_gather`).  Any change to the SCA
 timing arithmetic (flight delays, response skew, epoch aliasing, bus
 period) shows up as a diff against this file.
 
@@ -24,14 +24,14 @@ from pathlib import Path
 import pytest
 
 from repro.obs import ObsConfig, ObsSession, normalize_events, validate_chrome_trace
-from repro.obs.workloads import run_fig4_workload
+from repro.core.pscan import fig4_gather
 
 GOLDEN = Path(__file__).parent / "golden" / "fig4_trace.json"
 
 
 def _current_normalized() -> list[dict]:
     session = ObsSession(ObsConfig())
-    run_fig4_workload(session)
+    fig4_gather(session)
     return normalize_events(session.tracer.events, categories=("sca",))
 
 
@@ -67,6 +67,6 @@ def test_fig4_trace_has_expected_shape():
 def test_fig4_chrome_export_is_schema_valid():
     """The same session exports a schema-clean Chrome trace."""
     session = ObsSession(ObsConfig())
-    run_fig4_workload(session)
+    fig4_gather(session)
     summary = validate_chrome_trace(session.chrome_trace())
     assert summary["events"] == len(session.tracer)

@@ -58,3 +58,26 @@ def test_closed_form_artifact_does_not_load_numpy(artifact):
         "print(json.dumps({'code': code, 'numpy': 'numpy' in sys.modules}))\n"
     )
     assert result == {"code": 0, "numpy": False}
+
+
+def test_fig4_loads_only_the_bus_simulator():
+    # The Fig. 4 construction lives beside the PSCAN executor, so
+    # rendering it loads neither the tracer nor any other layer.
+    loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['fig4'])\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'repro' or m.startswith('repro.'))))\n"
+    )
+    assert loaded == [
+        "repro", "repro._lazy", "repro.cli",
+        "repro.core", "repro.core.cp", "repro.core.pscan", "repro.core.schedule",
+        "repro.photonics", "repro.photonics.clocking", "repro.photonics.devices",
+        "repro.photonics.waveguide", "repro.photonics.wdm",
+        "repro.sim", "repro.sim.engine",
+        "repro.util", "repro.util.constants", "repro.util.errors",
+        "repro.util.validation",
+        "repro.viz",
+    ]

@@ -217,13 +217,6 @@ class TestObsSession:
         assert len(session.metrics) == 0
         assert not session.active
 
-    def test_layer_flags_gate_hooks(self):
-        session = ObsSession(ObsConfig(mesh=False))
-        session.mesh_inject(0, 1, (0, 0), (1, 1), 3)
-        assert len(session.tracer) == 0
-        session.sca_modulate(0.0, 0, 0)
-        assert len(session.tracer) == 1
-
     def test_sim_dispatch_off_by_default(self):
         session = ObsSession()
         session.sim_event("Timeout", 0.0, 2)

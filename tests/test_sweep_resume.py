@@ -473,14 +473,3 @@ class TestObsHooks:
         assert {"sweep_points_total", "sweep_points_executed"} <= names
         # The trace validates as a Chrome trace object.
         session.chrome_trace()
-
-    def test_sweep_layer_can_be_disabled(self, tmp_path):
-        from repro.obs import ObsConfig
-
-        logs = tmp_path / "logs"
-        logs.mkdir()
-        session = ObsSession(ObsConfig(sweep=False))
-        run_sweep(
-            _counted_square, _grid(logs, n=2), parallel=False, obs=session
-        )
-        assert session.tracer.by_category("sweep") == []

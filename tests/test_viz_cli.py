@@ -130,6 +130,36 @@ class TestCli:
         text = parser.format_help()
         assert "table3" in text
 
+    def test_obs_help_lists_every_workload_and_engine(self, capsys):
+        from repro.mesh.network import MESH_ENGINES
+        from repro.obs.workloads import WORKLOADS
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["obs", "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(sorted(WORKLOADS)) + "}" in out
+        assert "{" + ",".join(MESH_ENGINES) + "}" in out
+
+    @pytest.mark.parametrize("command, module", [
+        ("check", "repro.check.cli"),
+        ("sweep", "repro.store.cli"),
+        ("serve", "repro.serve.cli"),
+        ("perf", "repro.perf.cli"),
+    ])
+    def test_sub_cli_gets_its_own_argv(self, command, module, capsys):
+        from contextlib import suppress
+        from importlib import import_module
+
+        # Some sub-CLIs exit on --help, serve returns its exit code.
+        with suppress(SystemExit):
+            import_module(module).main(["--help"])
+        own = capsys.readouterr().out
+        with suppress(SystemExit):
+            main([command, "--help"])
+        assert capsys.readouterr().out == own
+        assert own.startswith(f"usage: repro {command}")
+
     def test_heatmap_small(self, capsys):
         assert main(["heatmap", "--processors", "16", "--row-samples", "4"]) == 0
         out = capsys.readouterr().out

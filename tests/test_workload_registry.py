@@ -277,6 +277,30 @@ class TestWorkers:
         result = fn(name="halo2d", engine="fast", processors=9, halo=1)
         assert result["ok"] and result["workload"] == "halo2d"
 
+    def test_sweep_committed_zoo_point_is_a_serve_warm_hit(self, tmp_path):
+        # A zoo sweep and the serve `workload` job run the same worker, so
+        # they share store keys: a point the sweep committed is answered
+        # warm, with no execution.
+        import asyncio
+
+        from repro.perf.sweep import run_sweep
+        from repro.serve import JobRequest, JobState, ServeConfig, ServeServer
+
+        root = tmp_path / "root"
+        point = {"name": "halo2d", "processors": 9, "engine": "fast",
+                 "reorder": 4}
+        [committed] = run_sweep(evaluate_workload_point, [point],
+                                parallel=False, checkpoint=root)
+        server = ServeServer(root, ServeConfig(executor_mode="inline"))
+        record = server.submit(
+            JobRequest(tenant="a", workload="workload", point=point)
+        )
+        asyncio.run(server.run_until_idle())
+        server.close()
+        assert record.state is JobState.DONE and record.cache == "warm"
+        assert record.result == committed
+        assert server.cold_total == 0
+
     def test_obs_cli_exposes_zoo_families(self):
         from repro.obs.workloads import WORKLOADS
 
