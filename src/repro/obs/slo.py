@@ -12,7 +12,8 @@ reports the same numbers from the same metric series:
   :data:`SLO_LATENCY_BINS`) — P50/P95/P99 via
   :meth:`~repro.sim.stats.Histogram.quantile`, whose conservative
   (never-underestimating) rounding makes the percentiles safe to gate
-  SLOs on;
+  SLOs on (a percentile in the histogram's overflow reports the exact
+  maximum);
 * ``mesh_pair_packets`` / ``mesh_pair_latency`` (labeled by
   ``src``/``dst``) — the FM16-style per-pair delivered-traffic
   breakdown.
@@ -26,6 +27,7 @@ aggregate :class:`MeshStats` numbers.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from ..sim.stats import Histogram, RunningStats
@@ -41,9 +43,10 @@ __all__ = [
 ]
 
 #: Histogram shape of ``mesh_packet_latency_hist``.  512 cycles spans the
-#: worst tail of every committed workload on grids up to 32x32; beyond
-#: ``hi`` the quantile resolves to ``hi`` (still conservative, never an
-#: underestimate) and the overflow count says how much mass is out there.
+#: tail of most committed workloads; a percentile whose rank falls in the
+#: overflow (past ``hi``) is reported as the exact ``max`` instead, so it
+#: is never below that quantile.  Percentiles whose rank stays in range
+#: are bin edges and, on a skewed series, may still sit below the mean.
 SLO_LATENCY_LO = 0.0
 SLO_LATENCY_HI = 512.0
 SLO_LATENCY_BINS = 32
@@ -78,8 +81,15 @@ def latency_slo_block(
     }
     histogram = metrics.get(hist, **labels)
     if isinstance(histogram, Histogram) and histogram.total:
+        in_range = histogram.total - histogram.overflow
         for q in SLO_QUANTILES:
-            block[f"p{int(q * 100)}"] = histogram.quantile(q)
+            # A rank past every in-range sample lands in the overflow,
+            # where the histogram only knows ">= hi"; the exact maximum
+            # is the tightest bound that still covers it.
+            if math.ceil(q * histogram.total) > in_range:
+                block[f"p{int(q * 100)}"] = stats.maximum
+            else:
+                block[f"p{int(q * 100)}"] = histogram.quantile(q)
     return block
 
 

@@ -174,28 +174,42 @@ class _Checkpoint:
         self._journal = self.manifest.journal_path(self.store.runs_dir)
 
     def load_completed(self) -> dict[int, Any]:
-        """Results already in the store, by grid index."""
+        """Results already in the store, by grid index.
+
+        ``load`` runs only for keys ``has`` found, so every ``load`` call
+        is a cache hit.
+        """
         loaded: dict[int, Any] = {}
         for index, key in enumerate(self.keys):
-            if self.store.has(key):
-                try:
-                    loaded[index] = self.store.load(key)
-                except Exception:  # torn/foreign object: treat as missing
-                    continue
+            if not self.store.has(key):
+                continue
+            try:
+                loaded[index] = self.store.load(key)
+            except Exception:  # torn or foreign: missing
+                continue
         return loaded
 
-    def commit(self, index: int, value: Any, wall_s: float, cached: bool) -> None:
-        """Persist one completed point + journal line (atomic, crash-safe)."""
+    def journal_hits(self, indices: Sequence[int]) -> None:
+        """One journal line per cache hit, all in a single append."""
         from ..store import JournalEntry, append_journal
 
-        if not cached:
-            self.store.store(self.keys[index], value)
+        ts = time.time()
+        append_journal(self._journal, *(
+            JournalEntry(index=i, key=self.keys[i], cached=True, wall_s=0.0, ts=ts)
+            for i in indices
+        ))
+
+    def commit(self, index: int, value: Any, wall_s: float) -> None:
+        """Persist one executed point + journal line (atomic, crash-safe)."""
+        from ..store import JournalEntry, append_journal
+
+        self.store.store(self.keys[index], value)
         append_journal(
             self._journal,
             JournalEntry(
                 index=index,
                 key=self.keys[index],
-                cached=cached,
+                cached=False,
                 wall_s=wall_s,
                 ts=time.time(),
             ),
@@ -319,8 +333,9 @@ def run_sweep(
         label=label, total=n, cached=cached_hits, pending=len(to_run),
     )
     if ckpt is not None:
-        for index in sorted(results):
-            ckpt.commit(index, results[index], 0.0, cached=True)
+        hits = sorted(results)
+        ckpt.journal_hits(hits)
+        for index in hits:
             _obs_call(
                 obs, "sweep_point",
                 index=index, key=ckpt.key_for(index), cached=True, wall_s=0.0,
@@ -334,7 +349,7 @@ def run_sweep(
     def commit(index: int, value: Any, wall_s: float) -> None:
         results[index] = value
         if ckpt is not None:
-            ckpt.commit(index, value, wall_s, cached=False)
+            ckpt.commit(index, value, wall_s)
         _obs_call(
             obs, "sweep_point",
             index=index,

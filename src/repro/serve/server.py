@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any
 
 from ..perf.sweep import PointExecutor
-from ..store.keys import code_fingerprint, point_key
+from ..store.keys import point_key
 from ..store.leases import ServeJournal, ServeReplay, StaleIndex, point_identity
 from ..store.result_store import ResultStore
 from ..util.errors import (
@@ -143,7 +143,6 @@ class ServeServer:
         self._journaled: set[str] = set()
         self._no_stale: set[str] = set()
         self._revalidate: dict[str, JobRequest] = {}
-        self._fingerprints: dict[str, str] = {}
         self._sequence = 0
         #: Every job id this server life has registered or replayed
         #: (including journal-completed ones) — the idempotence check
@@ -164,19 +163,8 @@ class ServeServer:
             for request in pending.values():
                 self._enqueue(self._record_for(request), journal=True)
 
-    def _fingerprint(self, workload: str) -> str:
-        cached = self._fingerprints.get(workload)
-        if cached is None:
-            cached = code_fingerprint(resolve_workload(workload))
-            self._fingerprints[workload] = cached
-        return cached
-
     def _key_for(self, request: JobRequest) -> str:
-        return point_key(
-            resolve_workload(request.workload),
-            dict(request.point),
-            fingerprint=self._fingerprint(request.workload),
-        )
+        return point_key(resolve_workload(request.workload), dict(request.point))
 
     def _next_job_id(self, tenant: str) -> str:
         self._sequence += 1

@@ -45,6 +45,7 @@ import hashlib
 import inspect
 import json
 import math
+import weakref
 from collections.abc import Callable, Mapping, Sequence, Set
 from typing import Any
 
@@ -147,6 +148,12 @@ def worker_name(fn: Callable[..., Any]) -> str:
     return _qualified_name(fn)
 
 
+#: ``fn`` -> (the ``__code__`` it was hashed with, its fingerprint).
+_FINGERPRINTS: weakref.WeakKeyDictionary[Any, tuple[Any, str]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def code_fingerprint(fn: Callable[..., Any]) -> str:
     """A stable hash of the worker's *code*, for cache invalidation.
 
@@ -154,7 +161,29 @@ def code_fingerprint(fn: Callable[..., Any]) -> str:
     results); falls back to the compiled bytecode + constants when the
     source is unavailable (frozen apps, REPL-defined workers), and to
     the qualified name alone as a last resort (C extensions).
+
+    Computed once per function object per process: loaded code cannot
+    change in-process, so the first answer stays the fingerprint of the
+    code that runs (a later edit to the file on disk is picked up by the
+    next process, not by a re-read here).  Rebinding ``fn.__code__``
+    does change the running code, so it is hashed afresh.
     """
+    code = getattr(fn, "__code__", None)
+    try:
+        cached = _FINGERPRINTS.get(fn)
+    except TypeError:  # not weak-referenceable or not hashable
+        cached = None
+    if cached is not None and cached[0] is code:
+        return cached[1]
+    fingerprint = _hash_code(fn, code)
+    try:
+        _FINGERPRINTS[fn] = (code, fingerprint)
+    except TypeError:
+        pass
+    return fingerprint
+
+
+def _hash_code(fn: Callable[..., Any], code: Any) -> str:
     hasher = hashlib.sha256()
     hasher.update(worker_name(fn).encode())
     try:
@@ -162,7 +191,6 @@ def code_fingerprint(fn: Callable[..., Any]) -> str:
         return hasher.hexdigest()
     except (OSError, TypeError):
         pass
-    code = getattr(fn, "__code__", None)
     if code is not None:
         hasher.update(code.co_code)
         hasher.update(repr(code.co_consts).encode())

@@ -11,7 +11,8 @@ A **journal** is an append-only JSON-lines file next to the manifest.
 One line is appended (with an ``os.replace``-free ``O_APPEND`` write —
 a line either lands whole or the point simply looks incomplete) every
 time a point's result is committed to the store, recording the index,
-key, wall time, and whether the result came from cache.  Journals are
+key, wall time, and whether the result came from cache.  The cache hits
+of one run share a single write, one line per hit.  Journals are
 purely observational: resume correctness derives from the object store,
 the journal exists so ``python -m repro sweep status`` can narrate a
 half-finished campaign (and so post-mortems can see the completion
@@ -74,9 +75,23 @@ class SweepManifest:
         return runs_dir / f"{self.run_id}.journal"
 
     def save(self, runs_dir: Path) -> Path:
-        """Atomically (re)write the manifest; returns its path."""
-        runs_dir.mkdir(parents=True, exist_ok=True)
+        """Atomically write the manifest unless it is already there; returns its path.
+
+        The run id is content-derived, so a readable file under it
+        already lists these keys: only a missing or unreadable file, or
+        one with another ``label``, is (re)written.  A stored
+        ``created_at`` is kept, so it stays the time of the first run.
+        """
         path = self.path(runs_dir)
+        try:
+            stored = self.load(path)
+        except ConfigError:
+            stored = None
+        if stored is not None:
+            self.created_at = stored.created_at
+            if stored.label == self.label:
+                return path
+        runs_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema_version": self.schema_version,
             "worker": self.worker,
@@ -96,19 +111,24 @@ class SweepManifest:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"unreadable sweep manifest {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"sweep manifest {path} is not a JSON object")
         version = payload.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(
                 f"sweep manifest {path} has schema_version {version!r}, "
                 f"expected {SCHEMA_VERSION}"
             )
-        return cls(
-            worker=payload["worker"],
-            fingerprint=payload["fingerprint"],
-            keys=list(payload["keys"]),
-            label=payload.get("label", ""),
-            created_at=float(payload.get("created_at", 0.0)),
-        )
+        try:
+            return cls(
+                worker=payload["worker"],
+                fingerprint=payload["fingerprint"],
+                keys=list(payload["keys"]),
+                label=payload.get("label", ""),
+                created_at=float(payload.get("created_at", 0.0)),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed sweep manifest {path}: {exc!r}") from exc
 
     @classmethod
     def iter_dir(cls, runs_dir: Path) -> Iterator["SweepManifest"]:
@@ -161,13 +181,21 @@ class JournalEntry:
         )
 
 
-def append_journal(path: Path, entry: JournalEntry) -> None:
-    """Append one completion line (``O_APPEND``; whole-line or nothing)."""
+def append_journal(path: Path, *entries: JournalEntry) -> None:
+    """Append one completion line per entry in a single ``O_APPEND`` write.
+
+    A batch (every cache hit of one run) costs one open and one write;
+    a crash mid-write can at worst tear the last line, which
+    :func:`read_journal` skips.
+    """
+    if not entries:
+        return
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = entry.to_json() + "\n"
+    data = memoryview("".join(entry.to_json() + "\n" for entry in entries).encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        os.write(fd, line.encode())
+        while data:  # os.write may write less than it was given
+            data = data[os.write(fd, data):]
     finally:
         os.close(fd)
 

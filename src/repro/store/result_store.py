@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import re
 import tempfile
 import time
 from collections.abc import Iterator
@@ -59,12 +60,12 @@ class GcReport:
         )
 
 
+#: A store key: at least 8 lowercase hex digits and nothing else.
+_KEY_RE = re.compile(r"[0-9a-f]{8,}")
+
+
 def _check_key(key: str) -> str:
-    if (
-        not isinstance(key, str)
-        or len(key) < 8
-        or any(c not in "0123456789abcdef" for c in key)
-    ):
+    if not isinstance(key, str) or _KEY_RE.fullmatch(key) is None:
         raise ConfigError(f"malformed store key: {key!r}")
     return key
 
@@ -81,7 +82,7 @@ class ResultStore:
 
     def _object_path(self, key: str) -> Path:
         _check_key(key)
-        return self.objects_dir / key[:2] / f"{key}{_OBJECT_SUFFIX}"
+        return self.objects_dir.joinpath(key[:2], f"{key}{_OBJECT_SUFFIX}")
 
     def ensure_dirs(self) -> None:
         """Create the store skeleton (idempotent)."""

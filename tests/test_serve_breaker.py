@@ -240,7 +240,6 @@ class TestDegradedMode(object):
         # 2. The workload code changes: new fingerprint, new store key —
         #    the old answer is no longer *warm*, only *stale*.
         monkeypatch.setitem(jobs_mod._REGISTRY, "unstable", _wl_unstable_v2)
-        server._fingerprints.clear()
         # 3. Trip the breaker; cold execution is now refused.
         trip_breaker(server)
         degraded = server.submit(JobRequest(tenant="b", workload="unstable",
@@ -270,7 +269,6 @@ class TestDegradedMode(object):
         run(server)
         assert first.result["rev"] == 1
         monkeypatch.setitem(jobs_mod._REGISTRY, "unstable", _wl_unstable_v2)
-        server._fingerprints.clear()
         trip_breaker(server)
         degraded = server.submit(JobRequest(tenant="b", workload="unstable",
                                             point={"x": 1}))

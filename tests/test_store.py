@@ -176,6 +176,74 @@ class TestPointKey:
         assert worker_name(_worker_a).endswith(":_worker_a")
         assert "test_store" in worker_name(_worker_a)
 
+    #: Keys that stores filled by earlier code already hold.  A slip in
+    #: the key format would turn every such store cold without failing
+    #: anything else, so the digests are literal.
+    PINNED = {
+        "dict": (
+            {"processors": 64, "row_samples": 16, "reorder_cycles": 4,
+             "engine": "compiled"},
+            "f165a4676682804a6045da59c967b3e81b001b90c9b0c055c250f476bd63a8dd",
+        ),
+        "tuple": (
+            (1, "two", None, True),
+            "ad40ce076765d0813d1b68935727f6c4c99994afa78888965e178d7e2c364de2",
+        ),
+        "float": (
+            0.1,
+            "d6f64eddea8154c9f87db5afcd3007125b67e3fe09958b1bd35449af7cbed7d6",
+        ),
+        "dataclass": (
+            JournalEntry(index=3, key="ab" * 32, cached=True, wall_s=0.5,
+                         ts=1000.0),
+            "938d4ce72577c00ec68a589a0d53915182db7176eeebc81257de46a9520a9f4f",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_key_format_is_pinned(self, kind):
+        from repro.analysis import measure_mesh_transpose
+
+        point, key = self.PINNED[kind]
+        assert point_key(
+            measure_mesh_transpose, point, fingerprint="0" * 64
+        ) == key
+
+
+class TestCodeFingerprint:
+    def test_source_is_read_once_per_function(self, monkeypatch):
+        import repro.store.keys as keys_mod
+
+        def fresh(x):
+            return x * 3
+
+        reads = []
+        real = keys_mod.inspect.getsource
+
+        def counting(fn):
+            reads.append(fn)
+            return real(fn)
+
+        monkeypatch.setattr(keys_mod.inspect, "getsource", counting)
+        first = code_fingerprint(fresh)
+        assert code_fingerprint(fresh) == first
+        assert reads == [fresh]
+
+    def test_rebinding_code_changes_fingerprint(self):
+        def fresh(x):
+            return x * 3
+
+        before = code_fingerprint(fresh)
+        fresh.__code__ = _worker_b.__code__
+        after = code_fingerprint(fresh)
+        assert after != before
+        assert code_fingerprint(fresh) == after
+
+    def test_non_weakrefable_callable_still_fingerprints(self):
+        # Builtins take no weak references; they are hashed every time.
+        assert code_fingerprint(len) == code_fingerprint(len)
+        assert code_fingerprint(len) != code_fingerprint(abs)
+
 
 # ---------------------------------------------------------------------------
 # result store mechanics
@@ -202,6 +270,15 @@ class TestResultStore:
             store.has("../../etc/passwd")
         with pytest.raises(ConfigError):
             store.has("short")
+
+    @pytest.mark.parametrize("key", [
+        "ABCDEF0123", "abcdef01\n", " abcdef01", "abcdefg1", "abcdef0\u0661",
+        b"abcdef0123", 12345678, None,
+    ])
+    def test_only_lowercase_hex_keys_accepted(self, tmp_path, key):
+        store = ResultStore(tmp_path)
+        with pytest.raises(ConfigError):
+            store.load(key)
 
     def test_overwrite_is_atomic_no_temp_residue(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -281,6 +358,37 @@ class TestManifest:
         found = list(SweepManifest.iter_dir(tmp_path))
         assert [m.run_id for m in found] == [manifest.run_id]
 
+    def test_malformed_manifest_is_a_config_error(self, tmp_path):
+        manifest = self._manifest()
+        manifest.save(tmp_path)
+        (tmp_path / "zz-list.json").write_text("[1, 2]")
+        (tmp_path / "zz-keyless.json").write_text('{"schema_version": 1}')
+        for name in ("zz-list.json", "zz-keyless.json"):
+            with pytest.raises(ConfigError):
+                SweepManifest.load(tmp_path / name)
+        found = list(SweepManifest.iter_dir(tmp_path))
+        assert [m.run_id for m in found] == [manifest.run_id]
+
+    def test_save_writes_only_new_or_relabelled(self, tmp_path):
+        first = self._manifest()
+        first.save(tmp_path)
+        path = first.path(tmp_path)
+        os.utime(path, ns=(10**9, 10**9))  # any rewrite moves this
+        again = self._manifest()
+        again.save(tmp_path)
+        assert path.stat().st_mtime_ns == 10**9
+        assert again.created_at == first.created_at
+        relabelled = self._manifest()
+        relabelled.label = "renamed"
+        relabelled.save(tmp_path)
+        stored = SweepManifest.load(path)
+        assert path.stat().st_mtime_ns != 10**9
+        assert stored.label == "renamed"
+        assert stored.created_at == first.created_at
+        path.write_text("{torn")
+        self._manifest().save(tmp_path)
+        assert SweepManifest.load(path).label == "unit"
+
     def test_status_against_store(self, tmp_path):
         store = ResultStore(tmp_path)
         store.ensure_dirs()
@@ -305,6 +413,19 @@ class TestManifest:
         assert [e.index for e in entries] == [0, 1, 2]
         assert entries[1].cached is True
         assert math.isclose(entries[2].wall_s, 1.0)
+
+    def test_batch_append_is_one_line_per_entry(self, tmp_path):
+        path = tmp_path / "run.journal"
+        entries = [
+            JournalEntry(index=i, key="cd" * 32, cached=True, wall_s=0.0,
+                         ts=2000.0)
+            for i in range(3)
+        ]
+        append_journal(path, *entries)
+        append_journal(path)  # an empty batch writes nothing
+        lines = path.read_text().splitlines()
+        assert lines == [entry.to_json() for entry in entries]
+        assert read_journal(path) == entries
 
     def test_read_missing_journal(self, tmp_path):
         assert read_journal(tmp_path / "absent.journal") == []

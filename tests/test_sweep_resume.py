@@ -18,12 +18,16 @@ creating uniquely-named marker files, which is safe across processes.
 """
 
 import os
+import subprocess
+import sys
 import uuid
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.faults.campaign as campaign_mod
+import repro.store as store_pkg
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.obs import ObsSession
 from repro.perf.sweep import run_sweep
@@ -141,6 +145,114 @@ class TestDifferentialPaths:
             resume=False,
         )
         assert all(c == 2 for c in _executions(logs).values())
+
+
+class TestWarmRunOnlyReads:
+    """A warm hit reads its object and journals itself, nothing more."""
+
+    def test_warm_run_keeps_manifest_and_journals_each_hit(
+        self, tmp_path, monkeypatch
+    ):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        grid = _grid(logs, n=4)
+        ckpt = tmp_path / "store"
+        run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt,
+                  label="first")
+        [manifest_path] = ResultStore(ckpt).runs_dir.glob("*.json")
+        journal = manifest_path.with_suffix(".journal")
+        created = SweepManifest.load(manifest_path).created_at
+        os.utime(manifest_path, ns=(10**9, 10**9))  # any rewrite shows
+        cold_lines = len(read_journal(journal))
+
+        appends = []
+        real_append = store_pkg.append_journal
+
+        def counting_append(path, *entries):
+            appends.append(len(entries))
+            real_append(path, *entries)
+
+        monkeypatch.setattr(store_pkg, "append_journal", counting_append)
+        run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt,
+                  label="first")
+        assert manifest_path.stat().st_mtime_ns == 10**9
+        assert SweepManifest.load(manifest_path).created_at == created
+        hits = read_journal(journal)[cold_lines:]
+        assert [(e.index, e.cached) for e in hits] == [
+            (i, True) for i in range(4)
+        ]
+        assert appends == [4]  # every hit in one append
+
+        run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt,
+                  label="second")
+        relabelled = SweepManifest.load(manifest_path)
+        assert manifest_path.stat().st_mtime_ns != 10**9
+        assert relabelled.label == "second"
+        assert relabelled.created_at == created
+        assert all(c == 1 for c in _executions(logs).values())
+
+    def test_load_runs_only_for_hits(self, tmp_path, monkeypatch):
+        """Misses are found by ``has``; ``load`` runs once per cache hit,
+        so a count of ``load`` calls is a count of hits."""
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        grid = _grid(logs, n=4)
+        ckpt = tmp_path / "store"
+        loads = []
+        real_load = ResultStore.load
+
+        def counting_load(store, key):
+            loads.append(key)
+            return real_load(store, key)
+
+        monkeypatch.setattr(ResultStore, "load", counting_load)
+        run_sweep(_counted_square, grid[:2], parallel=False, checkpoint=ckpt)
+        assert loads == []  # cold: every point a miss
+        run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt)
+        assert len(loads) == 2  # two hits, two misses
+        loads.clear()
+        run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt)
+        assert len(loads) == 4  # fully warm
+
+    def test_edited_worker_misses_in_a_fresh_process(self, tmp_path):
+        """The fingerprint is cached per process, so a worker edited
+        between two runs must still miss in the second, fresh one."""
+        src = Path(repro.__file__).resolve().parents[1]
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        module = tmp_path / "edited_worker.py"
+        script = (
+            "from repro.perf.sweep import run_sweep\n"
+            "from edited_worker import work\n"
+            f"grid = [{{'x': x, 'log_dir': {str(logs)!r}}} for x in range(3)]\n"
+            f"print(run_sweep(work, grid, parallel=False, "
+            f"checkpoint={str(tmp_path / 'store')!r}))\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(src), str(tmp_path)]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        }
+
+        def fresh_run(factor):
+            module.write_text(
+                "import os, uuid\n\n\n"
+                "def work(x, log_dir):\n"
+                "    open(os.path.join(log_dir, f'exec-{x}-{uuid.uuid4().hex}'),"
+                " 'w').close()\n"
+                f"    return x * {factor}\n"
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=tmp_path,
+                capture_output=True, text=True, check=True, timeout=120,
+            )
+            return out.stdout.strip()
+
+        assert fresh_run(2) == "[0, 2, 4]"
+        assert fresh_run(2) == "[0, 2, 4]"  # unchanged source: all warm
+        assert _executions(logs) == {"0": 1, "1": 1, "2": 1}
+        assert fresh_run(30) == "[0, 30, 60]"  # edited source: all miss
+        assert _executions(logs) == {"0": 2, "1": 2, "2": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,21 @@ linter, and the picklable sweep/serve worker.
 
 from __future__ import annotations
 
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
 from repro.check.analyzer import analyze_traffic
 from repro.mesh import MeshTopology, Packet
+from repro.obs import (
+    SLO_LATENCY_BINS,
+    SLO_LATENCY_HI,
+    SLO_LATENCY_LO,
+    MetricsRegistry,
+    latency_slo_block,
+)
 from repro.util.errors import ConfigError
 from repro.workloads import (
     CpPhase,
@@ -185,6 +194,57 @@ class TestEngineDifferential:
         assert set(slo) == {"count", "mean", "min", "max", "p50", "p95", "p99"}
         assert slo["count"] == result.stats.packets_delivered
         assert slo["min"] <= slo["p50"] <= slo["p95"] <= slo["p99"]
+
+    def test_slo_percentiles_in_the_overflow_report_the_max(self):
+        """The 8x8 transpose's latencies run far past the 512-cycle SLO
+        histogram, so every percentile's rank lands in the overflow and
+        reports the exact max, which no mean can exceed."""
+        result = run_on_mesh(build_workload("transpose", processors=64))
+        slo = result.slo
+        assert slo["max"] > SLO_LATENCY_HI
+        assert slo["mean"] <= slo["p99"] <= slo["max"]
+        assert slo["p50"] <= slo["p95"] <= slo["p99"]
+
+    def test_slo_overflow_rule_covers_only_overflowing_ranks(self):
+        """Only a percentile whose rank lands in the overflow reports the
+        max; the others stay bin edges, below the mean of this skewed
+        series."""
+        metrics = MetricsRegistry()
+        series = metrics.series("mesh_packet_latency")
+        hist = metrics.histogram(
+            "mesh_packet_latency_hist",
+            SLO_LATENCY_LO, SLO_LATENCY_HI, SLO_LATENCY_BINS,
+        )
+        for value in [1.0] * 98 + [10_000.0] * 2:
+            series.add(value)
+            hist.add(value)
+        slo = latency_slo_block(metrics)
+        assert slo["p99"] == slo["max"] == 10_000.0
+        assert slo["p50"] == slo["p95"] == 16.0
+        assert slo["p95"] < slo["mean"]
+
+    def test_committed_zoo_latency_leaves_reproduce(self):
+        """The BENCH_mesh.json zoo latency leaves sit under the histogram
+        ceiling, so the overflow rule leaves them where they were."""
+        bench = json.loads(
+            (Path(__file__).parents[1] / "BENCH_mesh.json").read_text()
+        )
+        leaves = {
+            name: entry for name, entry in bench["benches"].items()
+            if name.startswith("workload_")
+        }
+        assert leaves
+        for entry in leaves.values():
+            params = dict(entry["workload"])
+            assert params.pop("kind") == "registry"
+            reorder = params.pop("memory_reorder_cycles")
+            slo = run_on_mesh(
+                build_workload(params.pop("name"), **params), reorder=reorder
+            ).slo
+            assert entry["latency_p99"] < SLO_LATENCY_HI
+            assert (slo["p50"], slo["p99"]) == (
+                entry["latency_p50"], entry["latency_p99"]
+            )
 
     def test_pair_table_contract(self):
         desc = build_workload("all_to_all", processors=9, words_per_pair=2)
