@@ -55,36 +55,44 @@ field are exact, and the differential suites compare exactly those.
 
 Shape intake
 ------------
-The closed forms only need per-source packet counts, so the engine never
-materializes flits: no :class:`~repro.mesh.flit.Flit` objects are built
-and the inherited per-node injection queues stay empty.  It keeps the
-bookkeeping other layers read — the same endpoint
+The closed forms only need per-source packet counts and the topology, so
+a run costs O(nodes) in Python whatever its packet count.  The engine
+never materializes flits: no :class:`~repro.mesh.flit.Flit` objects are
+built, and the inherited input buffers, injection queues and planner
+adjacency are never built either (:meth:`_init_flit_state`).  It keeps
+the bookkeeping other layers read — the same endpoint
 :class:`~repro.util.errors.ConfigError`, ``_packet_meta`` (injection
 cycle and source per packet id), ``_pending_flits`` (so
 ``traffic_remaining`` is correct before and after :meth:`run`) and the
 ``mesh_inject`` obs event — and folds the traffic into a running summary
 (packets per source, destinations, flit counts, a staggered-injection
-flag).  The domain check and the heat map read that summary in O(nodes),
-whatever the packet count.
+flag).  The domain check reads that summary; the heat map and
+``flit_hops`` are the per-source flit count times a path table cached
+per ``(topology, sink)`` (:func:`_gather_paths`).
 
-Traffic arrives one of two ways.  :meth:`inject` folds one whole packet.
-:meth:`inject_all` given a transpose gather whose packets were never
-read (:class:`~repro.mesh.workloads.TransposePackets`) folds the shape
-itself: one summary update per source and one C-level ``_packet_meta``
-fill per source, with no :class:`~repro.mesh.flit.Packet` built.  It
-does so only with no observer attached (the observer wants one
-``mesh_inject`` event per packet) and when every endpoint is on this
-network (otherwise the per-packet path raises the same ``ConfigError``
-at the same packet); anything else takes the per-packet path.
+``_packet_meta`` is an :class:`~repro.mesh.flit.IdRuns`: runs of
+consecutive ids, each mapped to one ``(cycle, source)``, that read
+exactly like the dict the other engines fill.  Traffic arrives one of
+two ways.  :meth:`inject` folds one whole packet, extending the last run
+when its id and value continue it.  :meth:`inject_all` given a
+transpose gather whose packets were never read
+(:class:`~repro.mesh.workloads.TransposePackets`) folds the shape
+itself: one run and one summary update per source, with no
+:class:`~repro.mesh.flit.Packet` built.  It does so only with no
+observer attached (the observer wants one ``mesh_inject`` event per
+packet) and when every endpoint is on this network (otherwise the
+per-packet path raises the same ``ConfigError`` at the same packet);
+anything else takes the per-packet path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 from typing import Any
 
 from ..util.errors import EngineUnsupportedError, NetworkError
-from .flit import Packet
+from .flit import IdRuns, Packet
 from .network import MeshNetwork, MeshStats
 from .routing import MinimalAdaptiveRouting
 from .topology import MeshTopology
@@ -93,26 +101,65 @@ from .workloads import TransposePackets
 __all__ = ["CompiledMeshNetwork"]
 
 
+@lru_cache(maxsize=64)
+def _gather_paths(
+    topology: MeshTopology, sink: tuple[int, int]
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
+    """West-first paths from every router of ``topology`` to ``sink``.
+
+    Returns the routers the paths cross, in heat-map key order; how
+    many sources' paths cross each of them (the ejecting sink counts,
+    injection does not); and the summed hop distance.  With ``c``
+    packets of ``nf`` flits per source, the heat map is ``c * nf``
+    times the crossings and ``flit_hops`` is ``c * nf`` times the
+    distance.  Immutable tuples, so runs on equal topologies share them.
+    """
+    width, height = topology.width, topology.height
+    sx, sy = sink
+    crossings: dict[tuple[int, int], int] = {}
+    for y in range(height):
+        # Horizontal legs: router (i, y) forwards every packet sourced
+        # at x >= i in its row.
+        for i in range(1, width):
+            crossings[(i, y)] = width - i
+        # Column-0 router of the row: every row packet turns here.
+        crossings[(0, y)] = crossings.get((0, y), 0) + width
+        # Vertical leg down/up column 0 toward the sink row.
+        if y != sy:
+            step = 1 if sy > y else -1
+            for j in range(y + step, sy + step, step):
+                crossings[(0, j)] = crossings.get((0, j), 0) + width
+    distance = sum(abs(x - sx) + abs(y - sy) for x, y in topology.nodes())
+    return tuple(crossings), tuple(crossings.values()), distance
+
+
 class CompiledMeshNetwork(MeshNetwork):
     """Closed-form mesh engine for single-sink coalesced gathers.
 
-    Construction and :meth:`add_memory_interface` are inherited.
-    :meth:`inject` takes whole packets: it raises the same endpoint
-    ``ConfigError``, records ``_packet_meta`` and ``_pending_flits`` and
-    emits the same ``mesh_inject`` obs event as the other engines, but
-    builds no flits and fills no injection queues.  :meth:`inject_all`
+    Construction (minus the flit state) and :meth:`add_memory_interface`
+    are inherited.  :meth:`inject` takes whole packets: it raises the
+    same endpoint ``ConfigError``, records ``_packet_meta`` and
+    ``_pending_flits`` and emits the same ``mesh_inject`` obs event as
+    the other engines, but builds no flits.  :meth:`inject_all`
     folds an unread transpose shape without building packets.
     :meth:`run` replaces the cycle loop with the analytic evaluation.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
+        self._packet_meta = IdRuns()
         # Running summary of the injected traffic: everything the domain
         # check and the closed forms read.
         self._per_source: dict[tuple[int, int], int] = {}
         self._dests: set[tuple[int, int]] = set()
         self._flit_counts: set[int] = set()
         self._staggered = False
+
+    def _init_flit_state(self) -> None:
+        """No flit ever moves here: no buffers, queues or adjacency."""
+        self._buffers = {}
+        self._inject = {}
+        self._adjacent = {}
 
     # -- traffic ---------------------------------------------------------
 
@@ -124,9 +171,9 @@ class CompiledMeshNetwork(MeshNetwork):
             self.topology.require_node(source)
             self.topology.require_node(dest)
         flits = packet.flit_count
-        self._packet_meta[packet.packet_id] = (
-            max(self.cycle, packet.created_cycle),
-            source,
+        pid = packet.packet_id
+        self._packet_meta.add(
+            pid, pid + 1, (max(self.cycle, packet.created_cycle), source)
         )
         self._pending_flits += flits
         self._per_source[source] = self._per_source.get(source, 0) + 1
@@ -160,14 +207,12 @@ class CompiledMeshNetwork(MeshNetwork):
             return
         per = packets.per_source
         flits = packets.flit_count
-        meta = self._packet_meta
+        cycle = self.cycle
+        self._packet_meta.add_blocks(
+            packets.ids.start, per, [(cycle, source) for source in sources]
+        )
         counts = self._per_source
-        first = packets.ids.start
         for source in sources:
-            meta.update(
-                dict.fromkeys(range(first, first + per), (self.cycle, source))
-            )
-            first += per
             counts[source] = counts.get(source, 0) + per
         self._pending_flits += len(packets) * flits
         self._dests.add(packets.dest)
@@ -209,8 +254,11 @@ class CompiledMeshNetwork(MeshNetwork):
 
     # -- applicability predicate ----------------------------------------
 
-    def _require_supported(self) -> tuple[tuple[int, int], int]:
-        """Validate the closed-form domain; return ``(sink, flit_count)``."""
+    def _require_supported(self) -> tuple[tuple[int, int], int, int]:
+        """Validate the closed-form domain.
+
+        Returns ``(sink, flit_count, packets_per_source)``.
+        """
 
         def refuse(feature: str, reason: str) -> EngineUnsupportedError:
             return EngineUnsupportedError("compiled", feature, reason)
@@ -289,7 +337,8 @@ class CompiledMeshNetwork(MeshNetwork):
                 "all packets must be created and injected at cycle 0",
             )
         per_node = self._per_source
-        if set(per_node) != set(self._nodes) or len(set(per_node.values())) != 1:
+        per_source = set(per_node.values())
+        if set(per_node) != set(self._nodes) or len(per_source) != 1:
             raise refuse(
                 "traffic_shape",
                 "every mesh node must source the same number of packets "
@@ -297,7 +346,8 @@ class CompiledMeshNetwork(MeshNetwork):
                 "pinned against)",
             )
         (nf,) = counts
-        return sink, nf
+        (per,) = per_source
+        return sink, nf, per
 
     # -- closed-form evaluation -----------------------------------------
 
@@ -318,11 +368,11 @@ class CompiledMeshNetwork(MeshNetwork):
             return self.stats
         # Refuse before opening the run span, so a caller that falls back
         # to another engine on the same session sees balanced spans.
-        sink, nf = self._require_supported()
+        sink, nf, per = self._require_supported()
         if self._obs is not None:
             self._obs.mesh_run_begin(self.cycle, "run")
         r = self.config.memory_reorder_cycles
-        n = sum(self._per_source.values())
+        n = per * len(self._per_source)
 
         # Sink-serialized service: the head flit (payload None) ejects in
         # 1 cycle, every other flit in r; the j-th packet's tail ejects at
@@ -347,36 +397,15 @@ class CompiledMeshNetwork(MeshNetwork):
 
         # Deterministic west-first paths: west along the source row to
         # column 0, then vertically along column 0 to the sink.  Each
-        # traversed router (including the ejecting sink; injection does
-        # not count) forwards all nf flits of the packet.  Evaluated from
-        # per-source packet counts, so the cost is O(width * height)
-        # whatever the packet count.
-        sx, sy = sink
-        rows: dict[int, dict[int, int]] = {}
-        hops = 0
-        for (x, y), count in self._per_source.items():
-            hops += count * nf * (abs(x - sx) + abs(y - sy))
-            rows.setdefault(y, {})[x] = count
-        stats.flit_hops = hops
-        ftn: dict[tuple[int, int], int] = {}
-        for y, row in sorted(rows.items()):
-            row_total = nf * sum(row.values())
-            # Horizontal legs: router (i, y) forwards every packet
-            # sourced at x >= i in its row.
-            east = max(row)
-            passing = [0] * (east + 2)
-            for i in range(east, 0, -1):
-                passing[i] = passing[i + 1] + row.get(i, 0)
-            for i in range(1, east + 1):
-                ftn[(i, y)] = nf * passing[i]
-            # Column-0 router of the row: every row packet turns here.
-            ftn[(0, y)] = ftn.get((0, y), 0) + row_total
-            # Vertical leg down/up column 0 toward the sink row.
-            if y != sy:
-                step = 1 if sy > y else -1
-                for j in range(y + step, sy + step, step):
-                    ftn[(0, j)] = ftn.get((0, j), 0) + row_total
-        stats.flits_through_node = ftn
+        # traversed router forwards all nf flits of every packet whose
+        # path crosses it; the per-topology table (_gather_paths) makes
+        # this O(width * height) whatever the packet count.
+        routers, crossings, distance = _gather_paths(self.topology, sink)
+        flits_per_source = per * nf
+        stats.flit_hops = flits_per_source * distance
+        stats.flits_through_node = dict(
+            zip(routers, [flits_per_source * c for c in crossings])
+        )
 
         # Leave the network drained, exactly as a completed run would.
         self._pending_flits = 0

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Any
 
 from ..util.errors import ConfigError, NetworkError, RoutingError
-from .flit import Flit, Packet
+from .flit import Flit, IdRuns, Packet
 from .routing import (
     MinimalAdaptiveRouting,
     RoutingPolicy,
@@ -302,24 +302,13 @@ class MeshNetwork:
         self._detour: set[int] = set()
         self.cycle = 0
         self._nodes = topology.nodes()
-        adjacency = _adjacency(topology)
-        # Input buffers: (node, port) -> deque of flits, LOCAL first and
-        # then every connected mesh port.
-        self._buffers: dict[tuple[tuple[int, int], Port], deque[Flit]] = {}
-        for node, entries in adjacency:
-            self._buffers[(node, Port.LOCAL)] = deque()
-            for port, _nbr, _key in entries:
-                self._buffers[(node, port)] = deque()
+        self._init_flit_state()
         # Wormhole output-channel ownership: (node, out_port) -> packet_id.
         self._owner: dict[tuple[tuple[int, int], Port], int] = {}
         # Chosen route of a packet at a router: (node, packet_id) -> port.
         self._route: dict[tuple[tuple[int, int], int], Port] = {}
         # Round-robin arbitration pointer per output channel.
         self._rr: dict[tuple[tuple[int, int], Port], int] = {}
-        # Injection queues: node -> deque of flits awaiting buffer space.
-        self._inject: dict[tuple[int, int], deque[Flit]] = {
-            node: deque() for node in self._nodes
-        }
         # Memory interfaces: node -> cycle the reorder pipeline frees up.
         self._memory_nodes: dict[tuple[int, int], int] = {}
         # Packet bookkeeping for latency: id -> (inject cycle, source).
@@ -330,11 +319,6 @@ class MeshNetwork:
         self._occupancy: dict[tuple[int, int], int] = dict.fromkeys(
             self._nodes, 0
         )
-        # Precomputed adjacency for the planning hot path: per node, the
-        # (out_port, neighbor, downstream-buffer key) entries.  The
-        # entries are the topology's shared immutable tuples; the dict
-        # is this network's own.
-        self._adjacent: dict[tuple[int, int], _Adjacency] = dict(adjacency)
         # The reference planner's per-router tables, built on the first
         # planned (or fault-ticked) cycle: the compiled engine shares
         # this constructor and never plans a cycle.
@@ -350,6 +334,30 @@ class MeshNetwork:
         self._obs: Any = None
 
     # -- construction -------------------------------------------------------
+
+    def _init_flit_state(self) -> None:
+        """Build the input buffers, injection queues and planner adjacency.
+
+        The compiled engine moves no flits and overrides this to leave
+        all three empty.
+        """
+        adjacency = _adjacency(self.topology)
+        # Input buffers: (node, port) -> deque of flits, LOCAL first and
+        # then every connected mesh port.
+        self._buffers: dict[tuple[tuple[int, int], Port], deque[Flit]] = {}
+        for node, entries in adjacency:
+            self._buffers[(node, Port.LOCAL)] = deque()
+            for port, _nbr, _key in entries:
+                self._buffers[(node, port)] = deque()
+        # Injection queues: node -> deque of flits awaiting buffer space.
+        self._inject: dict[tuple[int, int], deque[Flit]] = {
+            node: deque() for node in self._nodes
+        }
+        # Precomputed adjacency for the planning hot path: per node, the
+        # (out_port, neighbor, downstream-buffer key) entries.  The
+        # entries are the topology's shared immutable tuples; the dict
+        # is this network's own.
+        self._adjacent: dict[tuple[int, int], _Adjacency] = dict(adjacency)
 
     def attach_observer(self, obs: Any) -> None:
         """Attach an observability session (see :mod:`repro.obs`).
@@ -1050,6 +1058,8 @@ def packet_id_base(net: MeshNetwork) -> int:
     points of a process comparable.
     """
     meta = net._packet_meta
+    if isinstance(meta, IdRuns):
+        return meta.first_id
     return min(meta) if meta else 0
 
 

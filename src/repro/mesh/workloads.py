@@ -125,8 +125,12 @@ class TransposePackets(Sequence):
         return self._packets is not None
 
     def sources(self) -> list[tuple[int, int]]:
-        """Each row's processor, in row (= packet id) order."""
-        return [_processor_for_row(self.topology, r) for r in range(self.rows)]
+        """Each row's processor, in row (= packet id) order.
+
+        Row ``r`` lives on processor ``r`` of the row-major grid
+        (:func:`_processor_for_row`), so this is the topology's node list.
+        """
+        return self.topology.nodes()
 
     def _tuple(self) -> tuple[Packet, ...]:
         packets = self._packets

@@ -409,6 +409,16 @@ def test_paper_scale_1024_processor_transpose():
     assert net.stats.memory_busy_cycles[(0, 0)] == 16384 * 9
 
 
+def test_oracle_at_scale_points_and_comparison():
+    """The nightly oracle script's grid, and its comparison at small scale."""
+    from tests.oracle_at_scale import points, same_as_reference
+
+    grid = points()
+    assert len(grid) == 15
+    assert {p for p, _, _ in grid} == {256, 1024}
+    assert same_as_reference(16, 4, 2)
+
+
 # ---------------------------------------------------------------------------
 # Mesh: refusal contract
 # ---------------------------------------------------------------------------
@@ -714,6 +724,42 @@ class TestMeshIntakeParity:
             )
         assert runs["all"][0]
         assert runs["all"] == runs["each"]
+
+    @pytest.mark.parametrize("made", ["in_intake_order", "reversed"])
+    def test_mixed_intake_matches_reference(self, made):
+        # Per-packet, then a fold, then per-packet again; "reversed"
+        # makes the workloads in the opposite order, so each intake
+        # lands below every id seen so far.
+        runs = {}
+        for engine in ("reference", "compiled"):
+            topology, net = _mesh_net(engine, 16)
+            cols = [2, 4, 1]
+            order = range(3) if made == "in_intake_order" else range(2, -1, -1)
+            wls = {i: make_transpose_gather(topology, cols=cols[i]) for i in order}
+            first = min(wl.packets.ids.start for wl in wls.values())
+            _intake(net, wls[0], "each")
+            _intake(net, wls[1], "all")
+            _intake(net, wls[2], "each")
+            assert wls[1].packets.read is (engine == "reference")
+            base = packet_id_base(net)
+            runs[engine] = (
+                [(pid - base, meta) for pid, meta in net._packet_meta.items()],
+                base - first,
+                _mesh_signature(net, net.run()),
+            )
+        assert runs["compiled"] == runs["reference"]
+
+    def test_heat_map_not_shared_between_runs(self):
+        # The heat map comes from a per-topology table; each run must
+        # still get its own dict.
+        _, ref = _run_mesh_transpose("reference", 16, 2)
+        for _ in range(2):
+            topology, net = _mesh_net("compiled", 16)
+            net.inject_all(make_transpose_gather(topology, cols=2).packets)
+            stats = net.run()
+            assert _mesh_signature(net, stats) == ref
+            stats.flits_through_node[(0, 0)] += 1
+            stats.flits_through_node[(9, 9)] = 1
 
     def test_read_then_mutated_packets_are_not_folded(self):
         topology, net = _mesh_net("compiled", 16)

@@ -279,6 +279,14 @@ class TestAdjacencyOncePerTopology:
     @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=repr)
     def test_same_as_per_network_construction(self, topology, engine):
         net = MeshNetwork(topology, MeshConfig(engine=engine))
+        if engine == "compiled":
+            # No flit ever moves on the compiled engine, so it builds no
+            # buffers, injection queues, adjacency or planner tables.
+            assert net._buffers == {}
+            assert net._inject == {}
+            assert net._adjacent == {}
+            assert net._plan_tables is None
+            return
         buffers, adjacent = _per_network_adjacency(topology)
         assert list(net._buffers) == buffers
         assert list(net._adjacent) == list(adjacent)

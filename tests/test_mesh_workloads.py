@@ -1,5 +1,9 @@
 """Tests for workload generators (repro.mesh.workloads)."""
 
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.mesh import flit
@@ -299,3 +303,114 @@ class TestPacketFlits:
 
         with pytest.raises(ConfigError):
             Packet(source=(0, 0), dest=(0, 0), header_flits=0)
+
+
+class TestReservePacketIds:
+    def test_next_packet_takes_range_stop(self):
+        ids = flit.reserve_packet_ids(1000)
+        assert len(ids) == 1000
+        assert Packet(source=(0, 0), dest=(0, 0)).packet_id == ids.stop
+
+    def test_zero_reserves_nothing(self):
+        before = Packet(source=(0, 0), dest=(0, 0)).packet_id
+        assert flit.reserve_packet_ids(0) == range(0)
+        assert flit.reserve_packet_ids(-3) == range(0)
+        assert Packet(source=(0, 0), dest=(0, 0)).packet_id == before + 1
+
+    def test_threads_get_disjoint_ids(self):
+        # Enough interleavings that an id drawn from a counter a
+        # reservation just replaced shows up as a duplicate.
+        def worker(seed):
+            got = []
+            for i in range(10_000):
+                if (i + seed) % 3:
+                    pid = Packet((0, 0), (0, 0)).packet_id
+                    got.append(range(pid, pid + 1))
+                else:
+                    got.append(flit.reserve_packet_ids(1 + (i * seed) % 17))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(worker, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        blocks = [r for got in results for r in got]
+        ids = [pid for r in blocks for pid in r]
+        assert len(ids) == len(set(ids))
+        assert all(r.step == 1 and len(r) for r in blocks)
+
+
+def _dict_of(ops):
+    """The dict ``IdRuns.add`` describes: ``d[i] = value`` in id order."""
+    d = {}
+    for start, stop, value in ops:
+        for pid in range(start, stop):
+            d[pid] = value
+    return d
+
+
+class TestIdRuns:
+    """``IdRuns`` reads exactly like the dict its adds describe."""
+
+    def _check(self, runs, ops):
+        d = _dict_of(ops)
+        assert runs == d and d == runs
+        assert list(runs) == list(d)
+        assert list(runs.items()) == list(d.items())
+        assert list(runs.values()) == list(d.values())
+        assert len(runs) == len(d)
+        assert runs.first_id == (min(d) if d else 0)
+        lo, hi = (min(d) - 2, max(d) + 3) if d else (-2, 3)
+        for pid in range(lo, hi):
+            assert (pid in runs) is (pid in d)
+            assert runs.get(pid) == d.get(pid)
+
+    def test_empty(self):
+        runs = flit.IdRuns()
+        self._check(runs, [])
+        assert runs == {}
+        assert "x" not in runs and runs.get(1.5) is None
+        with pytest.raises(KeyError):
+            runs[0]
+
+    def test_ascending_blocks_extend_runs(self):
+        runs = flit.IdRuns()
+        ops = [(0, 1, "a"), (1, 2, "a"), (2, 5, "b"), (7, 8, "b")]
+        for op in ops:
+            runs.add(*op)
+        self._check(runs, ops)
+        assert repr(runs) == (
+            "IdRuns([(range(0, 2), 'a'), (range(2, 5), 'b'), (range(7, 8), 'b')])"
+        )
+
+    def test_add_blocks_equals_one_add_per_block(self):
+        for start in (10, 3, -4):
+            runs, ops = flit.IdRuns(), [(5, 9, "x")]
+            runs.add(*ops[0])
+            runs.add_blocks(start, 2, ["p", "q", "r"])
+            ops += [(start + 2 * i, start + 2 * i + 2, v) for i, v in enumerate("pqr")]
+            self._check(runs, ops)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_adds_match_dict(self, seed):
+        rng = random.Random(seed)
+        runs, ops = flit.IdRuns(), []
+        for _ in range(60):
+            start = rng.randrange(-5, 60)
+            if rng.random() < 0.3:
+                size, values = rng.randrange(0, 4), rng.choices("abc", k=3)
+                runs.add_blocks(start, size, values)
+                ops += [
+                    (start + size * i, start + size * (i + 1), v)
+                    for i, v in enumerate(values)
+                ]
+            else:
+                op = (start, start + rng.randrange(0, 6), rng.choice("abc"))
+                ops.append(op)
+                runs.add(*op)
+            if rng.random() < 0.2:
+                self._check(runs, ops)
+        self._check(runs, ops)

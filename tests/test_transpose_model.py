@@ -99,3 +99,14 @@ class TestMeasuredTranspose:
         small = measure_mesh_transpose(16, 16, reorder_cycles=1)
         large = measure_mesh_transpose(36, 16, reorder_cycles=1)
         assert large.multiplier >= small.multiplier * 0.95
+
+    def test_paper_scale_compiled_headline(self):
+        """Table III's mesh row at paper scale, as EXPERIMENTS.md states it:
+        1024 processors x 1024 samples at t_p = 4 on the compiled engine."""
+        m = measure_mesh_transpose(
+            processors=1024, row_samples=1024, reorder_cycles=4,
+            engine="compiled",
+        )
+        assert m.mesh_cycles == 5_242_879
+        assert m.pscan_cycles == constants.PAPER_PSCAN_TRANSPOSE_CYCLES
+        assert round(m.multiplier, 2) == 4.85
