@@ -21,9 +21,9 @@ The substrate every simulator in this repo reports through:
     :class:`~repro.core.pscan.Pscan` and
     :class:`~repro.faults.recovery.ReliableGather` accept.
 ``repro.obs.slo``
-    The shared latency-SLO block (P50/P95/P99 via conservative
-    histogram quantiles + per-pair delivered-traffic counters) every
-    workload family reports through.
+    The shared latency-SLO block (exact nearest-rank P50/P95/P99 over
+    ``MeshStats.packet_latencies`` + per-pair delivered-traffic
+    counters) every workload family reports through.
 ``repro.obs.workloads`` / ``repro.obs.cli``
     Canned instrumented workloads and the ``python -m repro obs``
     entry point emitting ``trace.json`` + ``metrics.json``.
@@ -44,9 +44,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "config": ("ObsConfig",),
     "metrics": ("MetricsRegistry", "registry_from_dict", "registry_from_json"),
     "session": ("ObsSession",),
-    "slo": (
-        "SLO_LATENCY_BINS", "SLO_LATENCY_HI", "SLO_LATENCY_LO", "SLO_QUANTILES",
-        "latency_slo_block", "pair_latency_stats",
-    ),
+    "slo": ("SLO_QUANTILES", "latency_slo", "pair_latency_stats"),
     "tracing": ("SpanTracer", "TraceEvent", "wall_clock_us"),
 })

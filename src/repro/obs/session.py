@@ -48,7 +48,6 @@ from typing import Any
 from .chrome import to_chrome_trace, validate_chrome_trace, write_chrome_trace
 from .config import ObsConfig
 from .metrics import MetricsRegistry
-from .slo import SLO_LATENCY_BINS, SLO_LATENCY_HI, SLO_LATENCY_LO
 from .tracing import SpanTracer
 
 __all__ = ["ObsSession"]
@@ -149,10 +148,6 @@ class ObsSession:
             m.counter("mesh_flits_delivered").inc()
             if is_tail and latency is not None:
                 m.series("mesh_packet_latency").add(latency)
-                m.histogram(
-                    "mesh_packet_latency_hist",
-                    lo=SLO_LATENCY_LO, hi=SLO_LATENCY_HI, bins=SLO_LATENCY_BINS,
-                ).add(float(latency))
                 # Per-pair SLO accounting (src -> dst), the FM16-style
                 # delivered-traffic breakdown every workload family in
                 # repro.workloads reports through (see repro.obs.slo).

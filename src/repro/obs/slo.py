@@ -3,93 +3,60 @@
 Production traffic is judged by tail latency, not means.  This module
 fixes the *shape* of that judgement so every workload family — the
 original transpose gather and the :mod:`repro.workloads` zoo alike —
-reports the same numbers from the same metric series:
+reports the same numbers:
 
-* ``mesh_packet_latency`` (:class:`~repro.sim.stats.RunningStats`) —
-  exact count/mean/min/max over delivered packets;
-* ``mesh_packet_latency_hist`` (:class:`~repro.sim.stats.Histogram`,
-  shape pinned by :data:`SLO_LATENCY_LO` / :data:`SLO_LATENCY_HI` /
-  :data:`SLO_LATENCY_BINS`) — P50/P95/P99 via
-  :meth:`~repro.sim.stats.Histogram.quantile`, whose conservative
-  (never-underestimating) rounding makes the percentiles safe to gate
-  SLOs on (a percentile in the histogram's overflow reports the exact
-  maximum);
-* ``mesh_pair_packets`` / ``mesh_pair_latency`` (labeled by
-  ``src``/``dst``) — the FM16-style per-pair delivered-traffic
-  breakdown.
-
-:meth:`ObsSession.mesh_deliver` feeds all of these on every tail flit,
-so the block is available for free after any instrumented mesh run.
-The compiled engine emits no per-flit events; helpers return ``None``
-for absent series instead of inventing zeros, and callers degrade to
-aggregate :class:`MeshStats` numbers.
+* :func:`latency_slo` — count/mean/min/max and nearest-rank
+  P50/P95/P99 over the exact per-packet latencies every mesh engine
+  returns in ``MeshStats.packet_latencies`` (the compiled engine
+  included), as the FM16 simulator reports its percentiles over the
+  delivered packets themselves;
+* :func:`pair_latency_stats` — the FM16-style per-(src, dst)
+  delivered-traffic breakdown, read from the ``mesh_pair_packets`` /
+  ``mesh_pair_latency`` series that :meth:`ObsSession.mesh_deliver`
+  feeds on every tail flit.  The compiled engine emits no per-flit
+  events, so its pairs carry no latency moments; absent series are
+  skipped instead of reported as zeros.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Any
 
-from ..sim.stats import Histogram, RunningStats
+from ..sim.stats import RunningStats
 from .metrics import MetricsRegistry
 
 __all__ = [
-    "SLO_LATENCY_LO",
-    "SLO_LATENCY_HI",
-    "SLO_LATENCY_BINS",
     "SLO_QUANTILES",
-    "latency_slo_block",
+    "latency_slo",
     "pair_latency_stats",
 ]
-
-#: Histogram shape of ``mesh_packet_latency_hist``.  512 cycles spans the
-#: tail of most committed workloads; a percentile whose rank falls in the
-#: overflow (past ``hi``) is reported as the exact ``max`` instead, so it
-#: is never below that quantile.  Percentiles whose rank stays in range
-#: are bin edges and, on a skewed series, may still sit below the mean.
-SLO_LATENCY_LO = 0.0
-SLO_LATENCY_HI = 512.0
-SLO_LATENCY_BINS = 32
 
 #: The production percentiles every workload reports (P50/P95/P99).
 SLO_QUANTILES = (0.50, 0.95, 0.99)
 
 
-def latency_slo_block(
-    metrics: MetricsRegistry,
-    *,
-    series: str = "mesh_packet_latency",
-    hist: str = "mesh_packet_latency_hist",
-    **labels: Any,
-) -> dict[str, float | int] | None:
+def latency_slo(latencies: Sequence[int]) -> dict[str, float | int] | None:
     """The shared SLO block: count/mean/min/max + P50/P95/P99.
 
-    Reads the named :class:`RunningStats` series for the exact moments
-    and the companion :class:`Histogram` for the percentiles.  Returns
-    ``None`` when the series was never fed (observer detached, metrics
-    disabled, or a compiled run with no per-flit events) — callers must
-    treat that as "no per-packet visibility", not as zero latency.
+    Percentiles are nearest-rank, ``p_q = sorted(latencies)[ceil(q·n) − 1]``,
+    so each one is a latency some packet really had and none exceeds
+    ``max``.  Returns ``None`` when no packet was delivered — callers
+    must treat that as "nothing to report", not as zero latency.
     """
-    stats = metrics.get(series, **labels)
-    if not isinstance(stats, RunningStats) or stats.count == 0:
+    if not latencies:
         return None
+    ranked = sorted(latencies)
+    n = len(ranked)
     block: dict[str, float | int] = {
-        "count": stats.count,
-        "mean": stats.mean,
-        "min": stats.minimum,
-        "max": stats.maximum,
+        "count": n,
+        "mean": sum(ranked) / n,
+        "min": ranked[0],
+        "max": ranked[-1],
     }
-    histogram = metrics.get(hist, **labels)
-    if isinstance(histogram, Histogram) and histogram.total:
-        in_range = histogram.total - histogram.overflow
-        for q in SLO_QUANTILES:
-            # A rank past every in-range sample lands in the overflow,
-            # where the histogram only knows ">= hi"; the exact maximum
-            # is the tightest bound that still covers it.
-            if math.ceil(q * histogram.total) > in_range:
-                block[f"p{int(q * 100)}"] = stats.maximum
-            else:
-                block[f"p{int(q * 100)}"] = histogram.quantile(q)
+    for q in SLO_QUANTILES:
+        block[f"p{int(q * 100)}"] = ranked[math.ceil(q * n) - 1]
     return block
 
 

@@ -212,11 +212,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"{'bw f/c':>8} {'p50':>5} {'p99':>5}  "
                   f"(engine={args.engine})")
             for r in results:
-                slo = r["slo"] or {}
+                slo = r["slo"]
                 print(f"{r['workload']:>16} "
                       f"{r['params']['processors']:>6} "
                       f"{r['cycles']:>8} {r['delivered_bandwidth']:>8.3f} "
-                      f"{slo.get('p50', 0):>5g} {slo.get('p99', 0):>5g}")
+                      f"{slo['p50']:>5g} {slo['p99']:>5g}")
         else:  # transpose
             from ..analysis.transpose_model import measure_mesh_transpose
             from ..perf.sweep import run_sweep

@@ -4,9 +4,9 @@
 ``repro obs`` CLI, the ``workload`` fuzz kind, the delivered-bandwidth
 bench, and the sweep/serve worker all call it, so they all report the
 same numbers: the aggregate :mod:`repro.obs.slo` latency block
-(P50/P95/P99 from the shared histogram) plus the FM16-style per-pair
-table (offered flits, delivered bandwidth in flits/cycle, per-pair
-latency moments).
+(exact nearest-rank P50/P95/P99 over ``MeshStats.packet_latencies``,
+on every engine) plus the FM16-style per-pair table (offered flits,
+delivered bandwidth in flits/cycle, per-pair latency moments).
 
 :func:`run_cp_phases` is the photonic counterpart: it replays a
 description's CP epochs on a PSCAN (event or compiled engine), nodes
@@ -43,9 +43,11 @@ class WorkloadRunResult:
     ``mesh_signature`` is the full observable signature (cycle count,
     per-packet latencies, heat map, id-normalized sink records) — the
     object the reference-vs-fast differential compares byte-for-byte.
-    ``slo`` is the shared latency block (``None`` when the session had
-    metrics off); ``pairs`` maps ``"(sx, sy)->(dx, dy)"`` to offered
-    flits, delivered bandwidth, and measured latency moments.
+    ``slo`` is the shared latency block over ``stats.packet_latencies``
+    (``None`` only when no packet was delivered); ``pairs`` maps
+    ``"(sx, sy)->(dx, dy)"`` to offered flits, delivered bandwidth, and
+    the latency moments the observer measured (none on ``compiled``,
+    which emits no per-flit events).
     """
 
     name: str
@@ -91,13 +93,15 @@ def run_on_mesh(
 
     Memory interfaces are attached at ``description.memory_nodes``;
     a metrics-only :class:`~repro.obs.session.ObsSession` is created
-    when ``session`` is None so the SLO block is always available.
+    when ``session`` is None so the per-pair latency moments are
+    always measured.  The SLO block needs no session: it is computed
+    from ``stats.packet_latencies``.
     Descriptions are single-shot (their packets join one network) —
     call :func:`~repro.workloads.registry.build_workload` again for a
     second run.
     """
     from ..mesh import MeshConfig, MeshNetwork, mesh_signature
-    from ..obs import ObsConfig, ObsSession, latency_slo_block, pair_latency_stats
+    from ..obs import ObsConfig, ObsSession, latency_slo, pair_latency_stats
 
     net = MeshNetwork(
         description.topology,
@@ -111,9 +115,7 @@ def run_on_mesh(
     net.inject_all(description.packets)
     stats = net.run(max_cycles)
 
-    metrics = session.metrics
-    slo = latency_slo_block(metrics)
-    measured = pair_latency_stats(metrics, description.pairs())
+    measured = pair_latency_stats(session.metrics, description.pairs())
     cycles = max(1, stats.cycles)
     pairs: dict[str, dict[str, float | int]] = {}
     for (src, dst), flits in sorted(description.pair_flits().items()):
@@ -132,7 +134,7 @@ def run_on_mesh(
         engine=engine,
         stats=stats,
         mesh_signature=mesh_signature(net, stats),
-        slo=slo,
+        slo=latency_slo(stats.packet_latencies),
         pairs=pairs,
     )
 

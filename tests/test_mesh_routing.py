@@ -15,7 +15,7 @@ from repro.mesh import (
     packet_id_base,
 )
 from repro.mesh.routing import TorusShortestRouting, productive_ports
-from repro.obs import ObsConfig, ObsSession, latency_slo_block
+from repro.obs import latency_slo
 from repro.util.errors import EngineUnsupportedError
 
 
@@ -111,14 +111,12 @@ class TestMinimalAdaptive:
         assert node == dest
 
 
-def _torus_net(engine="reference", session=None):
+def _torus_net(engine="reference"):
     net = MeshNetwork(
         TorusTopology(width=4, height=4),
         MeshConfig(engine=engine, memory_reorder_cycles=2),
         routing=TorusShortestRouting(),
     )
-    if session is not None:
-        net.attach_observer(session)
     net.add_memory_interface((0, 0))
     return net
 
@@ -132,12 +130,11 @@ def _run_transpose(net, cols=4):
 class TestTorus:
     def test_torus_runs_end_to_end_with_energy_and_slo(self):
         """A torus: simulation + SLO block + energy numbers."""
-        session = ObsSession(ObsConfig(trace=False))
-        net = _torus_net(session=session)
+        net = _torus_net()
         stats = _run_transpose(net)
         assert stats.packets_delivered == 16 * 4
 
-        slo = latency_slo_block(session.metrics)
+        slo = latency_slo(stats.packet_latencies)
         assert slo is not None and slo["count"] == stats.packets_delivered
         assert slo["max"] >= slo["mean"] >= slo["min"] > 0
 

@@ -3,7 +3,9 @@
 Each accumulator is checked against a brute-force reference on the same
 samples: ``RunningStats`` against ``math.fsum`` moments, ``Histogram``
 against a linear scan of its own ``bin_edges()``, ``TimeWeightedStat``
-against an explicit piecewise integration.  The merge laws, the empty
+against an explicit piecewise integration, and the SLO block
+(:func:`repro.obs.slo.latency_slo`) against nearest-rank ranks computed
+in integer arithmetic.  The merge laws, the empty
 and single-sample edge cases, and the bin-boundary contract (which the
 naive scaled-division binning violates by one ulp on exact edges) are
 all exercised here.
@@ -21,6 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.obs.slo import latency_slo  # noqa: E402
 from repro.sim.stats import (  # noqa: E402
     Counter,
     Histogram,
@@ -249,12 +252,12 @@ class TestHistogram:
     def test_quantile_conservative_under_out_of_range_mass(
         self, samples, q, bins
     ):
-        """The SLO-block contract under heavy under/overflow: latency
-        histograms clip at ``SLO_LATENCY_HI``, so a reported P99 must
-        stay a never-underestimating bound even when most of the mass
-        sits outside ``[lo, hi)``.  ``lo`` may only be reported while
-        the target rank is still inside the underflow mass, and any
-        interior answer must cover ``ceil(q * total)`` samples."""
+        """The quantile contract under heavy under/overflow: a reported
+        quantile must stay a never-underestimating bound even when most
+        of the mass sits outside ``[lo, hi)``.  ``lo`` may only be
+        reported while the target rank is still inside the underflow
+        mass, and any interior answer must cover ``ceil(q * total)``
+        samples."""
         hist = Histogram(0.0, 1.0, bins)
         for x in samples:
             hist.add(x)
@@ -336,3 +339,25 @@ class TestCounter:
             ref[name] = ref.get(name, 0) + by
         for name in "abc":
             assert c[name] == ref.get(name, 0)
+
+
+# -- latency_slo -------------------------------------------------------------
+
+
+class TestLatencySlo:
+    @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=300))
+    @settings(max_examples=200)
+    def test_exact_nearest_rank(self, latencies):
+        slo = latency_slo(latencies)
+        ranked = sorted(latencies)
+        n = len(ranked)
+        assert slo["count"] == n
+        assert slo["min"] == ranked[0] and slo["max"] == ranked[-1]
+        assert slo["mean"] == sum(ranked) / n
+        assert slo["min"] <= slo["p50"] <= slo["p95"] <= slo["p99"] <= slo["max"]
+        for percent in (50, 95, 99):
+            rank = -(-percent * n // 100)  # ceil(percent * n / 100), exactly
+            assert slo[f"p{percent}"] == ranked[rank - 1]
+
+    def test_empty_is_none(self):
+        assert latency_slo([]) is None

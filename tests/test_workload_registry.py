@@ -18,13 +18,7 @@ import pytest
 
 from repro.check.analyzer import analyze_traffic
 from repro.mesh import MeshTopology, Packet
-from repro.obs import (
-    SLO_LATENCY_BINS,
-    SLO_LATENCY_HI,
-    SLO_LATENCY_LO,
-    MetricsRegistry,
-    latency_slo_block,
-)
+from repro.obs import latency_slo
 from repro.util.errors import ConfigError
 from repro.workloads import (
     CpPhase,
@@ -167,7 +161,7 @@ class TestEngineDifferential:
         ref = run_on_mesh(build_workload(name, **SMALL[name]), "reference")
         fast = run_on_mesh(build_workload(name, **SMALL[name]), "fast")
         assert ref.mesh_signature == fast.mesh_signature
-        assert ref.slo == fast.slo
+        assert ref.slo == fast.slo == latency_slo(ref.stats.packet_latencies)
         assert ref.pairs == fast.pairs
 
     @pytest.mark.parametrize(
@@ -195,37 +189,24 @@ class TestEngineDifferential:
         assert slo["count"] == result.stats.packets_delivered
         assert slo["min"] <= slo["p50"] <= slo["p95"] <= slo["p99"]
 
-    def test_slo_percentiles_in_the_overflow_report_the_max(self):
-        """The 8x8 transpose's latencies run far past the 512-cycle SLO
-        histogram, so every percentile's rank lands in the overflow and
-        reports the exact max, which no mean can exceed."""
-        result = run_on_mesh(build_workload("transpose", processors=64))
-        slo = result.slo
-        assert slo["max"] > SLO_LATENCY_HI
-        assert slo["mean"] <= slo["p99"] <= slo["max"]
-        assert slo["p50"] <= slo["p95"] <= slo["p99"]
-
-    def test_slo_overflow_rule_covers_only_overflowing_ranks(self):
-        """Only a percentile whose rank lands in the overflow reports the
-        max; the others stay bin edges, below the mean of this skewed
-        series."""
-        metrics = MetricsRegistry()
-        series = metrics.series("mesh_packet_latency")
-        hist = metrics.histogram(
-            "mesh_packet_latency_hist",
-            SLO_LATENCY_LO, SLO_LATENCY_HI, SLO_LATENCY_BINS,
+    def test_transpose_slo_is_exact_on_reference_and_compiled(self):
+        """The registry-default 8x8 transpose funnels 512 packets into one
+        sink: its percentiles are exact nearest-rank values, and the
+        compiled engine reports the same block as the reference."""
+        ref, compiled = (
+            run_on_mesh(build_workload("transpose"), engine)
+            for engine in ("reference", "compiled")
         )
-        for value in [1.0] * 98 + [10_000.0] * 2:
-            series.add(value)
-            hist.add(value)
-        slo = latency_slo_block(metrics)
-        assert slo["p99"] == slo["max"] == 10_000.0
-        assert slo["p50"] == slo["p95"] == 16.0
-        assert slo["p95"] < slo["mean"]
+        assert ref.slo == compiled.slo
+        assert (ref.slo["p50"], ref.slo["p95"], ref.slo["p99"]) == (
+            1278, 2433, 2533
+        )
+        assert ref.slo["max"] == 2558
+        assert ref.slo["count"] == 512
 
     def test_committed_zoo_latency_leaves_reproduce(self):
-        """The BENCH_mesh.json zoo latency leaves sit under the histogram
-        ceiling, so the overflow rule leaves them where they were."""
+        """The BENCH_mesh.json zoo latency leaves are the exact
+        nearest-rank percentiles of their runs."""
         bench = json.loads(
             (Path(__file__).parents[1] / "BENCH_mesh.json").read_text()
         )
@@ -241,7 +222,6 @@ class TestEngineDifferential:
             slo = run_on_mesh(
                 build_workload(params.pop("name"), **params), reorder=reorder
             ).slo
-            assert entry["latency_p99"] < SLO_LATENCY_HI
             assert (slo["p50"], slo["p99"]) == (
                 entry["latency_p50"], entry["latency_p99"]
             )
@@ -360,6 +340,20 @@ class TestWorkers:
         assert record.state is JobState.DONE and record.cache == "warm"
         assert record.result == committed
         assert server.cold_total == 0
+
+    def test_zoo_sweep_table_prints_compiled_percentiles(self, capsys):
+        """The compiled engine's SLO block reaches the sweep table: the
+        p50/p99 columns match the reference run, not a 0 placeholder."""
+        from repro.store.cli import main
+
+        rows = {}
+        for engine in ("reference", "compiled"):
+            assert main([
+                "run", "--workload", "zoo", "--family", "transpose",
+                "--grid", "16", "--reorder-cycles", "4", "--engine", engine,
+            ]) == 0
+            rows[engine] = capsys.readouterr().out.splitlines()[1].split()
+        assert rows["reference"][-2:] == rows["compiled"][-2:] == ["318", "633"]
 
     def test_obs_cli_exposes_zoo_families(self):
         from repro.obs.workloads import WORKLOADS
