@@ -116,12 +116,13 @@ def measure_mesh_transpose(
     plus the per-DRAM-row header overhead — i.e. Eqs. 23-24 applied to the
     scaled matrix.
 
-    ``engine`` selects the mesh backend: ``"reference"`` (default),
-    ``"fast"``, or ``"compiled"`` — the schedule-compiled closed forms,
-    which make paper-scale (1024-processor) measurement feasible but
-    refuse configurations outside their domain
-    (:class:`~repro.util.errors.EngineUnsupportedError`; notably
-    ``reorder_cycles=1``).
+    ``engine`` selects the mesh backend: ``"reference"`` (default, the
+    oracle the ``analytic`` fuzz kind compares against), ``"fast"``, or
+    ``"compiled"`` — the schedule-compiled closed forms, which make
+    paper-scale (1024-processor) measurement take milliseconds at every
+    ``reorder_cycles`` but refuse configurations outside their domain
+    (:class:`~repro.util.errors.EngineUnsupportedError`; at
+    ``reorder_cycles=1``, ``header_flits`` other than 1).
     """
     if processors < 4:
         raise ConfigError("need >= 4 processors for a meaningful mesh")

@@ -67,10 +67,11 @@ Case kinds
     including back-to-back transactions sharing one clock epoch chain.
     ``MeshConfig(engine="compiled")`` transpose runs must reproduce the
     reference engine's full stats signature (``sunk`` records excluded:
-    the compiled mesh documents them as unpopulated).  Out-of-domain
-    parameters (``reorder=1``) must refuse with a structured
-    :class:`~repro.util.errors.EngineUnsupportedError` naming the
-    unsupported feature — never silently fall back or mis-answer.
+    the compiled mesh documents them as unpopulated).  At ``reorder=1``
+    that holds for one element and one header flit per packet; the
+    other ``reorder=1`` shapes are out of domain and must refuse with a
+    structured :class:`~repro.util.errors.EngineUnsupportedError`
+    naming ``reorder_cycles`` — never silently fall back or mis-answer.
 
 ``batched``
     The SIMD-lockstep campaign engine (:mod:`repro.faults.batched`) vs
@@ -358,7 +359,8 @@ def _gen_compiled(rng: random.Random) -> dict[str, Any]:
             "target": "mesh",
             "processors": rng.choice([4, 16, 25]),
             "cols": cols,
-            # reorder=1 is outside the compiled domain: must refuse.
+            # reorder=1 is in the compiled domain only for 2-flit
+            # packets; the other shapes must refuse.
             "reorder": rng.choice([1, 2, 4]),
             # elements_per_packet must divide cols.
             "elements_per_packet": rng.choice(
@@ -992,12 +994,30 @@ def _compiled_mesh(p: Params) -> bool:
     return p.get("target") == "mesh"
 
 
+def _compiled_mesh_in_domain(p: Params) -> bool:
+    """A compiled-kind mesh case the compiled engine must answer.
+
+    Every ``reorder >= 2`` case; at ``reorder == 1`` only 2-flit packets
+    (the generated meshes are all at least 2x2 with the sink at (0, 0)).
+    """
+    return _compiled_mesh(p) and (
+        p["reorder"] >= 2
+        or (p["elements_per_packet"] == 1 and p["header_flits"] == 1)
+    )
+
+
 def _check_compiled_refusal(case: FuzzCase) -> Iterable[tuple[str, str]]:
-    """Outside the compiled mesh domain (reorder=1) it must refuse, loudly."""
+    """Outside the compiled mesh domain it must refuse, loudly.
+
+    The only out-of-domain compiled-kind mesh cases are ``reorder=1``
+    with more than one element or header flit per packet; they must
+    raise :class:`~repro.util.errors.EngineUnsupportedError` naming
+    ``reorder_cycles``.
+    """
     from ..util.errors import EngineUnsupportedError
 
     p = case.params
-    if not _compiled_mesh(p) or p["reorder"] >= 2:
+    if not _compiled_mesh(p) or _compiled_mesh_in_domain(p):
         return
     try:
         _run_compiled_mesh(p, "compiled")
@@ -1008,7 +1028,8 @@ def _check_compiled_refusal(case: FuzzCase) -> Iterable[tuple[str, str]]:
             )
     else:
         yield "compiled.mesh.refusal", (
-            "reorder=1 must raise EngineUnsupportedError, ran instead"
+            "reorder=1 with packets of more than 2 flits must raise "
+            "EngineUnsupportedError, ran instead"
         )
 
 
@@ -1200,7 +1221,7 @@ KINDS: dict[str, Kind] = {
                  when=lambda p: not _compiled_mesh(p) and p.get("trace")),
             Pair("compiled.mesh", partial(_run_compiled_mesh, engine="reference"),
                  partial(_run_compiled_mesh, engine="compiled"),
-                 when=lambda p: _compiled_mesh(p) and p["reorder"] >= 2),
+                 when=_compiled_mesh_in_domain),
         ),
         checks=(_check_compiled_refusal,),
         floors={"nodes": 2, "words": 1, "block": 1, "pseed": _SEED,

@@ -113,6 +113,8 @@ class MeshBlockTranspose:
         while h > 1 and rows % h != 0:
             h -= 1
         topo = MeshTopology(width=rows // h, height=h)
+        # The reference engine: the result is rebuilt from net.sunk, which
+        # the compiled engine leaves empty.
         net = MeshNetwork(
             topo, MeshConfig(memory_reorder_cycles=self.reorder_cycles)
         )

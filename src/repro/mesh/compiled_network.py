@@ -27,14 +27,23 @@ refuses loudly rather than silently degrading (callers that want a
 fallback catch the error and re-run with ``engine="reference"`` or
 ``"fast"``).  The domain, validated flit-for-flit against the reference
 engine across mesh sizes 2x2..16x16, 1-8 packets/node, ``r`` in {2, 4},
-2-5 flits/packet and several column-0 sinks:
+2-5 flits/packet and several column-0 sinks (``r == 1`` on the narrower
+grid given below):
 
 * exactly one destination for all packets, registered as a memory
   interface, in mesh column 0 (``sink.x == 0``) — west-first routing
   then fixes every path (west along the row, one vertical candidate);
-* ``memory_reorder_cycles >= 2`` — at ``r == 1`` the sink can briefly
-  starve near the end of a run and the latency spacing stretches, so
-  the run is network-bound, not sink-bound;
+* ``memory_reorder_cycles >= 2``, or ``r == 1`` with 2-flit packets
+  (one header, one data flit), the sink at ``(0, 0)`` and a mesh at
+  least 2x2.  At ``r == 1`` the run is network-bound, not
+  sink-bound: with ``N`` packets per source on a ``w x h`` mesh the
+  tails start at cycle 3 and step by 2 for the first ``N * (2w - 1)``
+  gaps, then by 3, so a run takes ``N * (3wh - 2w + 1) + 1`` cycles.
+  That law was pinned against the reference engine on every ``k x k``
+  mesh for k = 2..16 with N = 1..16 and on rectangles from 2x2 to 8x8.
+  Other ``r == 1`` shapes (more flits per packet, another sink, a 1-wide
+  or 1-tall mesh) space their deliveries differently and are refused
+  as ``reorder_cycles``;
 * default microarchitecture: ``buffer_flits == 2``,
   ``header_route_cycles == 1``,
   :class:`~repro.mesh.routing.MinimalAdaptiveRouting`;
@@ -271,13 +280,16 @@ class CompiledMeshNetwork(MeshNetwork):
                 "west-first paths on a plain rectangular mesh; torus and "
                 "other fabrics need engine='reference' or 'fast'",
             )
-        if cfg.memory_reorder_cycles < 2:
-            raise refuse(
-                "reorder_cycles",
-                f"memory_reorder_cycles={cfg.memory_reorder_cycles}: at "
-                "r=1 the run is network-bound (the sink can starve) and "
-                "the sink-serialized closed form does not hold",
-            )
+        if cfg.memory_reorder_cycles == 1:
+            missing = self._outside_reorder_one_law()
+            if missing:
+                raise refuse(
+                    "reorder_cycles",
+                    "memory_reorder_cycles=1: the network-bound r=1 law "
+                    "is pinned only for 2-flit packets gathered at sink "
+                    "(0, 0) on a mesh at least 2x2; here "
+                    + "; ".join(missing),
+                )
         if cfg.buffer_flits != 2 or cfg.header_route_cycles != 1:
             raise refuse(
                 "microarchitecture",
@@ -349,6 +361,22 @@ class CompiledMeshNetwork(MeshNetwork):
         (per,) = per_source
         return sink, nf, per
 
+    def _outside_reorder_one_law(self) -> list[str]:
+        """Why the injected traffic is outside the r=1 law's domain.
+
+        Empty when the law applies; otherwise one phrase per missing
+        condition, for the refusal's reason.
+        """
+        missing = []
+        if self._flit_counts != {2}:
+            missing.append(f"flit counts {sorted(self._flit_counts)}, not [2]")
+        if self._dests != {(0, 0)}:
+            missing.append(f"destinations {sorted(self._dests)}, not [(0, 0)]")
+        width, height = self.topology.width, self.topology.height
+        if width < 2 or height < 2:
+            missing.append(f"a {width}x{height} mesh")
+        return missing
+
     # -- closed-form evaluation -----------------------------------------
 
     def run(self, max_cycles: int | None = None) -> MeshStats:
@@ -381,7 +409,18 @@ class CompiledMeshNetwork(MeshNetwork):
         # injection pipeline (inject -> local buffer -> 1-cycle route).
         s = 1 + (nf - 1) * r
         first_tail = 2 + 1 + (nf - 2) * r
-        tails = list(range(first_tail, first_tail + n * s, s))
+        if r == 1:
+            # Network-bound at r=1 (nf == 2, sink (0, 0), pinned against
+            # the reference engine): the first per*(2w - 1) gaps are 2
+            # cycles, the sink's own one-flit-a-cycle rate, and every
+            # later gap is 3, the rate one input link sustains once the
+            # sink row has drained and only column 0 still feeds it.
+            two = per * (2 * self.topology.width - 1)
+            tails = list(range(first_tail, first_tail + 2 * two + 1, 2))
+            last = tails[-1]
+            tails.extend(range(last + 3, last + 3 * (n - two), 3))
+        else:
+            tails = list(range(first_tail, first_tail + n * s, s))
         finish = tails[-1] + 1
         if max_cycles is not None and max_cycles < finish:
             raise NetworkError(

@@ -113,6 +113,8 @@ def run_mesh_fft2d_flow(
     timing.phases_ns["row_fft"] = compute_time_ns(cols, multiply_ns)
 
     # Phase 3: block-wise transpose through the corner memory interface.
+    # The reference engine, because the matrix is rebuilt from net.sunk,
+    # which the compiled engine leaves empty.
     net = MeshNetwork(topo, MeshConfig(memory_reorder_cycles=reorder_cycles))
     net.add_memory_interface((0, 0))
     workload = make_transpose_gather(topo, cols)

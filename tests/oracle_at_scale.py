@@ -11,7 +11,9 @@ covers the rest, which takes minutes:
   256-processor points of ``GRID_AXES`` in ``bench/workloads.py``),
   1-40 s each on the reference engine;
 * the paper's 1024 processors with N = 2 samples per row, for
-  t_p = r in {2, 4, 8}, about 10 s each.
+  t_p = r in {1, 2, 4, 8}, 6-10 s each;
+* the network-bound r = 1 law on every k x k mesh for k = 2-16 with
+  N = 1-16 samples per row (240 points, about 100 s in all).
 
 Each point compares ``mesh_signature(...)[:-1]``: every ``MeshStats``
 observable except the per-flit ``sunk`` log, which the compiled engine
@@ -49,7 +51,11 @@ def points() -> list[tuple[int, int, int]]:
         for n in GRID_AXES["row_samples"]
         for r in GRID_AXES["reorder_cycles"]
     ]
-    return grid + [(1024, 2, r) for r in (2, 4, 8)]
+    paper = [(1024, 2, r) for r in (1, 2, 4, 8)]
+    reorder_one = [
+        (k * k, n, 1) for k in range(2, 17) for n in range(1, 17)
+    ]
+    return grid + paper + reorder_one
 
 
 def signature(engine: str, processors: int, row_samples: int, reorder: int) -> tuple:

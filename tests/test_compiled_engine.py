@@ -390,6 +390,50 @@ class TestCompiledMeshEquivalence:
             MeshConfig(engine="warp")
 
 
+def _run_rect_transpose(engine, width, height, cols):
+    """The r = 1, 2-flit transpose gather to (0, 0) on a ``width x height``
+    mesh."""
+    topology = MeshTopology(width=width, height=height)
+    net = MeshNetwork(
+        topology, MeshConfig(engine=engine, memory_reorder_cycles=1)
+    )
+    net.add_memory_interface((0, 0))
+    net.inject_all(make_transpose_gather(topology, cols=cols).packets)
+    return _mesh_signature(net, net.run())
+
+
+class TestReorderOneEquivalence:
+    """The network-bound r = 1 law against the reference engine, flit
+    for flit: 2-flit packets, sink (0, 0), meshes at least 2x2."""
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("cols", [1, 2, 5, 8])
+    def test_squares_identical(self, k, cols):
+        ref = _run_rect_transpose("reference", k, k, cols)
+        assert _run_rect_transpose("compiled", k, k, cols) == ref
+        # The cycle law for a k x k mesh, N packets per source.
+        assert ref[0] == cols * (3 * k * k - 2 * k + 1) + 1
+
+    @pytest.mark.parametrize(
+        "width,height,cols", [(2, 5, 3), (5, 2, 3), (3, 7, 2), (7, 3, 2),
+                              (4, 6, 4), (8, 2, 1)]
+    )
+    def test_rectangles_identical(self, width, height, cols):
+        ref = _run_rect_transpose("reference", width, height, cols)
+        assert _run_rect_transpose("compiled", width, height, cols) == ref
+        assert ref[0] == cols * (3 * width * height - 2 * width + 1) + 1
+
+    def test_law_written_out(self):
+        # 4x4, N = 2: gaps of 2 for the first 2 * (2*4 - 1) = 14, then 3;
+        # the sink is busy one cycle per flit.
+        sig = _run_rect_transpose("compiled", 4, 4, 2)
+        tails = sig[4]
+        gaps = [b - a for a, b in zip(tails, tails[1:])]
+        assert tails[0] == 3
+        assert gaps == [2] * 14 + [3] * (32 - 1 - 14)
+        assert sig[5] == {(0, 0): 2 * 32}
+
+
 @pytest.mark.slow
 def test_paper_scale_1024_processor_transpose():
     """The Table III configuration the flit engines cannot reach.
@@ -414,9 +458,14 @@ def test_oracle_at_scale_points_and_comparison():
     from tests.oracle_at_scale import points, same_as_reference
 
     grid = points()
-    assert len(grid) == 15
-    assert {p for p, _, _ in grid} == {256, 1024}
+    assert len(grid) == len(set(grid)) == 12 + 4 + 15 * 16
+    assert {p for p, _, r in grid if r > 1} == {256, 1024}
+    assert (1024, 2, 1) in grid
+    assert {(p, n) for p, n, r in grid if r == 1 and p < 1024} == {
+        (k * k, n) for k in range(2, 17) for n in range(1, 17)
+    }
     assert same_as_reference(16, 4, 2)
+    assert same_as_reference(16, 4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +485,45 @@ def _refusal(feature):
     return check
 
 
+def _reorder_one_refusal(width, height, sink=(0, 0), *, epp=1, hf=1):
+    """Assert an r = 1 gather outside the law's domain is refused as
+    ``reorder_cycles``, with a reason naming what is missing."""
+    topology = MeshTopology(width=width, height=height)
+    net = MeshNetwork(
+        topology, MeshConfig(engine="compiled", memory_reorder_cycles=1)
+    )
+    net.add_memory_interface(sink)
+    net.inject_all(
+        make_transpose_gather(
+            topology, 2, sink, elements_per_packet=epp, header_flits=hf
+        ).packets
+    )
+    with pytest.raises(EngineUnsupportedError) as exc:
+        net.run()
+    assert (exc.value.engine, exc.value.feature) == (
+        "compiled", "reorder_cycles"
+    )
+    return exc.value.reason
+
+
 class TestMeshRefusals:
     def test_reorder_one_refused(self):
-        _refusal("reorder_cycles")(
-            lambda: _run_mesh_transpose("compiled", 16, 2, reorder=1)
-        )
+        # In domain at r = 1 only with 2-flit packets: a second header
+        # flit makes 3, which refuse.
+        assert "flit counts [3]" in _reorder_one_refusal(4, 4, hf=2)
+
+    def test_reorder_one_one_wide_refused(self):
+        assert "1x4 mesh" in _reorder_one_refusal(1, 4)
+
+    def test_reorder_one_one_tall_refused(self):
+        assert "4x1 mesh" in _reorder_one_refusal(4, 1)
+
+    def test_reorder_one_two_elements_per_packet_refused(self):
+        assert "flit counts [3]" in _reorder_one_refusal(4, 4, epp=2)
+
+    def test_reorder_one_sink_off_origin_refused(self):
+        # Column 0 is in the r >= 2 domain, but not in the r = 1 law's.
+        assert "(0, 1)" in _reorder_one_refusal(4, 4, sink=(0, 1))
 
     def test_fail_link_refused(self):
         _, net = _mesh_net("compiled", 16)
@@ -693,8 +776,16 @@ class TestMeshIntakeParity:
     @pytest.mark.parametrize("how", ["all", "each"])
     def test_reorder_one_refused(self, how):
         topology, net = _mesh_net("compiled", 16, reorder=1)
-        _intake(net, make_transpose_gather(topology, cols=2), how)
+        workload = make_transpose_gather(topology, cols=2, header_flits=2)
+        _intake(net, workload, how)
         _refusal("reorder_cycles")(net.run)
+
+    @pytest.mark.parametrize("how", ["all", "each"])
+    def test_reorder_one_matches_reference(self, how):
+        ref = _run_mesh_transpose("reference", 16, 2, reorder=1)[1]
+        topology, net = _mesh_net("compiled", 16, reorder=1)
+        _intake(net, make_transpose_gather(topology, cols=2), how)
+        assert _mesh_signature(net, net.run()) == ref
 
     def test_foreign_topology_same_config_error(self):
         # A 64-node workload's sources run off a 16-node network: both
@@ -844,7 +935,8 @@ class TestObservabilityParity:
         for engine, reorder in (("compiled", 1), ("reference", 1)):
             topology, net = _mesh_net(engine, 16, reorder=reorder)
             net.attach_observer(session)
-            for p in make_transpose_gather(topology, cols=2).packets:
+            workload = make_transpose_gather(topology, cols=2, header_flits=2)
+            for p in workload.packets:
                 net.inject(p)
             if engine == "compiled":
                 with pytest.raises(EngineUnsupportedError):

@@ -371,8 +371,9 @@ class TestServeBasics:
 class TestDeterministicPointErrors:
     """A bad *point* is not a bad *pool*: fail fast, spare the breaker."""
 
-    _BAD = {"processors": 16, "row_samples": 4,
-            "reorder_cycles": 1, "engine": "compiled"}
+    # Two header flits at t_p = 1: outside the compiled engine's domain.
+    _BAD = {"processors": 16, "row_samples": 4, "reorder_cycles": 1,
+            "header_flits": 2, "engine": "compiled"}
     _GOOD = {"processors": 16, "row_samples": 4,
              "reorder_cycles": 4, "engine": "compiled"}
 

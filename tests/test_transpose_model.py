@@ -110,3 +110,14 @@ class TestMeasuredTranspose:
         assert m.mesh_cycles == 5_242_879
         assert m.pscan_cycles == constants.PAPER_PSCAN_TRANSPOSE_CYCLES
         assert round(m.multiplier, 2) == 4.85
+
+    def test_paper_scale_compiled_headline_tp1(self):
+        """The t_p = 1 row at paper scale: the network-bound law
+        N*(3k^2 - 2k + 1) + 1 with k = 32, N = 1024."""
+        m = measure_mesh_transpose(
+            processors=1024, row_samples=1024, reorder_cycles=1,
+            engine="compiled",
+        )
+        assert m.mesh_cycles == 3_081_217 == 1024 * (3 * 32**2 - 2 * 32 + 1) + 1
+        assert m.pscan_cycles == constants.PAPER_PSCAN_TRANSPOSE_CYCLES
+        assert round(m.multiplier, 2) == 2.85
