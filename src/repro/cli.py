@@ -158,8 +158,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> None:
         MeshTopology,
         make_transpose_gather,
     )
+    from .util.errors import ConfigError
     from .viz import render_mesh_heatmap
 
+    if args.processors < 4:
+        raise ConfigError("need >= 4 processors for a meaningful mesh")
     topo = MeshTopology.square(args.processors)
     # Everything printed comes from MeshStats, which the compiled engine
     # reproduces exactly for this gather.

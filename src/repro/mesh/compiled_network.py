@@ -39,8 +39,9 @@ grid given below):
   sink-bound: with ``N`` packets per source on a ``w x h`` mesh the
   tails start at cycle 3 and step by 2 for the first ``N * (2w - 1)``
   gaps, then by 3, so a run takes ``N * (3wh - 2w + 1) + 1`` cycles.
-  That law was pinned against the reference engine on every ``k x k``
-  mesh for k = 2..16 with N = 1..16 and on rectangles from 2x2 to 8x8.
+  That law is pinned against the reference engine on every ``k x k``
+  mesh for k = 2..16 with N = 1..16 and every ``w x h`` rectangle with
+  w, h in 2..8 and N in {1, 2, 4} (``tests/oracle_at_scale.py``).
   Other ``r == 1`` shapes (more flits per packet, another sink, a 1-wide
   or 1-tall mesh) space their deliveries differently and are refused
   as ``reorder_cycles``;

@@ -297,7 +297,6 @@ def wl_mesh_transpose(
     row_samples: int = 4,
     reorder_cycles: int = 4,
     engine: str = "reference",
-    header_flits: int = 1,
 ) -> dict[str, Any]:
     """The mesh transpose gather at one grid point, on a chosen engine.
 
@@ -305,16 +304,14 @@ def wl_mesh_transpose(
     content-addressed store key — so a ``compiled`` result can never
     alias a ``reference`` one.  ``engine="compiled"`` makes paper-scale
     points (1024 processors) servable in milliseconds; out-of-domain
-    points (say ``header_flits=2`` at ``reorder_cycles=1``) fail the job
-    with the structured
+    points fail the job with the structured
     ``EngineUnsupportedError`` message rather than degrading silently.
     """
     from ..analysis.transpose_model import measure_mesh_transpose
 
     measured = measure_mesh_transpose(
         processors, row_samples,
-        reorder_cycles=reorder_cycles, header_flits=header_flits,
-        engine=engine,
+        reorder_cycles=reorder_cycles, engine=engine,
     )
     return {
         "ok": True,

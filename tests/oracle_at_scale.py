@@ -13,7 +13,9 @@ covers the rest, which takes minutes:
 * the paper's 1024 processors with N = 2 samples per row, for
   t_p = r in {1, 2, 4, 8}, 6-10 s each;
 * the network-bound r = 1 law on every k x k mesh for k = 2-16 with
-  N = 1-16 samples per row (240 points, about 100 s in all).
+  N = 1-16 samples per row (240 points, about 100 s in all), and on
+  every non-square w x h mesh with w, h in 2-8 and N in {1, 2, 4}
+  (126 points, a few seconds).
 
 Each point compares ``mesh_signature(...)[:-1]``: every ``MeshStats``
 observable except the per-flit ``sunk`` log, which the compiled engine
@@ -39,28 +41,36 @@ from repro.mesh import (  # noqa: E402
 from repro.mesh.workloads import make_transpose_gather  # noqa: E402
 
 
-def points() -> list[tuple[int, int, int]]:
-    """``(processors, row_samples, reorder_cycles)`` of every point."""
+def points() -> list[tuple[int, int, int, int]]:
+    """``(width, height, row_samples, reorder_cycles)`` of every point."""
     if str(_ROOT / "bench") not in sys.path:
         sys.path.insert(0, str(_ROOT / "bench"))
     from workloads import GRID_AXES
 
+    def side(processors: int) -> int:
+        return MeshTopology.square(processors).width
+
     grid = [
-        (p, n, r)
+        (side(p), side(p), n, r)
         for p in GRID_AXES["processors"] if p > 64
         for n in GRID_AXES["row_samples"]
         for r in GRID_AXES["reorder_cycles"]
     ]
-    paper = [(1024, 2, r) for r in (1, 2, 4, 8)]
-    reorder_one = [
-        (k * k, n, 1) for k in range(2, 17) for n in range(1, 17)
+    paper = [(32, 32, 2, r) for r in (1, 2, 4, 8)]
+    squares = [(k, k, n, 1) for k in range(2, 17) for n in range(1, 17)]
+    rectangles = [
+        (w, h, n, 1)
+        for w in range(2, 9) for h in range(2, 9) if w != h
+        for n in (1, 2, 4)
     ]
-    return grid + paper + reorder_one
+    return grid + paper + squares + rectangles
 
 
-def signature(engine: str, processors: int, row_samples: int, reorder: int) -> tuple:
+def signature(
+    engine: str, width: int, height: int, row_samples: int, reorder: int
+) -> tuple:
     """The transpose gather's signature on ``engine``, without ``sunk``."""
-    topology = MeshTopology.square(processors)
+    topology = MeshTopology(width=width, height=height)
     net = MeshNetwork(
         topology, MeshConfig(engine=engine, memory_reorder_cycles=reorder)
     )
@@ -69,9 +79,11 @@ def signature(engine: str, processors: int, row_samples: int, reorder: int) -> t
     return mesh_signature(net, net.run())[:-1]
 
 
-def same_as_reference(processors: int, row_samples: int, reorder: int) -> bool:
+def same_as_reference(
+    width: int, height: int, row_samples: int, reorder: int
+) -> bool:
     """True when the compiled engine matches the reference at this point."""
-    shape = (processors, row_samples, reorder)
+    shape = (width, height, row_samples, reorder)
     return signature("compiled", *shape) == signature("reference", *shape)
 
 
@@ -82,7 +94,7 @@ def main() -> int:
         same = same_as_reference(*shape)
         diverged += not same
         print(
-            "processors=%-5d row_samples=%-3d reorder=%d  %s  (%.1f s)"
+            "mesh=%2dx%-2d row_samples=%-3d reorder=%d  %s  (%.1f s)"
             % (*shape, "ok" if same else "DIVERGED", time.perf_counter() - t0),
             flush=True,
         )

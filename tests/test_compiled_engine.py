@@ -458,14 +458,20 @@ def test_oracle_at_scale_points_and_comparison():
     from tests.oracle_at_scale import points, same_as_reference
 
     grid = points()
-    assert len(grid) == len(set(grid)) == 12 + 4 + 15 * 16
-    assert {p for p, _, r in grid if r > 1} == {256, 1024}
-    assert (1024, 2, 1) in grid
-    assert {(p, n) for p, n, r in grid if r == 1 and p < 1024} == {
-        (k * k, n) for k in range(2, 17) for n in range(1, 17)
+    assert len(grid) == len(set(grid)) == 12 + 4 + 15 * 16 + 42 * 3
+    assert {(w, h) for w, h, _, r in grid if r > 1} == {(16, 16), (32, 32)}
+    assert (32, 32, 2, 1) in grid
+    assert {(w, n) for w, h, n, r in grid
+            if r == 1 and w == h < 32} == {
+        (k, n) for k in range(2, 17) for n in range(1, 17)
     }
-    assert same_as_reference(16, 4, 2)
-    assert same_as_reference(16, 4, 1)
+    assert {(w, h, n) for w, h, n, _ in grid if w != h} == {
+        (w, h, n) for w in range(2, 9) for h in range(2, 9) if w != h
+        for n in (1, 2, 4)
+    }
+    assert same_as_reference(4, 4, 4, 2)
+    assert same_as_reference(4, 4, 4, 1)
+    assert same_as_reference(3, 5, 2, 1)
 
 
 # ---------------------------------------------------------------------------

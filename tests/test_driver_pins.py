@@ -9,6 +9,7 @@ the paper's machine fails here rather than in a figure.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.psync import PsyncConfig, PsyncMachine
 from repro.mesh import (
@@ -19,6 +20,7 @@ from repro.mesh import (
     mesh_signature,
 )
 from repro.mesh.workloads import make_scatter_delivery
+from repro.util.errors import ConfigError, EngineUnsupportedError
 
 # -- helpers ----------------------------------------------------------------
 
@@ -70,6 +72,14 @@ class TestDriverPins:
             + f"{stats.mean_packet_latency:.0f}\n"
         )
         assert out == expected
+
+    def test_cli_heatmap_rejects_tiny_mesh(self):
+        from repro.cli import main
+
+        # A 1x1 mesh is a usage error, not an engine refusal.
+        with pytest.raises(ConfigError, match=">= 4 processors") as info:
+            main(["heatmap", "--processors", "1"])
+        assert not isinstance(info.value, EngineUnsupportedError)
 
     def test_obs_transpose_workload_pin(self):
         from repro.obs import ObsConfig, ObsSession

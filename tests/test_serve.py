@@ -368,19 +368,33 @@ class TestServeBasics:
         assert all(e.state == "done" for e in replay.completed.values())
 
 
+def wl_mesh_transpose_header2(*, processors: int, row_samples: int):
+    """Two header flits at t_p = 1: outside the compiled engine's domain."""
+    from repro.analysis.transpose_model import measure_mesh_transpose
+
+    return measure_mesh_transpose(
+        processors, row_samples,
+        reorder_cycles=1, header_flits=2, engine="compiled",
+    )
+
+
 class TestDeterministicPointErrors:
     """A bad *point* is not a bad *pool*: fail fast, spare the breaker."""
 
-    # Two header flits at t_p = 1: outside the compiled engine's domain.
-    _BAD = {"processors": 16, "row_samples": 4, "reorder_cycles": 1,
-            "header_flits": 2, "engine": "compiled"}
+    _BAD_WORKLOAD = "mesh_transpose_header2"
+    _BAD = {"processors": 16, "row_samples": 4}
     _GOOD = {"processors": 16, "row_samples": 4,
              "reorder_cycles": 4, "engine": "compiled"}
+
+    @pytest.fixture(autouse=True)
+    def _bad_workload(self):
+        # Thread-mode servers resolve workloads from this process's registry.
+        register_workload(self._BAD_WORKLOAD, wl_mesh_transpose_header2)
 
     def test_config_error_fails_in_one_attempt(self, tmp_path):
         server = make_server(tmp_path, max_attempts=5)
         record = server.submit(JobRequest(
-            tenant="a", workload="mesh_transpose", point=dict(self._BAD),
+            tenant="a", workload=self._BAD_WORKLOAD, point=dict(self._BAD),
         ))
         run(server)
         server.close()
@@ -399,7 +413,7 @@ class TestDeterministicPointErrors:
         # submission degrading cold execution for every healthy tenant.
         server = make_server(tmp_path, max_attempts=5, breaker_failures=1)
         bad = server.submit(JobRequest(
-            tenant="a", workload="mesh_transpose", point=dict(self._BAD),
+            tenant="a", workload=self._BAD_WORKLOAD, point=dict(self._BAD),
         ))
         good = server.submit(JobRequest(
             tenant="b", workload="mesh_transpose", point=dict(self._GOOD),
