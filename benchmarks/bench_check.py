@@ -1,6 +1,6 @@
 """Checker throughput — lint + differential-fuzz smoke (repro.check).
 
-Unlike the figure benches, this one measures the *verification
+Unlike the ablation benches, this one measures the *verification
 machinery itself*: how fast the static analyzer clears every shipped
 lint target, and how many differential fuzz cases per second the
 cross-execution oracles sustain.  Both numbers gate whether the

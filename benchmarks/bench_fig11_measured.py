@@ -1,7 +1,7 @@
 """Fig. 11, measured — both architectures' efficiency curves from the
 flit-level / event-level simulators rather than the closed forms.
 
-The analytic Fig. 11 (`bench_fig11.py`) uses Tables I/II.  This bench
+The analytic Fig. 11 (`python -m repro fig11`) uses Tables I/II.  This bench
 runs the *same Model II workload* on both machine simulators at a
 reachable scale (16 processors, 64 words each) and reproduces the
 figure's qualitative story from raw simulation:

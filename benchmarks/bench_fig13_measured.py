@@ -1,6 +1,6 @@
 """Fig. 13, measured — both architectures' end-to-end 2D FFT, executed.
 
-The analytic Fig. 13 (`bench_fig13.py`) comes from the phase model.
+The analytic Fig. 13 (`python -m repro fig13`) comes from the phase model.
 Here the whole five-phase flow *runs* at micro scale on both machine
 simulators, with the paper's Section VI fairness rule applied: **equal
 link bandwidth**.  The P-sync machine uses the word-granular clock

@@ -1,6 +1,6 @@
 """Simulator performance benchmarks (pytest-benchmark, multi-round).
 
-Unlike the artifact benches (one-shot regenerations), these measure the
+Unlike the ablation benches (one-shot runs), these measure the
 simulators' own throughput with proper statistical rounds — the numbers
 a user sizing an experiment needs: kernel events/s, PSCAN words/s, mesh
 flit-hops/s.

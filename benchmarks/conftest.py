@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one table or figure from the paper, prints the
-rows/series in the paper's layout (so the output can be compared side by
-side with the PDF), and asserts the shape claims the paper's text makes.
-Timing is recorded by pytest-benchmark; the heavy event-driven simulations
-run a single round.
+Every bench runs one ablation, measured counterpart or subsystem load,
+prints its rows, and asserts the finding EXPERIMENTS.md or the docs cite
+for it.  The paper's tables and figures themselves come from
+``python -m repro <artifact>``.  Timing is recorded by pytest-benchmark;
+the heavy event-driven simulations run a single round.
 """
 
 from __future__ import annotations

@@ -689,15 +689,10 @@ def analyze_traffic(description: Any, name: str | None = None) -> LintReport:
 
 
 def _lint_fig4() -> LintReport:
+    from ..core.pscan import fig4_order
     from ..core.schedule import gather_schedule
 
-    order: list[tuple[int, int]] = []
-    counters = {0: 0, 1: 0}
-    for _ in range(3):
-        for node in (0, 1):
-            for _ in range(2):
-                order.append((node, counters[node]))
-                counters[node] += 1
+    order = fig4_order()
     sched = gather_schedule(order)
     spec = ScheduleSpec.from_schedule(
         sched, expected_words={0: range(6), 1: range(6)}

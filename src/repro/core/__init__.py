@@ -17,7 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ExecutionReport", "Instruction", "Op", "Processor", "ProcessorConfig",
         "compile_fft_program",
     ),
-    "pscan": ("Arrival", "Pscan", "RetryStats", "ScaExecution", "fig4_gather"),
+    "pscan": ("Arrival", "Pscan", "RetryStats", "ScaExecution", "fig4_gather", "fig4_order"),
     "psync": ("PsyncConfig", "PsyncMachine"),
     "sca": (
         "ModulationInterval", "ReliabilityOverhead", "ScaTiming",

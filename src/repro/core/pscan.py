@@ -46,7 +46,7 @@ from ..util.errors import (
 from .cp import Role
 from .schedule import GlobalSchedule, gather_schedule
 
-__all__ = ["Pscan", "ScaExecution", "Arrival", "RetryStats", "fig4_gather"]
+__all__ = ["Pscan", "ScaExecution", "Arrival", "RetryStats", "fig4_gather", "fig4_order"]
 
 #: Tolerance for matching an arrival time to a bus-cycle index, as a
 #: fraction of the clock period.
@@ -520,6 +520,18 @@ class Pscan:
         return result
 
 
+def fig4_order() -> list[tuple[int, int]]:
+    """Fig. 4's slot order: nodes 0 and 1 drive two words each, three rounds.
+
+    ``(node, word)`` pairs, each node's words numbered from 0.  Both
+    :func:`fig4_gather` and the ``fig4`` lint target build on it.
+    """
+    return [
+        (node, 2 * rnd + word)
+        for rnd in range(3) for node in (0, 1) for word in range(2)
+    ]
+
+
 def fig4_gather(obs: Any = None) -> ScaExecution:
     """The paper's Fig. 4 gather: 2 nodes × 6 words on a 140 mm bus.
 
@@ -535,12 +547,7 @@ def fig4_gather(obs: Any = None) -> ScaExecution:
     if obs is not None:
         sim.attach_observer(obs)
         pscan.attach_observer(obs)
-    order: list[tuple[int, int]] = []
-    counters = {0: 0, 1: 0}
-    for _ in range(3):
-        for node in (0, 1):
-            for _ in range(2):
-                order.append((node, counters[node]))
-                counters[node] += 1
     data = {0: [f"a{i}" for i in range(6)], 1: [f"b{i}" for i in range(6)]}
-    return pscan.execute_gather(gather_schedule(order), data, receiver_mm=140.0)
+    return pscan.execute_gather(
+        gather_schedule(fig4_order()), data, receiver_mm=140.0
+    )

@@ -116,7 +116,9 @@ def build_report(fast: bool = True) -> ReproductionReport:
             "Table III (flit-measured @64p)",
             "same band, t_p ordering",
             f"{m1.multiplier:.2f}x / {m4.multiplier:.2f}x",
-            m1.multiplier < m4.multiplier and 1.5 < m1.multiplier < 4.5,
+            m1.multiplier < m4.multiplier
+            and 1.5 < m1.multiplier < 4.5
+            and 4.0 < m4.multiplier < 7.5,
         ))
 
     f5 = figure5_sweep()

@@ -112,7 +112,10 @@ class TestLambdaModel:
 
 class TestFigure11:
     def test_mesh_peaks_at_8(self):
-        assert figure11_curves().mesh_peak_k == 8
+        curves = figure11_curves()
+        assert curves.mesh_peak_k == 8
+        mesh_by_k = dict(zip(curves.k_values, curves.mesh))
+        assert mesh_by_k[64] < mesh_by_k[8]  # then falls off
 
     def test_psync_monotonic_toward_ideal(self):
         curves = figure11_curves()

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs import ObsConfig, ObsSession, normalize_events, validate_chrome_trace
 from repro.core.pscan import fig4_gather
+from repro.obs import ObsConfig, ObsSession, normalize_events, validate_chrome_trace
 
 GOLDEN = Path(__file__).parent / "golden" / "fig4_trace.json"
 
@@ -62,6 +62,17 @@ def test_fig4_trace_has_expected_shape():
     arrivals = [e["ts"] for e in current if e["name"] == "arrival"]
     gaps = {round(b - a, 6) for a, b in zip(arrivals, arrivals[1:])}
     assert len(gaps) == 1
+    # Fig. 4's three claims, read off the execution itself.  One
+    # monolithic burst at the full data rate:
+    execution = fig4_gather()
+    assert execution.is_gapless
+    assert execution.bus_utilization == pytest.approx(1.0)
+    # The spliced order is exactly the schedule's interleave.
+    assert execution.stream == [
+        "a0", "a1", "b0", "b1", "a2", "a3", "b2", "b3", "a4", "a5", "b4", "b5"
+    ]
+    # P0 modulates at the same absolute time as P1, without collision (t4).
+    assert (0, 1) in execution.simultaneous_modulation_pairs()
 
 
 def test_fig4_chrome_export_is_schema_valid():

@@ -51,11 +51,11 @@ class TestMeasuredScatter:
 
     def test_smaller_packets_lower_efficiency(self):
         """Model II with more blocks = smaller packets = more headers."""
-        effs = []
-        for k in (1, 2, 4):
-            m = measure_scatter(processors=16, words_per_processor=16, k=k)
-            effs.append(m.delivery_efficiency)
-        assert effs[0] > effs[-1]
+        for words, ks in ((16, (1, 2, 4)), (32, (1, 2, 4, 8))):
+            effs = [
+                measure_scatter(16, words, k=k).delivery_efficiency for k in ks
+            ]
+            assert effs[0] > effs[-1], words
 
     def test_overhead_cycles(self):
         m = measure_scatter(processors=16, words_per_processor=8)

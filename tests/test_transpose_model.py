@@ -94,11 +94,15 @@ class TestMeasuredTranspose:
             measure_mesh_transpose(processors=2, row_samples=4)
 
     def test_multiplier_grows_with_scale(self):
-        """Congestion grows with the mesh: the multiplier at 36 cores
-        exceeds the 16-core one (trend toward the paper's 3.26x)."""
-        small = measure_mesh_transpose(16, 16, reorder_cycles=1)
-        large = measure_mesh_transpose(36, 16, reorder_cycles=1)
-        assert large.multiplier >= small.multiplier * 0.95
+        """Congestion grows with the mesh: the t_p = 1 multiplier rises
+        with the core count, toward but below the paper's 3.26x."""
+        for engine, small_p, large_p, cols in (
+            ("reference", 16, 36, 16),
+            ("compiled", 64, 144, 64),
+        ):
+            small = measure_mesh_transpose(small_p, cols, 1, engine=engine)
+            large = measure_mesh_transpose(large_p, cols, 1, engine=engine)
+            assert small.multiplier < large.multiplier < 3.26, engine
 
     def test_paper_scale_compiled_headline(self):
         """Table III's mesh row at paper scale, as EXPERIMENTS.md states it:
