@@ -1,14 +1,35 @@
-"""Simulator performance benchmarks (pytest-benchmark, multi-round).
+"""Simulator performance benchmarks and the mesh engine's perf gates.
 
-Unlike the ablation benches (one-shot runs), these measure the
-simulators' own throughput with proper statistical rounds — the numbers
-a user sizing an experiment needs: kernel events/s, PSCAN words/s, mesh
-flit-hops/s.
+Unlike the ablation benches (one-shot runs), the throughput benches
+measure the simulators' own speed with proper statistical rounds — the
+numbers a user sizing an experiment needs: kernel events/s, PSCAN
+words/s, mesh flit-hops/s.
+
+The three gates time ``MeshNetwork.run()`` on the t_p = 4 transpose
+gather (set-up untimed) and assert a bound on the median:
+
+* the compiled engine over the reference, as alternating pairs;
+* the compiled engine's 1024-processor run, which no stepping engine
+  finishes in budget;
+* a fully disabled observer on the reference engine, as alternating
+  pairs against the same run with no observer.
 """
 
+import statistics
+import time
+
 from repro.core import PsyncConfig, PsyncMachine
-from repro.mesh import MeshConfig, MeshNetwork, MeshTopology, make_transpose_gather
+from repro.mesh import (
+    MeshConfig,
+    MeshNetwork,
+    MeshTopology,
+    make_transpose_gather,
+    mesh_signature,
+)
+from repro.obs import ObsConfig, ObsSession
 from repro.sim import Simulator
+
+from conftest import alternating_pairs, emit, median_iqr
 
 
 def test_kernel_event_throughput(benchmark):
@@ -72,3 +93,62 @@ def test_mesh_transpose_throughput(benchmark):
 
     cycles = benchmark(run)
     assert cycles > 256
+
+
+def _timed_transpose(engine, processors, cols, observer=None):
+    """Wall time of ``run()`` on the t_p = 4 transpose, and its signature."""
+    topo = MeshTopology.square(processors)
+    net = MeshNetwork(topo, MeshConfig(engine=engine, memory_reorder_cycles=4))
+    if observer is not None:
+        net.attach_observer(observer)
+    net.add_memory_interface((0, 0))
+    net.inject_all(make_transpose_gather(topo, cols=cols).packets)
+    t0 = time.perf_counter()
+    stats = net.run()
+    wall = time.perf_counter() - t0
+    # ``sunk``, the last field, is documented as empty on compiled runs.
+    return wall, mesh_signature(net, stats)[:-1]
+
+
+def test_compiled_over_reference_speedup():
+    ratios = alternating_pairs(
+        "Gate: compiled over reference, 64-processor transpose (cols 8)",
+        lambda: _timed_transpose("reference", 64, 8),
+        lambda: _timed_transpose("compiled", 64, 8),
+        pairs=7,
+    )
+    # 0.7 x the 1,647x recorded when the compiled engine landed.
+    assert statistics.median(ratios) >= 1150
+
+
+def test_compiled_1024_run_time():
+    walls = []
+    for _ in range(9):
+        wall, sig = _timed_transpose("compiled", 1024, 32)
+        assert sig[0] == 163839
+        walls.append(wall)
+    emit("Gate: compiled run(), 1024-processor transpose (cols 32)", [
+        f"runs        {len(walls)}",
+        f"wall_s      {median_iqr(walls)}",
+    ])
+    # 163,839 cycles at 0.7 x the 9.57 M cycles/s recorded when the
+    # compiled engine landed.
+    assert statistics.median(walls) <= 0.024
+
+
+def test_disabled_obs_overhead():
+    # A 16-processor run has the fewest flit moves per cycle hook, so the
+    # hooks are the largest share of it.  Runs of this size differ by
+    # +-10% from pair to pair on a shared host; 128 pairs of 25 ms keep
+    # the median within about 1%, where 16 pairs of the 64-processor run
+    # spread it over 0.95-1.12.
+    ratios = alternating_pairs(
+        "Gate: disabled observer on the reference 16-processor transpose",
+        lambda: _timed_transpose(
+            "reference", 16, 8, ObsSession(ObsConfig.disabled())
+        ),
+        lambda: _timed_transpose("reference", 16, 8),
+        pairs=128,
+    )
+    # The observability contract: carrying disabled hooks costs < 5%.
+    assert statistics.median(ratios) - 1 <= 0.05

@@ -18,14 +18,16 @@ reproducibility under the same seed.
 A second bench pits the SIMD-lockstep batched campaign engine
 (``run_campaign(batch=)``) against the process-pool per-seed path on a
 dense low-BER grid and enforces the acceptance floor: byte-identical
-reports (asserted inside the bench before any speedup is reported) and
->= 5x campaign throughput.
+reports in every pair and a median of >= 5x campaign throughput over
+alternating pairs.
 """
 
-from repro.faults import CampaignConfig, run_campaign
-from repro.perf.harness import bench_batched_campaign
+import statistics
+import time
 
-from conftest import emit, once
+from repro.faults import CampaignConfig, run_campaign
+
+from conftest import alternating_pairs, emit, once
 
 CONFIG = CampaignConfig(
     processors=16,
@@ -69,24 +71,39 @@ def test_resilience_campaign(benchmark):
     assert run_campaign(CONFIG).as_table() == report.as_table()
 
 
-def test_batched_campaign_speedup(benchmark):
-    # bench_batched_campaign raises AssertionError itself if the batched
-    # report is not byte-identical to the process-pool one, so reaching
-    # the speedup check already certifies parity.
-    result = once(benchmark, lambda: bench_batched_campaign(repeats=2))
-    emit(
-        "Resilience: SIMD-lockstep batched campaign vs process pool",
-        [
-            f"lanes                 {result['lanes']}",
-            f"process-pool lanes/s  {result['process_pool']['lanes_per_s']:,.0f}",
-            f"batched lanes/s       {result['batched']['lanes_per_s']:,.0f}",
-            f"speedup               {result['speedup']:.1f}x",
-        ],
+#: A dense low-BER grid is the batched engine's home turf: almost every
+#: lane stays fault-free, so a whole chunk shares one probe timeline and
+#: the injector draws advance as numpy blocks.  ``mesh_link_failures=0``
+#: keeps the mesh section fault-free: dead links force scalar replay by
+#: design, which would time the fallback rather than the lockstep path.
+BATCHED_CONFIG = CampaignConfig(
+    processors=16,
+    row_samples=8,
+    trials=192,
+    seed=20130901,
+    fault_rates=(1e-6, 2e-6),
+    mesh_link_failures=0,
+)
+
+
+def _timed_campaign(**kwargs):
+    t0 = time.perf_counter()
+    table = run_campaign(BATCHED_CONFIG, **kwargs).as_table()
+    return time.perf_counter() - t0, table
+
+
+def test_batched_campaign_speedup():
+    ratios = alternating_pairs(
+        "Resilience: process pool over SIMD-lockstep batched campaign",
+        lambda: _timed_campaign(parallel=True, max_workers=4),
+        # One lockstep chunk per fault rate.
+        lambda: _timed_campaign(batch=BATCHED_CONFIG.trials),
+        pairs=10,
     )
-    assert result["batched"]["lanes_per_s"] > 0
     # Acceptance floor: the lockstep engine must beat the process-pool
     # path by at least 5x on its home-turf dense low-BER grid.
-    assert result["speedup"] >= 5.0, (
-        f"batched campaign speedup {result['speedup']:.2f}x fell below "
-        f"the 5x acceptance floor"
+    speedup = statistics.median(ratios)
+    assert speedup >= 5.0, (
+        f"batched campaign speedup {speedup:.2f}x fell below the 5x "
+        f"acceptance floor"
     )

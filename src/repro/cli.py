@@ -262,7 +262,6 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int | None]]] = {
 #: Commands that own their argument parser: ``repro NAME ARGS...`` runs
 #: ``MODULE.main(ARGS)``, so each flag is declared once, in ``MODULE``.
 _SUB_CLIS: dict[str, tuple[str, str]] = {
-    "perf": ("simulator fast-path benchmarks (BENCH_*.json)", "repro.perf.cli"),
     "obs": ("instrumented workload -> trace.json + metrics.json", "repro.obs.cli"),
     "check": ("static invariant lint + differential fuzzer", "repro.check.cli"),
     "sweep": ("resumable checkpointed sweeps (run/status/gc)", "repro.store.cli"),
@@ -352,9 +351,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"{name:>9}  {help_text}")
         return 0
     _help, fn = _COMMANDS[args.command]
-    # Failure paths (validation mismatches, regression-gate hits, lint
-    # findings, fuzz divergences) surface as nonzero exits; commands that
-    # return ``None`` succeeded.
+    # Failure paths (validation mismatches, lint findings, fuzz
+    # divergences) surface as nonzero exits; commands that return
+    # ``None`` succeeded.
     code = fn(args)
     return 0 if code is None else int(code)
 

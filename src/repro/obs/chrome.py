@@ -3,7 +3,7 @@
 The emitted JSON object loads directly into ``chrome://tracing`` or
 https://ui.perfetto.dev: one process per event *category prefix* (the
 part before the first dot — ``mesh``, ``sca``, ``sim``, ``faults``,
-``llmore``, ``perf``), one named thread per track, and every event
+``llmore``, ``sweep``), one named thread per track, and every event
 carrying the required ``ph``/``ts``/``pid``/``tid``/``name`` keys.
 
 Timebase: the Chrome format's ``ts`` is microseconds.  Simulation events

@@ -18,7 +18,8 @@ against the hook methods here, guarding every call site with
 comparison.  Each hook checks one "recording" flag and returns
 immediately when it is off, so an attached-but-disabled session
 (:meth:`ObsConfig.disabled`) costs one extra method call per hook — the
-shape the ``obs_overhead`` perf bench bounds below 5%.
+shape ``benchmarks/bench_kernel.py`` bounds below 5% on the reference
+mesh engine.
 
 Event taxonomy (what lands in which Chrome process):
 
@@ -33,7 +34,6 @@ sca        sca          modulate/arrival/deliver instants
 faults     faults       epoch B/E, nack instants, backoff X spans,
                         batched-campaign lane instants (lanes/sec gauge)
 llmore     llmore       phase X spans per machine
-perf       perf         harness phase spans (wall-clock µs)
 sweep      sweep        run B/E spans, per-point / cache-hit instants
 serve      serve        request B/E spans, attempt/breaker instants
 ========== ============ ==========================================

@@ -23,7 +23,7 @@ Design constraints inherited from the simulators this instruments:
 * **Explicit clock.**  The tracer does not own a clock; it is bound to a
   zero-argument callable (``lambda: sim.now`` for event simulations,
   ``lambda: float(net.cycle)`` for the cycle-based meshes, or a wall
-  clock for the perf harness).  Every method also accepts an explicit
+  clock for sweeps and the benchmark ledger).  Every method also accepts an explicit
   ``ts`` so mixed-domain sessions can stamp events themselves.
 """
 
@@ -45,7 +45,7 @@ PHASES = ("B", "E", "i", "C", "X")
 
 
 def wall_clock_us() -> float:
-    """Monotonic wall-clock in microseconds (perf-harness clock domain)."""
+    """Monotonic wall-clock in microseconds (the wall-clock span domain)."""
     return time.perf_counter() * 1e6
 
 

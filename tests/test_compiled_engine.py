@@ -355,6 +355,17 @@ class TestCompiledMeshEquivalence:
         _, comp = _run_mesh_transpose("compiled", 64, 4)
         assert comp == ref
 
+    @pytest.mark.parametrize("engine,processors,cols,cycles", [
+        ("reference", 64, 8, 2559),
+        ("compiled", 64, 8, 2559),
+        ("compiled", 1024, 32, 163839),
+    ])
+    def test_bench_transpose_cycles(self, engine, processors, cols, cycles):
+        # The transposes benchmarks/bench_kernel.py times at t_p = 4: one
+        # cycle under the sink floor of 5 cycles per element.
+        _, sig = _run_mesh_transpose(engine, processors, cols)
+        assert sig[0] == cycles == 5 * processors * cols - 1
+
     def test_compiled_sunk_documented_empty(self):
         net, _ = _run_mesh_transpose("compiled", 16, 2)
         assert net.sunk == []

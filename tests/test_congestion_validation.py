@@ -30,12 +30,15 @@ class TestMeasuredCongestion:
 
     def test_tp4_sink_saturated_no_queueing_visible(self, validation):
         """With t_p = 4 the sink is so slow that backpressure regulates
-        arrivals perfectly at reachable scales: congestion is exactly 1.
-        The paper-scale factor (1.25) is therefore *not* reproduced by
-        small-mesh dynamics — an honest limit of the extrapolation,
-        recorded here and in EXPERIMENTS.md."""
-        for c in validation.congestion_at(4):
-            assert c == pytest.approx(1.0, abs=0.01)
+        arrivals perfectly at reachable scales: the run ends one cycle
+        under the sink floor, elements x (1 + t_p), so congestion is
+        1 - 1/(5 x elements). The paper-scale factor (1.25) is therefore
+        *not* reproduced by small-mesh dynamics — an honest limit of the
+        extrapolation, recorded here and in EXPERIMENTS.md."""
+        points = [p for p in validation.points if p.t_p == 4]
+        assert points
+        for p in points:
+            assert p.mesh_cycles == 5 * p.elements - 1
 
     def test_ordering_matches_paper_implication(self, validation):
         assert validation.tp1_exceeds_tp4

@@ -1,8 +1,8 @@
 """Driver pins: every machine-building call site reproduces a hand build.
 
-The CLI, obs workloads, perf harness, workload runner, analytic models,
-FFT blocks, LLMORE codegen and fault campaigns each construct their own
-machine from ``PsyncConfig``/``MeshConfig``.  Each test here runs one of
+The CLI, obs workloads, workload runner, analytic models, FFT blocks,
+LLMORE codegen and fault campaigns each construct their own machine
+from ``PsyncConfig``/``MeshConfig``.  Each test here runs one of
 those drivers and a literal hand assembly of the same machine side by
 side and requires identical observables, so a driver that drifts from
 the paper's machine fails here rather than in a figure.
@@ -113,13 +113,6 @@ class TestDriverPins:
         assert (got_report is None) == (report is None)
         if report is not None:
             assert got_report.kind == report.kind
-
-    def test_perf_harness_pin(self):
-        from repro.perf.harness import _run_mesh_once
-
-        _, sig = _run_mesh_once("reference", 16, 2, 2)
-        hand = _hand_mesh(16, reorder=2)
-        assert sig == mesh_signature(hand, _run_transpose(hand, 2))
 
     def test_workload_runner_pin(self):
         from repro.workloads import build_workload

@@ -1,25 +1,14 @@
-"""Tests for the parallel sweep runner and the perf regression gate.
+"""Tests for the parallel sweep runner.
 
 The contract of :mod:`repro.perf.sweep` is *determinism*: a parallel run
 must return bit-identical results to the serial run, in the same order,
 because the fault campaigns and figure sweeps that ride on it are seeded
-experiments.  The contract of :mod:`repro.perf.regression` is a stable
-comparison of ``BENCH_*.json`` payloads: only rate/ratio leaves count,
-modes must match, and the tolerance is a strict fraction.
+experiments.
 """
-
-import warnings
 
 import pytest
 
 from repro.faults.campaign import CampaignConfig, run_campaign
-from repro.perf.harness import SCHEMA_VERSION, write_bench_file
-from repro.perf.regression import (
-    Regression,
-    ZeroBaselineWarning,
-    check_files,
-    compare_payloads,
-)
 from repro.perf.sweep import default_workers, grid_points, run_sweep
 from repro.util.errors import ConfigError
 
@@ -96,169 +85,3 @@ class TestCampaignParallelDeterminism:
         serial = run_campaign(config, parallel=False)
         parallel = run_campaign(config, parallel=True, max_workers=2)
         assert parallel.as_table() == serial.as_table()
-
-
-# ---------------------------------------------------------------------------
-# regression gate
-# ---------------------------------------------------------------------------
-
-
-def _payload(mode="quick", **rates):
-    benches = {"storm": dict(rates)}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "engine",
-        "mode": mode,
-        "benches": benches,
-    }
-
-
-class TestComparePayloads:
-    def test_no_regression_when_equal(self):
-        p = _payload(events_per_s=1000.0, speedup=1.2)
-        assert compare_payloads(p, p) == []
-
-    def test_improvement_is_not_a_regression(self):
-        cur = _payload(events_per_s=2000.0)
-        base = _payload(events_per_s=1000.0)
-        assert compare_payloads(cur, base) == []
-
-    def test_drop_beyond_tolerance_flagged(self):
-        cur = _payload(events_per_s=600.0)
-        base = _payload(events_per_s=1000.0)
-        regs = compare_payloads(cur, base, tolerance=0.30)
-        assert len(regs) == 1
-        assert regs[0].path.endswith("events_per_s")
-        assert regs[0].drop_fraction == pytest.approx(0.4)
-
-    def test_drop_within_tolerance_passes(self):
-        cur = _payload(events_per_s=750.0)
-        base = _payload(events_per_s=1000.0)
-        assert compare_payloads(cur, base, tolerance=0.30) == []
-
-    def test_speedup_ratio_is_checked(self):
-        cur = _payload(speedup=1.0)
-        base = _payload(speedup=8.0)
-        regs = compare_payloads(cur, base)
-        assert [r.path for r in regs] == ["benches.storm.speedup"]
-
-    def test_non_rate_leaves_ignored(self):
-        cur = _payload(wall_s=99.0, cycles=5)
-        base = _payload(wall_s=1.0, cycles=500)
-        assert compare_payloads(cur, base) == []
-
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            compare_payloads(_payload(mode="quick"), _payload(mode="full"))
-
-    @pytest.mark.parametrize("tol", [0.0, 1.0, -0.5, 2.0])
-    def test_bad_tolerance_rejected(self, tol):
-        p = _payload(events_per_s=1.0)
-        with pytest.raises(ConfigError):
-            compare_payloads(p, p, tolerance=tol)
-
-    def test_new_bench_in_current_ignored(self):
-        cur = _payload(events_per_s=1000.0)
-        cur["benches"]["extra"] = {"events_per_s": 1.0}
-        base = _payload(events_per_s=1000.0)
-        assert compare_payloads(cur, base) == []
-
-
-class TestCheckFiles:
-    def test_round_trip_through_files(self, tmp_path):
-        cur = write_bench_file(
-            tmp_path / "cur.json", _payload(events_per_s=500.0)
-        )
-        base = write_bench_file(
-            tmp_path / "base.json", _payload(events_per_s=1000.0)
-        )
-        regs = check_files(cur, base, tolerance=0.30)
-        assert len(regs) == 1
-        assert regs[0].baseline == 1000.0
-        assert regs[0].current == 500.0
-
-
-class TestZeroBaseline:
-    """The drop_fraction zero-baseline satellite: a baseline of 0 must be
-    loud (ConfigError / ZeroBaselineWarning), never a silent pass."""
-
-    def test_drop_fraction_zero_baseline_raises(self):
-        reg = Regression(path="benches.storm.events_per_s",
-                         baseline=0.0, current=500.0)
-        with pytest.raises(ConfigError, match="zero baseline"):
-            reg.drop_fraction
-
-    def test_drop_fraction_normal_direction_unchanged(self):
-        reg = Regression(path="p", baseline=1000.0, current=600.0)
-        assert reg.drop_fraction == pytest.approx(0.4)
-        improved = Regression(path="p", baseline=1000.0, current=1500.0)
-        assert improved.drop_fraction == pytest.approx(-0.5)
-
-    def test_zero_baseline_metric_warns_and_is_skipped(self):
-        cur = _payload(events_per_s=1.0, speedup=2.0)
-        base = _payload(events_per_s=0.0, speedup=2.0)
-        with pytest.warns(ZeroBaselineWarning, match="events_per_s"):
-            regs = compare_payloads(cur, base)
-        assert regs == []  # skipped, not silently "passing"
-
-    def test_negative_baseline_also_warns(self):
-        cur = _payload(events_per_s=1.0)
-        base = _payload(events_per_s=-3.0)
-        with pytest.warns(ZeroBaselineWarning):
-            assert compare_payloads(cur, base) == []
-
-    def test_healthy_baselines_do_not_warn(self):
-        cur = _payload(events_per_s=900.0)
-        base = _payload(events_per_s=1000.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ZeroBaselineWarning)
-            assert compare_payloads(cur, base) == []
-
-    def test_zero_baseline_does_not_mask_other_regressions(self):
-        # A dead metric next to a live one: warn on the dead one, still
-        # flag the real regression on the live one.
-        cur = _payload(events_per_s=1.0, speedup=1.0)
-        base = _payload(events_per_s=0.0, speedup=8.0)
-        with pytest.warns(ZeroBaselineWarning):
-            regs = compare_payloads(cur, base)
-        assert [r.path for r in regs] == ["benches.storm.speedup"]
-
-
-# ---------------------------------------------------------------------------
-# bench selection (--bench)
-# ---------------------------------------------------------------------------
-
-
-class TestBenchSelection:
-    """``--bench SUBSTR`` runs a subset without weakening the baselines."""
-
-    def test_unmatched_filter_runs_nothing(self):
-        from repro.perf.harness import run_engine_benches, run_mesh_benches
-
-        # No bench name contains "nomatch": both payloads must come back
-        # empty, and because selection happens before execution this
-        # returns in milliseconds rather than running the full suite.
-        assert run_engine_benches(quick=True, only="nomatch")["benches"] == {}
-        assert run_mesh_benches(quick=True, only="nomatch")["benches"] == {}
-
-    def test_filter_selects_by_substring(self):
-        from repro.perf.harness import run_engine_benches
-
-        payload = run_engine_benches(quick=True, only="compiled_transpose_1024")
-        assert set(payload["benches"]) == {"compiled_transpose_1024"}
-
-    def test_cli_filtered_run_leaves_baselines_untouched(self, tmp_path):
-        from repro.perf.cli import BENCH_FILES, main
-
-        code = main(
-            ["--quick", "--bench", "compiled_transpose_1024"],
-            default_dir=tmp_path,
-        )
-        assert code == 0
-        for name in BENCH_FILES:
-            assert not (tmp_path / name).exists()
-
-    def test_cli_unmatched_filter_exits_2(self, tmp_path):
-        from repro.perf.cli import main
-
-        assert main(["--quick", "--bench", "nomatch"], default_dir=tmp_path) == 2

@@ -145,7 +145,6 @@ class TestCli:
         ("check", "repro.check.cli"),
         ("sweep", "repro.store.cli"),
         ("serve", "repro.serve.cli"),
-        ("perf", "repro.perf.cli"),
     ])
     def test_sub_cli_gets_its_own_argv(self, command, module, capsys):
         from contextlib import suppress
