@@ -76,6 +76,8 @@ def test_resilience_campaign(benchmark):
 #: the injector draws advance as numpy blocks.  ``mesh_link_failures=0``
 #: keeps the mesh section fault-free: dead links force scalar replay by
 #: design, which would time the fallback rather than the lockstep path.
+#: The one fault-free mesh lane runs on the compiled engine in the
+#: batched campaign and on the reference engine in the pooled one.
 BATCHED_CONFIG = CampaignConfig(
     processors=16,
     row_samples=8,

@@ -29,15 +29,19 @@ The control flow per batch is therefore:
 3. **recover** — divergent gather lanes run the CRC/NACK/retransmission
    protocol without a timeline (:func:`_recover_gather_lane`): the
    lane's own injector corrupts each epoch's burst in cycle order
-   (:meth:`PscanFaultModel.corrupt_burst`) and the shared
-   :class:`~repro.faults.recovery.GatherRecovery` decides NACKs,
-   backoff and retransmission orders exactly as
+   (:meth:`PscanFaultModel.corrupt_burst`), which frames only the words
+   that flip, and the shared
+   :class:`~repro.faults.recovery.GatherRecovery` CRC-checks and decodes
+   those frames, gives every other word the lane's own data value, and
+   decides NACKs, backoff and retransmission orders exactly as
    :meth:`~repro.faults.recovery.ReliableGather.gather` does;
 4. **replay** — lanes lockstep recovery cannot decide fall back to the
-   *scalar* per-seed trial, the oracle both other paths are pinned to;
-5. **scatter** — clean lanes share the probe result, the rest get their
-   own rows, all back in seed order
-   (:func:`repro.faults.lanes.scatter_lanes`).
+   *scalar* per-seed trial on the reference engines, the oracle both
+   other paths are pinned to;
+5. **scatter** — clean lanes share one fault-free row (the gather
+   probe's, or for the mesh one run of the compiled engine,
+   :func:`_clean_mesh_row`), the rest get their own rows, all back in
+   seed order (:func:`repro.faults.lanes.scatter_lanes`).
 
 Scalar-replay fallback predicate (documented in docs/resilience.md):
 a lane replays iff (a) any of its classification draws fires a fault
@@ -46,7 +50,9 @@ and (b) lockstep recovery does not apply.  For the gather,
 (the BER then depends on detection time) and probes whose hook calls
 are out of the schedule's cycle order; a fault rate of exactly 0 never
 installs an injector and is trivially clean.  For the mesh that is
-*any* dead link (permanent faults perturb routing from cycle 0).  Hook
+*any* dead link (permanent faults perturb routing from cycle 0): those
+lanes replay on the reference engine, while the fault-free lanes share
+a row from the compiled engine.  Hook
 calls whose effective BER is ``<= 0`` consume no draws (the injector
 early-returns) and are excluded from the draw matrix, keeping
 consumption lockstep even under partial drift coverage.
@@ -63,9 +69,16 @@ from typing import Sequence
 
 import numpy as np
 
+from ..mesh import MeshConfig, MeshNetwork, MeshTopology, make_transpose_gather
 from ..photonics.wdm import paper_pscan_plan
-from ..util.errors import ConfigError, EngineUnsupportedError, SweepPointError
+from ..util.errors import (
+    ConfigError,
+    EngineUnsupportedError,
+    NetworkError,
+    SweepPointError,
+)
 from .campaign import (
+    _MESH_MAX_CYCLES,
     CampaignConfig,
     MeshCampaignRow,
     _execute_gather,
@@ -76,10 +89,10 @@ from .campaign import (
     _run_gather_trial,
     _run_mesh_trial,
 )
-from .crc import CRC_BITS
+from .crc import CRC_BITS, pack_word
 from .lanes import LaneRng, compact_indices, merge_masks, scatter_lanes
 from .models import PscanFaultModel
-from .recovery import GatherRecovery, frame_words
+from .recovery import GatherRecovery
 
 __all__ = [
     "LaneBatchResult",
@@ -93,7 +106,7 @@ class LaneBatchResult:
     """One batch point's outcome: per-lane rows in seed order.
 
     ``rows[i]`` is byte-identical to the scalar trial of lane ``i``'s
-    seed.  ``lanes_clean`` lanes shared the fault-free probe timeline;
+    seed.  ``lanes_clean`` lanes shared one fault-free row;
     ``lanes_recovered`` diverged and ran the recovery protocol in
     lockstep, without a timeline; ``lanes_replayed`` fell back to scalar
     replay.  ``clean + recovered + replayed == len(rows)``.  All fields
@@ -168,11 +181,12 @@ def _recover_gather_lane(
     injector corrupts each epoch's burst in cycle order
     (:meth:`PscanFaultModel.corrupt_burst`) and the shared
     :class:`~repro.faults.recovery.GatherRecovery` protocol checks it.
+    Only a word that flips is framed (:func:`~repro.faults.crc.pack_word`)
+    and decoded; every other word arrives as the lane's own data value.
     The lane keeps its own data, so undetected CRC collisions stay exact.
     """
     model = PscanFaultModel(ber=ber, seed=trial_seed)
     data = _fft_row_data(config, trial_seed)
-    frames = frame_words(data)
     # _execute_gather's Pscan runs on the default (paper) WDM plan.
     recovery = GatherRecovery(
         _gather_order(config),
@@ -180,10 +194,20 @@ def _recover_gather_lane(
         paper_pscan_plan().bits_per_cycle,
     )
     while True:
-        burst = model.corrupt_burst(
-            [frames[node][word] for node, word in recovery.pending]
+        pending = recovery.pending
+
+        def frame_of(position: int) -> bytes:
+            node, word = pending[position]
+            return pack_word(data[node][word])
+
+        corrupted = model.corrupt_burst(len(pending), frame_of)
+        recovery.receive(
+            (
+                (pair, corrupted.get(position))
+                for position, pair in enumerate(pending)
+            ),
+            data,
         )
-        recovery.receive(zip(recovery.pending, burst))
         if recovery.next_epoch() is None:
             break
     stats = recovery.finish(data)
@@ -272,6 +296,40 @@ def run_gather_campaign_batch(
 # ---------------------------------------------------------------------------
 
 
+def _clean_mesh_row(config: CampaignConfig) -> MeshCampaignRow:
+    """The fault-free mesh trial, evaluated on the compiled engine.
+
+    Equal to ``_run_mesh_trial(config, 0, seed)`` for any seed: every
+    campaign's transpose (2-flit packets, t_p = 1, one memory interface
+    at ``(0, 0)``) is inside the compiled engine's closed-form domain,
+    and a fault-free run has no report and no quarantine events.  An
+    :class:`~repro.util.errors.EngineUnsupportedError` propagates.  A
+    run longer than the cycle budget raises
+    :class:`~repro.util.errors.NetworkError` on the compiled engine, where
+    the reference engine reports the partial delivery, so that lane
+    replays on the reference engine.
+    """
+    topology = MeshTopology.square(config.processors)
+    network = MeshNetwork(topology, MeshConfig(engine="compiled"))
+    network.add_memory_interface((0, 0))
+    workload = make_transpose_gather(topology, cols=config.row_samples)
+    network.inject_all(workload.packets)
+    try:
+        stats = network.run(max_cycles=_MESH_MAX_CYCLES)
+    except NetworkError:
+        return _run_mesh_trial(config, 0, 0)
+    return MeshCampaignRow(
+        dead_links=0,
+        packets=len(workload.packets),
+        packets_delivered=stats.packets_delivered,
+        packets_lost=0,
+        cycles=stats.cycles,
+        mean_latency=stats.mean_packet_latency,
+        quarantine_events=0,
+        report_kind=None,
+    )
+
+
 def run_mesh_campaign_batch(
     config: CampaignConfig, lanes: Sequence[tuple[int, int]]
 ) -> LaneBatchResult:
@@ -279,8 +337,10 @@ def run_mesh_campaign_batch(
 
     Permanent faults perturb routing from the first cycle (quarantine
     detours), so the scalar-replay predicate is simply ``dead_links >
-    0``; the fault-free lanes share one probe run (its row is
-    seed-independent — no injector is ever installed at 0 dead links).
+    0``, and those lanes replay on the reference engine.  The fault-free
+    lanes share one row (it is seed-independent — no injector is ever
+    installed at 0 dead links), evaluated on the compiled engine
+    (:func:`_clean_mesh_row`).
     """
     lanes = [(int(dead), int(seed)) for dead, seed in lanes]
     if not lanes:
@@ -288,10 +348,7 @@ def run_mesh_campaign_batch(
     divergent = merge_masks(
         np.asarray([dead > 0 for dead, _ in lanes], dtype=bool)
     )
-    clean_row: MeshCampaignRow | None = None
-    if not divergent.all():
-        first_clean = lanes[int(np.flatnonzero(~divergent)[0])]
-        clean_row = _run_mesh_trial(config, 0, first_clean[1])
+    clean_row = None if divergent.all() else _clean_mesh_row(config)
     replay = compact_indices(divergent)
     replayed_rows = []
     for lane in replay:

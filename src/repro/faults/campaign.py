@@ -273,6 +273,11 @@ def _run_gather_trial(
     return _execute_gather(config, hook, trial_seed)
 
 
+#: Cycle budget of every mesh trial; a run still carrying traffic when
+#: it runs out ends as a ``max-cycles`` report.
+_MESH_MAX_CYCLES = 500_000
+
+
 def _run_mesh_trial(config: CampaignConfig, dead_links: int, seed: int) -> MeshCampaignRow:
     """Transpose workload on the mesh with ``dead_links`` random failures."""
     topology = MeshTopology.square(config.processors)
@@ -283,7 +288,7 @@ def _run_mesh_trial(config: CampaignConfig, dead_links: int, seed: int) -> MeshC
     workload = make_transpose_gather(topology, cols=config.row_samples)
     network.inject_all(workload.packets)
     total = len(workload.packets)
-    stats, report = network.run_resilient(max_cycles=500_000)
+    stats, report = network.run_resilient(max_cycles=_MESH_MAX_CYCLES)
     return MeshCampaignRow(
         dead_links=dead_links,
         packets=total,

@@ -23,6 +23,7 @@ to split a batch into lockstep (clean) and divergent populations:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from ..util.errors import ConfigError
 
 __all__ = [
+    "DrawStream",
     "LaneRng",
     "draw_below",
     "merge_masks",
@@ -38,18 +40,26 @@ __all__ = [
 ]
 
 
+def _mt_outputs(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit outputs of ``rng``'s Mersenne Twister.
+
+    ``getrandbits(32 * count)`` consumes exactly ``count`` outputs with
+    the first one in the lowest word, so its little-endian bytes are
+    the outputs in stream order.
+    """
+    raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(raw, dtype="<u4")
+
+
 def _mt_words(rng: random.Random, count: int) -> np.ndarray:
     """The 32-bit outputs ``count`` ``rng.random()`` calls would consume.
 
-    ``random()`` uses two outputs, and ``getrandbits(64 * count)``
-    consumes exactly ``2 * count`` of them with the first one in the
-    lowest word, so its little-endian bytes are the outputs in stream
-    order and ``rng`` is left where ``count`` ``random()`` calls leave it.
+    ``random()`` uses two outputs, so this leaves ``rng`` where
+    ``count`` ``random()`` calls leave it.
     """
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
-    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
-    return np.frombuffer(raw, dtype="<u4")
+    return _mt_outputs(rng, 2 * count)
 
 
 def _res53(words: np.ndarray) -> np.ndarray:
@@ -87,6 +97,102 @@ def draw_below(rng: random.Random, count: int, p: float) -> np.ndarray:
     and leaves ``rng`` in the same state.
     """
     return _below(_mt_words(rng, count), p)
+
+
+class DrawStream(random.Random):
+    """One ``random.Random``'s outputs, drawn once and read in any order.
+
+    Offsets count 32-bit Mersenne Twister outputs from where ``rng``
+    stood when the stream was made; a ``random()`` draw at offset ``o``
+    is built from outputs ``o`` and ``o + 1``.  :meth:`next_below` and
+    :meth:`count_below` scan for draws below ``p`` at any offset, so a
+    reader can look ahead without committing to where the draws it
+    consumes will start.  ``getrandbits`` and ``random`` consume the
+    outputs at :attr:`pos` exactly as ``rng``'s own methods would, so
+    every ``random.Random`` method built on them (``sample``) returns
+    what ``rng`` itself would return from that point of its stream.
+
+    Outputs are drawn from ``rng`` only when a call reads or scans
+    them, never twice, and ``rng`` is not rewound: it stands
+    :attr:`drawn` outputs further on.  A reader that ends at
+    ``pos == drawn`` leaves ``rng`` exactly where reading the stream
+    through ``rng`` would have.
+    """
+
+    def __init__(self, rng: random.Random, p: float) -> None:
+        super().__init__(0)
+        self._rng = rng
+        self._p = p
+        self._out = np.empty(0, dtype="<u4")
+        #: Offsets of the draws below ``p``, split by parity, ascending.
+        self._hits: tuple[list[int], list[int]] = ([], [])
+        #: Offset of the next output ``getrandbits``/``random`` consume.
+        self.pos = 0
+
+    @property
+    def drawn(self) -> int:
+        """Outputs drawn from ``rng`` so far."""
+        return len(self._out)
+
+    def _draw_to(self, end: int) -> None:
+        """Draw from ``rng`` until every offset below ``end`` is known."""
+        have = len(self._out)
+        if end <= have:
+            return
+        self._out = np.concatenate((self._out, _mt_outputs(self._rng, end - have)))
+        # Draws at offsets >= have - 1 were missing their second output.
+        low = max(have - 1, 0)
+        for parity, hits in enumerate(self._hits):
+            first = low + (parity - low) % 2
+            pairs = (end - first) // 2
+            if pairs > 0:
+                found = np.flatnonzero(
+                    _below(self._out[first:first + 2 * pairs], self._p)
+                )
+                hits.extend((first + 2 * found).tolist())
+
+    def next_below(self, start: int, stop: int) -> int | None:
+        """Offset of the first draw below ``p`` in ``range(start, stop, 2)``.
+
+        ``None`` when there is none; ``stop - start`` must be even.
+        """
+        hits = self._hits[start % 2]
+        while True:
+            i = bisect_left(hits, start)
+            if i < len(hits) and hits[i] < stop:
+                return hits[i]
+            if len(self._out) >= stop:
+                return None
+            self._draw_to(stop)
+
+    def count_below(self, start: int, stop: int) -> int:
+        """How many draws in ``range(start, stop, 2)`` fall below ``p``."""
+        self._draw_to(stop)
+        hits = self._hits[start % 2]
+        return bisect_left(hits, stop) - bisect_left(hits, start)
+
+    def getrandbits(self, k: int) -> int:
+        """``k`` random bits from the outputs at :attr:`pos`, as CPython
+        builds them: whole outputs from the least significant word up,
+        the last one shifted down to the bits still wanted."""
+        if k < 0:
+            raise ValueError("number of bits must be non-negative")
+        if k == 0:
+            return 0
+        count = (k - 1) // 32 + 1
+        self._draw_to(self.pos + count)
+        words = self._out[self.pos:self.pos + count]
+        self.pos += count
+        top = int(words[-1]) >> (32 * count - k)
+        low = int.from_bytes(words[:-1].tobytes(), "little")
+        return low | top << (32 * (count - 1))
+
+    def random(self) -> float:
+        """The ``random()`` draw at :attr:`pos` (``genrand_res53``)."""
+        self._draw_to(self.pos + 2)
+        a, b = self._out[self.pos:self.pos + 2].tolist()
+        self.pos += 2
+        return ((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0)
 
 
 class LaneRng:

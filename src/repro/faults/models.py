@@ -23,18 +23,15 @@ injector, so a campaign trial replays bit-exactly from its seed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Any, Callable
 
 from ..photonics.devices import Q_AT_SENSITIVITY, ber_from_margin_db
 from ..photonics.thermal import ThermalModel
 from ..util.errors import ConfigError
 from .crc import CRC_BITS, flip_bits, frame_bits
-from .lanes import draw_below
+from .lanes import DrawStream
 
 __all__ = [
     "DriftEpisode",
@@ -175,18 +172,23 @@ class PscanFaultModel:
         flips = sum(1 for _ in range(exposed) if self.rng.random() < ber)
         if flips == 0:
             return value
-        return self._corrupt(value, flips)
+        return self._corrupt(value, flips, self.rng)
 
-    def corrupt_burst(self, values: Sequence[Any]) -> list[Any]:
-        """Apply the hook to a burst of words, in arrival order.
+    def corrupt_burst(
+        self, count: int, frame_of: Callable[[int], Any]
+    ) -> dict[int, Any]:
+        """Apply the hook to a burst of ``count`` words, in arrival order.
 
-        Same outputs, final ``rng`` state and counters as calling the
-        hook once per word, but the no-flip uniforms are read in bulk
-        (:func:`~repro.faults.lanes.draw_below`).  Each scan covers
-        about the expected distance between corrupted words; at the
-        first flip the RNG is rewound and advanced to exactly that
-        word's last uniform, so the word's ``rng.sample`` draws follow
-        as they would in the hook.
+        Returns ``{position: corrupted word}`` for the words that flip;
+        every other word arrived as sent.  ``frame_of(i)`` is word
+        ``i`` as sent, and is only called for a word that flips.  The
+        draws, final ``rng`` state, counters and corrupted words equal
+        those of calling the hook once per word, but the no-flip
+        uniforms are scanned in bulk: a
+        :class:`~repro.faults.lanes.DrawStream` finds the next word
+        with a draw below the BER at any output offset, so after a
+        flipped word's ``rng.sample`` draws the scan goes on from where
+        they end, and no output is drawn twice.
 
         Only for a time-independent BER: with drift episodes the BER of
         a word depends on its detection time, which a burst does not
@@ -197,51 +199,39 @@ class PscanFaultModel:
                 "corrupt_burst needs a time-independent BER; drift "
                 "episodes make each word's BER depend on its detection time"
             )
-        out = list(values)
-        self.words_seen += len(out)
+        self.words_seen += count
+        corrupted: dict[int, Any] = {}
         ber = self.base_ber
         if ber <= 0.0:
-            return out
-        exposed = self.bits_per_word + CRC_BITS
-        # Scan windows of about the expected distance between corrupted
-        # words: a longer one wastes draws that must be rewound, and a
-        # rescan of the whole rest after each flip goes quadratic at
-        # high BER.
-        word_p = -math.expm1(exposed * math.log1p(-ber))
-        if word_p * len(out) <= 1.0:
-            window = len(out)
-        else:
-            window = max(1, int(1.0 / word_p))
-        rng = self.rng
-        pos = 0
-        while pos < len(out):
-            span = min(window, len(out) - pos)
-            state = rng.getstate() if span > 1 else None
-            below = draw_below(rng, span * exposed, ber)
-            flips = np.count_nonzero(below.reshape(span, exposed), axis=1)
-            hit = np.flatnonzero(flips)
-            if hit.size == 0:
-                pos += span
-                continue
-            first = int(hit[0])
-            if first + 1 < span:
-                rng.setstate(state)
-                rng.getrandbits(64 * (first + 1) * exposed)
-            out[pos + first] = self._corrupt(out[pos + first], int(flips[first]))
-            pos += first + 1
-        return out
+            return corrupted
+        # Each exposed bit draws one uniform of two 32-bit outputs.
+        step = 2 * (self.bits_per_word + CRC_BITS)
+        stream = DrawStream(self.rng, ber)
+        word = 0
+        while True:
+            start = stream.pos
+            hit = stream.next_below(start, start + (count - word) * step)
+            if hit is None:
+                return corrupted
+            skipped = (hit - start) // step
+            start += skipped * step
+            stream.pos = start + step
+            word += skipped
+            flips = stream.count_below(start, stream.pos)
+            corrupted[word] = self._corrupt(frame_of(word), flips, stream)
+            word += 1
 
-    def _corrupt(self, value, flips: int):
-        """Apply ``flips`` bit errors to one detected word."""
+    def _corrupt(self, value, flips: int, rng: random.Random):
+        """Apply ``flips`` bit errors, placed by ``rng``, to one word."""
         self.words_corrupted += 1
         self.bits_flipped += flips
         if isinstance(value, (bytes, bytearray)):
             frame = bytes(value)
-            positions = self.rng.sample(range(frame_bits(frame)), k=min(flips, frame_bits(frame)))
+            positions = rng.sample(range(frame_bits(frame)), k=min(flips, frame_bits(frame)))
             return flip_bits(frame, positions)
         if isinstance(value, int):
             mask = 0
-            for pos in self.rng.sample(range(self.bits_per_word), k=min(flips, self.bits_per_word)):
+            for pos in rng.sample(range(self.bits_per_word), k=min(flips, self.bits_per_word)):
                 mask |= 1 << pos
             return value ^ mask
         # Opaque payload (no binary representation): mark it visibly

@@ -23,9 +23,10 @@ Everything observable lands in :class:`repro.core.pscan.RetryStats`,
 attached to the first epoch's :class:`~repro.core.pscan.ScaExecution`.
 
 Steps 2-4 live in :class:`GatherRecovery`, which never looks at the
-bus: :class:`ReliableGather` feeds it the arrivals of an event-simulated
+bus: :class:`ReliableGather` feeds it every frame of an event-simulated
 epoch, and the batched campaign engine (:mod:`repro.faults.batched`)
-feeds it timeline-free bursts, so recovery semantics exist once.
+feeds it timeline-free bursts in which only the corrupted words carry a
+frame, so recovery semantics exist once.
 """
 
 from __future__ import annotations
@@ -184,11 +185,17 @@ class GatherRecovery:
         self.pending: list[tuple[int, int]] = list(self.order)
 
     def receive(
-        self, arrivals: Iterable[tuple[tuple[int, int], bytes]]
+        self,
+        arrivals: Iterable[tuple[tuple[int, int], bytes | None]],
+        data: dict[int, list[Any]] | None = None,
     ) -> list[int]:
         """Check one epoch's ``(pair, frame)`` arrivals, in arrival order.
 
-        Returns the positions (within ``arrivals``) the head node NACKs.
+        A frame of ``None`` stands for a word known to have arrived
+        exactly as sent: it takes the sender's own value,
+        ``data[node][word]``, which is what decoding its intact frame
+        yields.  Every other frame is CRC-checked and decoded.  Returns
+        the positions (within ``arrivals``) the head node NACKs.
         """
         words = len(self.pending)
         crc = -(-words * CRC_BITS // self.bits_per_cycle)  # ceil
@@ -197,6 +204,9 @@ class GatherRecovery:
         self.failed = []
         nacked: list[int] = []
         for position, (pair, frame) in enumerate(arrivals):
+            if frame is None:
+                self.values[pair] = data[pair[0]][pair[1]]
+                continue
             try:
                 self.values[pair] = unpack_word(frame)
             except TransientFaultError:

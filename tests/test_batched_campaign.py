@@ -7,8 +7,11 @@ This suite pins that contract:
 * all three batched injectors — transient BER, thermal drift episodes,
   permanent dead mesh links — each batched vs a scalar loop;
 * lockstep recovery of divergent gather lanes, including retry
-  exhaustion, and its structured refusals (drift, hook order) that
-  send lanes to scalar replay;
+  exhaustion and CRC collisions, framing and decoding only the words
+  the lane's injector corrupts, and its structured refusals (drift,
+  hook order) that send lanes to scalar replay;
+* the fault-free mesh lane on the compiled engine, equal to the
+  reference trial across mesh sizes and row lengths;
 * gather + mesh workloads through ``run_campaign(batch=)`` at batch
   sizes 1, 7, 64 and a non-divisor remainder split;
 * the crashed-then-resumed checkpoint path and the warm-cache path;
@@ -30,6 +33,7 @@ import pytest
 
 import repro.faults.batched as batched_mod
 import repro.faults.campaign as campaign_mod
+import repro.faults.recovery as recovery_mod
 from repro.faults.batched import (
     _check_lockstep_recovery,
     _gather_batch_point,
@@ -44,7 +48,7 @@ from repro.faults.campaign import (
     _run_mesh_trial,
     run_campaign,
 )
-from repro.faults.models import DriftEpisode
+from repro.faults.models import DriftEpisode, PscanFaultModel
 from repro.fft import fft
 from repro.store import code_fingerprint, point_key
 from repro.util.errors import (
@@ -178,6 +182,117 @@ class TestInjectorParity:
         assert batch.rows == [
             _run_gather_trial(SMALL, 1e-7, s) for s in seeds
         ]
+
+
+class TestCorruptedWordsOnly:
+    def test_frames_and_decodes_only_corrupted_words(self, monkeypatch):
+        # Lockstep recovery frames and CRC-decodes a word only when the
+        # lane's injector flips it; every other word takes the lane's
+        # own data value.  The scalar trial still frames every word.
+        calls = {"pack": 0, "unpack": 0, "corrupt": 0, "arrived": 0}
+
+        def counting(name, fn, weight=lambda *args: 1):
+            def wrapped(*args):
+                calls[name] += weight(*args)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            batched_mod, "pack_word", counting("pack", batched_mod.pack_word)
+        )
+        monkeypatch.setattr(
+            recovery_mod, "pack_word", counting("pack", recovery_mod.pack_word)
+        )
+        monkeypatch.setattr(
+            recovery_mod,
+            "unpack_word",
+            counting("unpack", recovery_mod.unpack_word),
+        )
+        monkeypatch.setattr(
+            PscanFaultModel,
+            "_corrupt",
+            counting("corrupt", PscanFaultModel._corrupt),
+        )
+        monkeypatch.setattr(
+            PscanFaultModel,
+            "corrupt_burst",
+            counting(
+                "arrived",
+                PscanFaultModel.corrupt_burst,
+                lambda model, count, frame_of: count,
+            ),
+        )
+        for seed in _seeds(8):
+            calls.update(pack=0, unpack=0, corrupt=0, arrived=0)
+            batched_mod._recover_gather_lane(SMALL, 1e-2, seed)
+            assert calls["pack"] == calls["unpack"] == calls["corrupt"] > 0
+            assert calls["corrupt"] < calls["arrived"]
+        calls.update(pack=0, unpack=0)
+        _run_gather_trial(SMALL, 1e-2, _seeds(1)[0])
+        assert calls["pack"] == SMALL.processors * SMALL.row_samples
+        assert calls["unpack"] >= calls["pack"]
+
+    def test_high_ber_undetected_errors_match_scalar(self):
+        # At BER 5e-2 nearly every word is corrupted in every epoch, so
+        # CRC-16 collisions show up: seed index 1677 of _seeds delivers
+        # a wrong word the checksum passed.  Lockstep recovery must
+        # count it exactly as the scalar trial does.
+        seeds = _seeds(1680)[-10:]
+        batch = run_gather_campaign_batch(SMALL, 5e-2, seeds)
+        scalar = [_run_gather_trial(SMALL, 5e-2, s) for s in seeds]
+        assert batch.rows == scalar
+        assert batch.lanes_recovered == len(seeds)
+        assert any(row[4] > 0 for row in scalar)
+
+
+class TestCleanMeshLane:
+    @pytest.mark.parametrize("row_samples", [1, 2, 8, 32])
+    @pytest.mark.parametrize("processors", [4, 9, 16, 36, 64])
+    def test_compiled_row_equals_reference_trial(self, processors, row_samples):
+        config = CampaignConfig(processors=processors, row_samples=row_samples)
+        batch = run_mesh_campaign_batch(config, [(0, 1), (0, 2)])
+        reference = _run_mesh_trial(config, 0, 1)
+        assert batch.rows == [reference, reference]
+        assert batch.rows[0] is not batch.rows[1]
+        assert (batch.lanes_clean, batch.lanes_replayed) == (2, 0)
+
+    def test_runs_on_the_compiled_engine(self, monkeypatch):
+        from repro.mesh.compiled_network import CompiledMeshNetwork
+
+        runs = []
+        real = CompiledMeshNetwork.run
+
+        def counting_run(self, max_cycles=None):
+            runs.append(max_cycles)
+            return real(self, max_cycles)
+
+        monkeypatch.setattr(CompiledMeshNetwork, "run", counting_run)
+        lanes = [(0, 1), (1, 2), (0, 3)]
+        batch = run_mesh_campaign_batch(SMALL, lanes)
+        assert runs == [campaign_mod._MESH_MAX_CYCLES]
+        assert batch.rows == [_run_mesh_trial(SMALL, d, s) for d, s in lanes]
+
+    def test_engine_refusal_propagates(self, monkeypatch):
+        from repro.mesh.compiled_network import CompiledMeshNetwork
+
+        def refuse(self):
+            raise EngineUnsupportedError("compiled", "traffic_shape", "test")
+
+        monkeypatch.setattr(CompiledMeshNetwork, "_require_supported", refuse)
+        with pytest.raises(EngineUnsupportedError):
+            run_mesh_campaign_batch(SMALL, [(0, 1)])
+
+    def test_cycle_budget_overrun_replays_on_reference(self, monkeypatch):
+        # A fault-free run longer than the budget ends as a partial
+        # "max-cycles" row, which only the stepping engine can report.
+        monkeypatch.setattr(campaign_mod, "_MESH_MAX_CYCLES", 40)
+        monkeypatch.setattr(batched_mod, "_MESH_MAX_CYCLES", 40)
+        config = CampaignConfig(processors=16, row_samples=8)
+        batch = run_mesh_campaign_batch(config, [(0, 1)])
+        reference = _run_mesh_trial(config, 0, 1)
+        assert reference.report_kind == "max-cycles"
+        assert batch.rows == [reference]
 
 
 class TestLockstepRefusal:

@@ -8,7 +8,10 @@ properties checked here against brute-force references:
   ``random.Random(seeds[i])`` regardless of the batch width, the other
   lanes' seeds, the lane order, or how the draws are chunked;
 * **burst corruption** — :meth:`PscanFaultModel.corrupt_burst` makes
-  exactly the draws, outputs and counter updates of the per-word hook;
+  exactly the draws, outputs and counter updates of the per-word hook,
+  and frames only the words it corrupts;
+* **buffered streams** — a :class:`DrawStream` scans ahead and reads
+  back exactly the draws of the ``random.Random`` it wraps;
 * **mask algebra** — :func:`merge_masks` is the boolean union,
   :func:`compact_indices` / :func:`scatter_lanes` are stable inverses.
 
@@ -28,6 +31,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.faults.crc import pack_word  # noqa: E402
 from repro.faults.lanes import (  # noqa: E402
+    DrawStream,
     LaneRng,
     compact_indices,
     draw_below,
@@ -145,6 +149,20 @@ bursts = st.one_of(
 )
 
 
+def _hooked(model, values):
+    """The per-word hook over ``values``: ``{position: output}`` of the
+    words it corrupted (every other word must come back as itself)."""
+    corrupted = {}
+    for i, v in enumerate(values):
+        before = model.words_corrupted
+        out = model(0.0, 0, i, v)
+        if model.words_corrupted != before:
+            corrupted[i] = out
+        else:
+            assert out is v
+    return corrupted
+
+
 class TestCorruptBurst:
     @given(
         bursts,
@@ -158,9 +176,16 @@ class TestCorruptBurst:
     def test_equals_per_word_hook(self, values, ber, seed, bits_per_word):
         burst = PscanFaultModel(ber=ber, seed=seed, bits_per_word=bits_per_word)
         hook = PscanFaultModel(ber=ber, seed=seed, bits_per_word=bits_per_word)
-        out = burst.corrupt_burst(values)
-        expected = [hook(0.0, 0, i, v) for i, v in enumerate(values)]
-        assert out == expected
+        framed = []
+
+        def frame_of(i):
+            framed.append(i)
+            return values[i]
+
+        out = burst.corrupt_burst(len(values), frame_of)
+        assert out == _hooked(hook, values)
+        # Only the corrupted words are framed, each once, in order.
+        assert framed == list(out)
         assert burst.rng.getstate() == hook.rng.getstate()
         assert (
             burst.words_seen, burst.words_corrupted, burst.bits_flipped
@@ -173,9 +198,9 @@ class TestCorruptBurst:
         burst = PscanFaultModel(ber=1e-2, seed=5)
         hook = PscanFaultModel(ber=1e-2, seed=5)
         for _ in range(3):
-            assert burst.corrupt_burst(values) == [
-                hook(0.0, 0, i, v) for i, v in enumerate(values)
-            ]
+            out = burst.corrupt_burst(len(values), values.__getitem__)
+            assert out
+            assert out == _hooked(hook, values)
         assert burst.rng.getstate() == hook.rng.getstate()
 
     def test_drift_refused(self):
@@ -184,7 +209,64 @@ class TestCorruptBurst:
             drift_episodes=(DriftEpisode(start_ns=0.0, end_ns=1.0, drift_nm=0.03),),
         )
         with pytest.raises(ConfigError):
-            model.corrupt_burst([1, 2, 3])
+            model.corrupt_burst(3, [1, 2, 3].__getitem__)
+
+
+# One read of a DrawStream: a scan from the read offset, or a consuming
+# getrandbits(k) / random() call.
+stream_reads = st.lists(
+    st.one_of(
+        st.tuples(st.just("scan"), st.integers(min_value=1, max_value=40)),
+        st.tuples(st.just("bits"), st.integers(min_value=0, max_value=100)),
+        st.tuples(st.just("random"), st.just(0)),
+    ),
+    max_size=30,
+)
+
+
+class TestDrawStream:
+    @given(lane_seeds, st.floats(min_value=0.0, max_value=1.0), stream_reads)
+    @settings(max_examples=100, deadline=None)
+    def test_reads_equal_the_wrapped_rng(self, seed, p, reads):
+        wrapped = random.Random(seed)
+        stream = DrawStream(wrapped, p)
+        scalar = random.Random(seed)
+        for kind, arg in reads:
+            if kind == "scan":
+                # Scans look ahead without consuming: they must agree
+                # with draws made from a copy of the scalar stream.
+                ahead = random.Random()
+                ahead.setstate(scalar.getstate())
+                below = [ahead.random() < p for _ in range(arg)]
+                start = stream.pos
+                stop = start + 2 * arg
+                hit = stream.next_below(start, stop)
+                expect = (
+                    start + 2 * below.index(True) if any(below) else None
+                )
+                assert hit == expect
+                assert stream.count_below(start, stop) == sum(below)
+            elif kind == "bits":
+                assert stream.getrandbits(arg) == scalar.getrandbits(arg)
+            else:
+                assert stream.random() == scalar.random()
+        # Reading up to what was drawn leaves the wrapped rng in step.
+        while stream.pos < stream.drawn:
+            stream.getrandbits(32)
+            scalar.getrandbits(32)
+        assert wrapped.getstate() == scalar.getstate()
+
+    @given(lane_seeds, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=30, deadline=None)
+    def test_sample_equals_the_wrapped_rng(self, seed, k):
+        stream = DrawStream(random.Random(seed), 0.5)
+        scalar = random.Random(seed)
+        assert stream.sample(range(152), k) == scalar.sample(range(152), k)
+        assert stream.pos == stream.drawn
+
+    def test_negative_bits_rejected(self):
+        with pytest.raises(ValueError):
+            DrawStream(random.Random(0), 0.5).getrandbits(-1)
 
 
 class TestMaskAlgebra:
