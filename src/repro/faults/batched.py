@@ -22,10 +22,13 @@ The control flow per batch is therefore:
 
 1. **probe** — one fault-free run records the hook-call timeline
    (``(time_ns, node, word_index)`` per call) and the shared clean
-   result;
-2. **classify** — a ``(lanes, draws)`` matrix of lockstep draws is
-   compared against the per-call effective BER; the divergence mask
-   marks every lane where a fault fires;
+   result.  Both depend only on the config, so the batches of one
+   ``run_campaign`` call share one probe per config
+   (:func:`shared_probes`); a later call probes again;
+2. **classify** — :meth:`LaneRng.outputs` draws each lane's Mersenne
+   Twister outputs for its lockstep draws into one ``(lanes, outputs)``
+   matrix, compared against the per-call effective BER; the divergence
+   mask marks every lane where a fault fires;
 3. **recover** — divergent gather lanes run the CRC/NACK/retransmission
    protocol without a timeline (:func:`_recover_gather_lane`): the
    lane's own injector corrupts each epoch's burst in cycle order
@@ -34,7 +37,10 @@ The control flow per batch is therefore:
    :class:`~repro.faults.recovery.GatherRecovery` CRC-checks and decodes
    those frames, gives every other word the lane's own data value, and
    decides NACKs, backoff and retransmission orders exactly as
-   :meth:`~repro.faults.recovery.ReliableGather.gather` does;
+   :meth:`~repro.faults.recovery.ReliableGather.gather` does.  Epoch 0
+   reads the lane's row of the classification matrix and goes on from
+   the lane's own generator (``LaneRng.rngs[lane]``), so each output is
+   drawn once; the schedule order is computed once per batch;
 4. **replay** — lanes lockstep recovery cannot decide fall back to the
    *scalar* per-seed trial on the reference engines, the oracle both
    other paths are pinned to;
@@ -64,8 +70,11 @@ and the ``batched`` oracle kind in ``repro check fuzz``.
 
 from __future__ import annotations
 
+import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -90,7 +99,13 @@ from .campaign import (
     _run_mesh_trial,
 )
 from .crc import CRC_BITS, pack_word
-from .lanes import LaneRng, compact_indices, merge_masks, scatter_lanes
+from .lanes import (
+    LaneRng,
+    compact_indices,
+    merge_masks,
+    outputs_below,
+    scatter_lanes,
+)
 from .models import PscanFaultModel
 from .recovery import GatherRecovery
 
@@ -145,9 +160,44 @@ def _probe_gather(config: CampaignConfig, data_seed: int):
     return calls, clean_row
 
 
+#: Probes shared by the gather batches run inside a :func:`shared_probes`
+#: block, keyed by config; ``None`` outside any block.
+_PROBES: ContextVar[dict | None] = ContextVar("shared_probes", default=None)
+
+
+@contextmanager
+def shared_probes() -> Iterator[None]:
+    """Share one fault-free probe per config among the gather batches
+    run inside the block.
+
+    :func:`_probe_gather`'s hook-call timeline and clean row depend only
+    on the config, not on the BER or the data seed, so
+    :func:`~repro.faults.campaign.run_campaign` probes each config once
+    per call rather than once per batch point.  The sharing ends with
+    the block, so a later call probes afresh.  Batches run in worker
+    processes probe on their own.
+    """
+    token = _PROBES.set({})
+    try:
+        yield
+    finally:
+        _PROBES.reset(token)
+
+
+def _shared_probe(config: CampaignConfig, data_seed: int):
+    """:func:`_probe_gather`, reused within a :func:`shared_probes` block."""
+    probes = _PROBES.get()
+    if probes is None:
+        return _probe_gather(config, data_seed)
+    probe = probes.get(config)
+    if probe is None:
+        probe = probes[config] = _probe_gather(config, data_seed)
+    return probe
+
+
 def _check_lockstep_recovery(
     config: CampaignConfig, calls: list[tuple[float, int, int]]
-) -> None:
+) -> list[tuple[int, int]]:
     """Refuse lockstep recovery where it could differ from scalar replay.
 
     Lockstep recovery drives epoch 0 in the schedule's cycle order and
@@ -156,7 +206,8 @@ def _check_lockstep_recovery(
     does not depend on time.  Raises
     :class:`~repro.util.errors.EngineUnsupportedError` when the config
     has drift episodes, or when the probe saw the fault hook called in
-    any other order than the schedule's.
+    any other order than the schedule's; otherwise returns that order
+    (:func:`~repro.faults.campaign._gather_order`).
     """
     if config.drift_episodes:
         raise EngineUnsupportedError(
@@ -164,15 +215,22 @@ def _check_lockstep_recovery(
             "a drifting BER depends on each word's detection time, which "
             "only the event timeline knows",
         )
-    if [(node, word) for _, node, word in calls] != _gather_order(config):
+    order = _gather_order(config)
+    if [(node, word) for _, node, word in calls] != order:
         raise EngineUnsupportedError(
             "lockstep", "hook_order",
             "the probe saw fault-hook calls out of the schedule's cycle order",
         )
+    return order
 
 
 def _recover_gather_lane(
-    config: CampaignConfig, ber: float, trial_seed: int
+    config: CampaignConfig,
+    ber: float,
+    trial_seed: int,
+    order: list[tuple[int, int]] | None = None,
+    rng: random.Random | None = None,
+    drawn: np.ndarray | None = None,
 ) -> tuple[float, int, int, int, int, bool, int, float]:
     """One divergent gather lane, recovered without a timeline.
 
@@ -184,12 +242,20 @@ def _recover_gather_lane(
     Only a word that flips is framed (:func:`~repro.faults.crc.pack_word`)
     and decoded; every other word arrives as the lane's own data value.
     The lane keeps its own data, so undetected CRC collisions stay exact.
+
+    ``order`` is the config's :func:`_gather_order`, computed once per
+    batch.  ``rng`` and ``drawn`` continue the lane's classification:
+    ``drawn`` is the lane's row of the batch's output matrix and ``rng``
+    the lane's generator, standing just past it, so epoch 0 reads those
+    outputs instead of drawing them again from ``trial_seed``.
     """
     model = PscanFaultModel(ber=ber, seed=trial_seed)
+    if rng is not None:
+        model.rng = rng
     data = _fft_row_data(config, trial_seed)
     # _execute_gather's Pscan runs on the default (paper) WDM plan.
     recovery = GatherRecovery(
-        _gather_order(config),
+        _gather_order(config) if order is None else order,
         _retry_policy(config),
         paper_pscan_plan().bits_per_cycle,
     )
@@ -200,7 +266,8 @@ def _recover_gather_lane(
             node, word = pending[position]
             return pack_word(data[node][word])
 
-        corrupted = model.corrupt_burst(len(pending), frame_of)
+        corrupted = model.corrupt_burst(len(pending), frame_of, drawn)
+        drawn = None  # later epochs draw on from the lane's rng
         recovery.receive(
             (
                 (pair, corrupted.get(position))
@@ -232,7 +299,7 @@ def run_gather_campaign_batch(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConfigError("gather batch needs at least one seed")
-    calls, clean_row = _probe_gather(config, seeds[0])
+    calls, clean_row = _shared_probe(config, seeds[0])
     if ber <= 0.0:
         # The scalar path installs no injector at rate 0: every lane is
         # the fault-free run (the row is seed-independent).
@@ -255,26 +322,33 @@ def run_gather_campaign_batch(
     # them so the lockstep streams match the scalar consumption exactly.
     drawing = ber_per_call > 0.0
     exposed = proto.bits_per_word + CRC_BITS
-    if not np.any(drawing):
-        divergent = np.zeros(len(seeds), dtype=bool)
-    else:
-        thresholds = np.repeat(ber_per_call[drawing], exposed)
-        flips = LaneRng(seeds).below(thresholds.size, thresholds)
-        divergent = merge_masks(flips.any(axis=1))
+    thresholds = np.repeat(ber_per_call[drawing], exposed)
+    lane_rng = LaneRng(seeds)
+    drawn = lane_rng.outputs(thresholds.size)
+    divergent = merge_masks(outputs_below(drawn, thresholds).any(axis=1))
 
     diverged = compact_indices(divergent)
     try:
-        _check_lockstep_recovery(config, calls)
+        order = _check_lockstep_recovery(config, calls)
         lockstep = True
     except EngineUnsupportedError:
         lockstep = False
-    run_lane = _recover_gather_lane if lockstep else _run_gather_trial
     stage = "lockstep recovery" if lockstep else "scalar fault replay"
     diverged_rows = []
     for lane in diverged:
         lane = int(lane)
         try:
-            diverged_rows.append(run_lane(config, ber, seeds[lane]))
+            if lockstep:
+                # Lockstep means no drift, so every hook call drew: the
+                # lane's row starts its epoch-0 stream, and its
+                # generator stands just past the row.
+                row = _recover_gather_lane(
+                    config, ber, seeds[lane], order,
+                    lane_rng.rngs[lane], drawn[lane],
+                )
+            else:
+                row = _run_gather_trial(config, ber, seeds[lane])
+            diverged_rows.append(row)
         except Exception as exc:
             raise SweepPointError(
                 f"batched gather lane {lane} (seed {seeds[lane]}) failed "

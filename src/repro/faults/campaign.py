@@ -427,7 +427,7 @@ def run_campaign(
             stop_after=stop_after,
         )
     else:
-        from .batched import _gather_batch_point
+        from .batched import _gather_batch_point, shared_probes
 
         batch_grid = [
             (config, ber, tuple(chunk))
@@ -436,17 +436,19 @@ def run_campaign(
         ]
         t0 = time.perf_counter()
         try:
-            batch_results = run_sweep(
-                _gather_batch_point,
-                batch_grid,
-                parallel=parallel,
-                max_workers=max_workers,
-                checkpoint=checkpoint,
-                resume=resume,
-                obs=obs,
-                label="faults-gather-batched",
-                stop_after=stop_after,
-            )
+            # Every batch point of this call shares one fault-free probe.
+            with shared_probes():
+                batch_results = run_sweep(
+                    _gather_batch_point,
+                    batch_grid,
+                    parallel=parallel,
+                    max_workers=max_workers,
+                    checkpoint=checkpoint,
+                    resume=resume,
+                    obs=obs,
+                    label="faults-gather-batched",
+                    stop_after=stop_after,
+                )
         except SweepPointError as err:
             _raise_lane_error(err, [len(p[2]) for p in batch_grid])
         _emit_batch_obs(

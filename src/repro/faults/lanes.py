@@ -9,11 +9,12 @@ draw from :class:`random.Random`, so lane ``i``'s draws must be exactly
 :class:`LaneRng` gets that by construction: it keeps one
 ``random.Random(seed)`` per lane and reads each lane's Mersenne Twister
 outputs in bulk with ``getrandbits``, then assembles the 53-bit
-doubles exactly as CPython's ``random()`` does.  :meth:`LaneRng.below`
-and :func:`draw_below` answer "is this draw below ``p``?" and convert
-only the few draws that can be.  Lanes never share state, so a lane's
-draws do not depend on how many other lanes share the batch or in what
-order they appear (property-tested in ``tests/test_lane_properties.py``).
+doubles exactly as CPython's ``random()`` does.  :meth:`LaneRng.below`,
+:func:`outputs_below` and :func:`draw_below` answer "is this draw below
+``p``?" and convert only the few draws that can be.  Lanes never share
+state, so a lane's draws do not depend on how many other lanes share the
+batch or in what order they appear (property-tested in
+``tests/test_lane_properties.py``).
 
 The module also hosts the small lane-mask primitives the engine uses
 to split a batch into lockstep (clean) and divergent populations:
@@ -34,6 +35,7 @@ __all__ = [
     "DrawStream",
     "LaneRng",
     "draw_below",
+    "outputs_below",
     "merge_masks",
     "compact_indices",
     "scatter_lanes",
@@ -73,7 +75,7 @@ def _res53(words: np.ndarray) -> np.ndarray:
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
 
 
-def _below(words: np.ndarray, p) -> np.ndarray:
+def outputs_below(words: np.ndarray, p) -> np.ndarray:
     """``_res53(words) < p``, converting only the pairs that can pass.
 
     A draw below ``p`` has ``(a >> 5) < p * 2**27`` for its first output
@@ -96,7 +98,7 @@ def draw_below(rng: random.Random, count: int, p: float) -> np.ndarray:
     Equal to ``[rng.random() < p for _ in range(count)]``, read in bulk,
     and leaves ``rng`` in the same state.
     """
-    return _below(_mt_words(rng, count), p)
+    return outputs_below(_mt_words(rng, count), p)
 
 
 class DrawStream(random.Random):
@@ -117,9 +119,17 @@ class DrawStream(random.Random):
     :attr:`drawn` outputs further on.  A reader that ends at
     ``pos == drawn`` leaves ``rng`` exactly where reading the stream
     through ``rng`` would have.
+
+    ``drawn`` primes the stream with outputs a caller already drew from
+    ``rng`` (``rng`` stands just past them): they are offsets ``0 ..
+    len(drawn) - 1`` and are read in place, not copied, so a stream
+    primed with a lane's row of a :meth:`LaneRng.outputs` matrix reads
+    exactly what an unprimed stream on a fresh ``rng`` would.
     """
 
-    def __init__(self, rng: random.Random, p: float) -> None:
+    def __init__(
+        self, rng: random.Random, p: float, drawn: np.ndarray | None = None
+    ) -> None:
         super().__init__(0)
         self._rng = rng
         self._p = p
@@ -128,18 +138,25 @@ class DrawStream(random.Random):
         self._hits: tuple[list[int], list[int]] = ([], [])
         #: Offset of the next output ``getrandbits``/``random`` consume.
         self.pos = 0
+        if drawn is not None and len(drawn):
+            self._extend(np.asarray(drawn, dtype="<u4"))
 
     @property
     def drawn(self) -> int:
-        """Outputs drawn from ``rng`` so far."""
+        """Outputs drawn from ``rng`` so far, primed ones included."""
         return len(self._out)
 
     def _draw_to(self, end: int) -> None:
         """Draw from ``rng`` until every offset below ``end`` is known."""
         have = len(self._out)
-        if end <= have:
-            return
-        self._out = np.concatenate((self._out, _mt_outputs(self._rng, end - have)))
+        if end > have:
+            self._extend(_mt_outputs(self._rng, end - have))
+
+    def _extend(self, outputs: np.ndarray) -> None:
+        """Append the next ``outputs`` of the stream and scan them."""
+        have = len(self._out)
+        self._out = np.concatenate((self._out, outputs)) if have else outputs
+        end = len(self._out)
         # Draws at offsets >= have - 1 were missing their second output.
         low = max(have - 1, 0)
         for parity, hits in enumerate(self._hits):
@@ -147,7 +164,7 @@ class DrawStream(random.Random):
             pairs = (end - first) // 2
             if pairs > 0:
                 found = np.flatnonzero(
-                    _below(self._out[first:first + 2 * pairs], self._p)
+                    outputs_below(self._out[first:first + 2 * pairs], self._p)
                 )
                 hits.extend((first + 2 * found).tolist())
 
@@ -207,25 +224,37 @@ class LaneRng:
     Only ``random()`` draws, and :meth:`below`'s comparison of them, are
     exposed — that is the only primitive the fault injectors consume on
     their classification-relevant paths (``rng.sample`` is reached
-    *after* a lane has already diverged).
+    *after* a lane has already diverged).  A diverged lane goes on from
+    its own generator, ``rngs[lane]``, which stands where the lane's
+    draws so far end; the :meth:`outputs` it already drew can prime a
+    :class:`DrawStream` on it, so no output is drawn twice.
     """
 
-    __slots__ = ("lanes", "_rngs")
+    __slots__ = ("lanes", "rngs")
 
     def __init__(self, seeds: Sequence[int]) -> None:
         if len(seeds) < 1:
             raise ConfigError("LaneRng needs at least one lane seed")
         self.lanes = len(seeds)
-        self._rngs = [random.Random(int(s)) for s in seeds]
+        #: One ``random.Random(seed)`` per lane, advanced by every draw.
+        self.rngs = [random.Random(int(s)) for s in seeds]
 
-    def _words(self, count: int) -> np.ndarray:
-        """``(lanes, 2 * count)`` outputs of the next ``count`` draws."""
-        return np.stack([_mt_words(rng, count) for rng in self._rngs])
+    def outputs(self, count: int) -> np.ndarray:
+        """``(lanes, 2 * count)`` 32-bit outputs of the next ``count``
+        draws, in stream order along each row."""
+        if count < 0:
+            raise ConfigError(f"count must be >= 0, got {count}")
+        # Filled row by row: stacking per-lane arrays would hold the
+        # matrix twice.
+        out = np.empty((self.lanes, 2 * count), dtype="<u4")
+        for row, rng in zip(out, self.rngs):
+            row[:] = _mt_words(rng, count)
+        return out
 
     def random(self, count: int) -> np.ndarray:
         """``(lanes, count)`` float64 draws, bit-identical per lane to
         ``random.Random(seed).random()`` (``genrand_res53``)."""
-        return _res53(self._words(count))
+        return _res53(self.outputs(count))
 
     def below(self, count: int, p) -> np.ndarray:
         """``(lanes, count)`` booleans: ``self.random(count) < p``.
@@ -233,7 +262,7 @@ class LaneRng:
         ``p`` is a threshold or one per draw (broadcast along the last
         axis); only draws that can pass are converted to doubles.
         """
-        return _below(self._words(count), p)
+        return outputs_below(self.outputs(count), p)
 
 
 def merge_masks(*masks: np.ndarray) -> np.ndarray:

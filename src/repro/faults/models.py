@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from ..photonics.devices import Q_AT_SENSITIVITY, ber_from_margin_db
 from ..photonics.thermal import ThermalModel
 from ..util.errors import ConfigError
@@ -175,7 +177,10 @@ class PscanFaultModel:
         return self._corrupt(value, flips, self.rng)
 
     def corrupt_burst(
-        self, count: int, frame_of: Callable[[int], Any]
+        self,
+        count: int,
+        frame_of: Callable[[int], Any],
+        drawn: np.ndarray | None = None,
     ) -> dict[int, Any]:
         """Apply the hook to a burst of ``count`` words, in arrival order.
 
@@ -188,7 +193,10 @@ class PscanFaultModel:
         :class:`~repro.faults.lanes.DrawStream` finds the next word
         with a draw below the BER at any output offset, so after a
         flipped word's ``rng.sample`` draws the scan goes on from where
-        they end, and no output is drawn twice.
+        they end, and no output is drawn twice.  ``drawn`` holds
+        outputs of ``rng``'s stream a caller has already drawn (``rng``
+        stands just past them); the burst reads them first instead of
+        drawing them again.
 
         Only for a time-independent BER: with drift episodes the BER of
         a word depends on its detection time, which a burst does not
@@ -206,7 +214,7 @@ class PscanFaultModel:
             return corrupted
         # Each exposed bit draws one uniform of two 32-bit outputs.
         step = 2 * (self.bits_per_word + CRC_BITS)
-        stream = DrawStream(self.rng, ber)
+        stream = DrawStream(self.rng, ber, drawn)
         word = 0
         while True:
             start = stream.pos

@@ -292,6 +292,15 @@ class MeshNetwork:
         self._quarantined: dict[tuple[int, int], set[Port]] = {}
         #: Credit-timeout counters per dead (node, out_port).
         self._blocked: dict[tuple[tuple[int, int], Port], int] = {}
+        #: Packets whose route at a router points at a dead output link,
+        #: per link.  No flit crosses a dead link, so such a route stays
+        #: set until ``_quarantine`` or ``_drop_packet`` clears it; the
+        #: fault tick reads its pinned links here instead of scanning
+        #: ``_route``.
+        self._pinned: dict[tuple[tuple[int, int], Port], set[int]] = {}
+        #: Input buffers a flit over its hop budget entered; the fault
+        #: tick checks only their heads.
+        self._over_budget: set[tuple[tuple[int, int], Port]] = set()
         #: Packets found optically/electrically cut off (no healthy port).
         self._cut_off: set[int] = set()
         #: Packets in "detour mode": misrouted around a quarantined port
@@ -320,11 +329,11 @@ class MeshNetwork:
             self._nodes, 0
         )
         # The reference planner's per-router tables, built on the first
-        # planned (or fault-ticked) cycle: the compiled engine shares
+        # planned cycle (or stall break): the compiled engine shares
         # this constructor and never plans a cycle.
         self._plan_tables: list[_PlanTable] | None = None
-        # Livelock bound per packet id, filled as the hop-budget scan
-        # meets each packet (source and dest never change).
+        # Livelock bound per packet id, filled as the hop-budget checks
+        # meet each packet (source and dest never change).
         self._hop_limits: dict[int, int] = {}
         self.stats = MeshStats()
         self.sunk: list[SinkRecord] = []
@@ -415,6 +424,28 @@ class MeshNetwork:
             return
         self._faults_enabled = True
         self._quarantined = {node: set() for node in self._nodes}
+        # Flits that moved before the fault layer was armed went
+        # unchecked against their hop budget: check them once here.
+        for key, buf in self._buffers.items():
+            if any(flit.hops > self._hop_limit(flit) for flit in buf):
+                self._over_budget.add(key)
+
+    def _pin_routes(self) -> None:
+        """Rebuild ``_pinned`` from every cached route (links just died)."""
+        self._pinned = {}
+        dead = self._dead
+        for (node, pid), route in self._route.items():
+            if (node, route) in dead:
+                self._pinned.setdefault((node, route), set()).add(pid)
+
+    def _clear_route(self, node: tuple[int, int], packet_id: int) -> None:
+        """Forget ``packet_id``'s route at ``node`` and unpin its link."""
+        link = (node, self._route.pop((node, packet_id)))
+        pins = self._pinned.get(link)
+        if pins is not None:
+            pins.discard(packet_id)
+            if not pins:
+                del self._pinned[link]
 
     def fail_link(self, a: tuple[int, int], b: tuple[int, int]) -> None:
         """Kill the (bidirectional) mesh link between adjacent ``a``, ``b``.
@@ -436,6 +467,7 @@ class MeshNetwork:
         self._arm_faults()
         self._dead.add((a, port))
         self._dead.add((b, port.opposite))
+        self._pin_routes()
 
     def fail_router(self, node: tuple[int, int]) -> None:
         """Kill router ``node``: every link into and out of it dies.
@@ -452,6 +484,7 @@ class MeshNetwork:
                 continue
             self._dead.add((node, port))
             self._dead.add((nbr, port.opposite))
+        self._pin_routes()
 
     # -- helpers --------------------------------------------------------------
 
@@ -534,9 +567,13 @@ class MeshNetwork:
 
     def _hop_limit(self, flit: Flit) -> int:
         """Livelock bound for ``flit`` (generous multiple of minimal path)."""
-        _cycle, src = self._packet_meta[flit.packet_id]
-        dist = abs(flit.dest[0] - src[0]) + abs(flit.dest[1] - src[1])
-        return self.fault_config.max_hop_factor * (dist + 2)
+        limit = self._hop_limits.get(flit.packet_id)
+        if limit is None:
+            _cycle, src = self._packet_meta[flit.packet_id]
+            dist = abs(flit.dest[0] - src[0]) + abs(flit.dest[1] - src[1])
+            limit = self.fault_config.max_hop_factor * (dist + 2)
+            self._hop_limits[flit.packet_id] = limit
+        return limit
 
     def _dest_unreachable(self, dest: tuple[int, int]) -> bool:
         """True when every link *into* ``dest`` is dead (router failed).
@@ -578,7 +615,7 @@ class MeshNetwork:
                 # The head is still waiting at this router: clear the
                 # cached route so the next cycle recomputes it with
                 # fault_aware_route (which sees the quarantine set).
-                del self._route[(n, pid)]
+                self._clear_route(n, pid)
                 self.stats.reroutes += 1
                 if self._obs is not None:
                     self._obs.mesh_fault(
@@ -614,26 +651,26 @@ class MeshNetwork:
             self.stats.packets_lost.append(packet_id)
         for chan in [k for k, owner in self._owner.items() if owner == packet_id]:
             del self._owner[chan]
-        for key in [k for k in self._route if k[1] == packet_id]:
-            del self._route[key]
+        for node, pid in [k for k in self._route if k[1] == packet_id]:
+            self._clear_route(node, pid)
         if self._obs is not None:
             self._obs.mesh_fault(
                 self.cycle, "drop", packet=packet_id, flits=dropped
             )
 
     def _fault_tick(self) -> None:
-        """Per-cycle fault bookkeeping (only runs once faults are armed)."""
+        """Per-cycle fault bookkeeping (only runs once faults are armed).
+
+        Reads the pinned links and the over-budget buffers kept where
+        routes, links and hop counts change, so a tick costs nothing
+        while no packet waits at a dead link or runs over its budget.
+        """
         timeout = self.fault_config.link_timeout_cycles
         # 1. Credit-timeout detection: a packet pinned at a dead output
-        #    link for `timeout` cycles quarantines the port.
-        pinned: set[tuple[tuple[int, int], Port]] = set()
-        for (node, _pid), route in self._route.items():
-            if route is Port.LOCAL:
-                continue
-            link = (node, route)
-            if link in self._dead and route not in self._quarantined[node]:
-                pinned.add(link)
-        for link in sorted(pinned, key=lambda lk: (lk[0], int(lk[1]))):
+        #    link for `timeout` cycles quarantines the port.  No pinned
+        #    link is quarantined: quarantine clears every route through
+        #    the port, and fault_aware_route never picks it again.
+        for link in sorted(self._pinned, key=lambda lk: (lk[0], int(lk[1]))):
             count = self._blocked.get(link, 0) + 1
             self._blocked[link] = count
             if count >= timeout:
@@ -642,22 +679,18 @@ class MeshNetwork:
         for pid in sorted(self._cut_off):
             self._drop_packet(pid)
         self._cut_off.clear()
-        # 3. Hop budget: bound livelock of non-minimal detours.
+        # 3. Hop budget: bound livelock of non-minimal detours.  Only a
+        #    buffer an over-budget flit entered can have one at its head.
+        if not self._over_budget:
+            return
         over: set[int] = set()
-        occupancy = self._occupancy
-        hop_limits = self._hop_limits
-        for node, ins, _outs in self._router_tables():
-            if occupancy[node] == 0:
-                continue
-            for _in_port, buf in ins:
-                if not buf:
-                    continue
-                flit = buf[0]
-                limit = hop_limits.get(flit.packet_id)
-                if limit is None:
-                    limit = hop_limits[flit.packet_id] = self._hop_limit(flit)
-                if flit.hops > limit:
-                    over.add(flit.packet_id)
+        buffers = self._buffers
+        for key in list(self._over_budget):
+            buf = buffers[key]
+            if buf and buf[0].hops > self._hop_limit(buf[0]):
+                over.add(buf[0].packet_id)
+            if not any(flit.hops > self._hop_limit(flit) for flit in buf):
+                self._over_budget.discard(key)
         for pid in sorted(over):
             self._drop_packet(pid)
 
@@ -855,6 +888,8 @@ class MeshNetwork:
         else:
             route = self.routing.route(self.topology, node, flit.dest, downstream)
         self._route[key] = route
+        if self._faults_enabled and (node, route) in self._dead:
+            self._pinned.setdefault((node, route), set()).add(flit.packet_id)
         if self.config.header_route_cycles > 0:
             flit.ready_cycle = self.cycle + self.config.header_route_cycles
             return None  # not movable until the pipeline delay elapses
@@ -865,6 +900,7 @@ class MeshNetwork:
         moves: list[tuple[tuple[int, int], Port, tuple[int, int] | None, Port | None]],
     ) -> int:
         moved = 0
+        faults_on = self._faults_enabled
         for node, in_port, to_node, to_port in moves:
             buf = self._buffers[(node, in_port)]
             flit = buf.popleft()
@@ -877,6 +913,7 @@ class MeshNetwork:
             if flit.is_tail:
                 self._owner.pop(chan, None)
             if flit.is_tail:
+                # Never a pinned route: no flit crosses a dead link.
                 del self._route[(node, flit.packet_id)]
             self._occupancy[node] -= 1
             self.stats.flits_through_node[node] = (
@@ -890,6 +927,8 @@ class MeshNetwork:
                 self._buffers[(to_node, to_port)].append(flit)
                 self._occupancy[to_node] += 1
                 self.stats.flit_hops += 1
+                if faults_on and flit.hops > self._hop_limit(flit):
+                    self._over_budget.add((to_node, to_port))
             moved += 1
         return moved
 

@@ -10,6 +10,10 @@ This suite pins that contract:
   exhaustion and CRC collisions, framing and decoding only the words
   the lane's injector corrupts, and its structured refusals (drift,
   hook order) that send lanes to scalar replay;
+* every lane's random stream drawn once: a recovered lane reads its
+  classification row instead of drawing it again;
+* one fault-free probe per config per ``run_campaign`` call, and none
+  shared across calls;
 * the fault-free mesh lane on the compiled engine, equal to the
   reference trial across mesh sizes and row lengths;
 * gather + mesh workloads through ``run_campaign(batch=)`` at batch
@@ -48,6 +52,7 @@ from repro.faults.campaign import (
     _run_mesh_trial,
     run_campaign,
 )
+from repro.faults.crc import CRC_BITS
 from repro.faults.models import DriftEpisode, PscanFaultModel
 from repro.fft import fft
 from repro.store import code_fingerprint, point_key
@@ -220,7 +225,7 @@ class TestCorruptedWordsOnly:
             counting(
                 "arrived",
                 PscanFaultModel.corrupt_burst,
-                lambda model, count, frame_of: count,
+                lambda model, count, *rest: count,
             ),
         )
         for seed in _seeds(8):
@@ -244,6 +249,85 @@ class TestCorruptedWordsOnly:
         assert batch.rows == scalar
         assert batch.lanes_recovered == len(seeds)
         assert any(row[4] > 0 for row in scalar)
+
+
+class TestDrawOnce:
+    #: Outputs a lane's classification row holds: two per exposed bit.
+    ROW = 2 * SMALL.processors * SMALL.row_samples * (64 + CRC_BITS)
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Counts the Mersenne Twister outputs drawn in ``repro.faults.lanes``."""
+        import repro.faults.lanes as lanes_mod
+
+        counter = {"outputs": 0}
+        real = lanes_mod._mt_outputs
+
+        def counting(rng, count):
+            counter["outputs"] += count
+            return real(rng, count)
+
+        monkeypatch.setattr(lanes_mod, "_mt_outputs", counting)
+        return counter
+
+    def test_recovered_lanes_draw_epoch_zero_once(self, drawn):
+        # Every lane draws its classification row once; a recovered lane
+        # reads it again from memory and draws only what its recovery
+        # consumes past it, as much as the lane drawn alone.
+        seeds = _seeds(12)
+        alone = []
+        for seed in seeds:
+            drawn["outputs"] = 0
+            batched_mod._recover_gather_lane(SMALL, 1e-2, seed)
+            alone.append(drawn["outputs"])
+        drawn["outputs"] = 0
+        batch = run_gather_campaign_batch(SMALL, 1e-2, seeds)
+        assert batch.lanes_recovered == len(seeds)
+        assert all(outputs > self.ROW for outputs in alone)
+        assert drawn["outputs"] == sum(alone)
+        assert batch.rows == [_run_gather_trial(SMALL, 1e-2, s) for s in seeds]
+
+    def test_clean_lanes_draw_only_their_row(self, drawn):
+        seeds = _seeds(16)
+        batch = run_gather_campaign_batch(SMALL, 1e-7, seeds)
+        assert batch.lanes_clean == len(seeds)
+        assert drawn["outputs"] == len(seeds) * self.ROW
+
+
+class TestSharedProbe:
+    @pytest.mark.parametrize("drift", [(), DRIFT_EPISODES])
+    def test_probe_independent_of_data_seed(self, drift):
+        config = replace(SMALL, drift_episodes=drift)
+        first = batched_mod._probe_gather(config, _seeds(1)[0])
+        for seed in _seeds(6)[1:]:
+            assert batched_mod._probe_gather(config, seed) == first
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        configs = []
+        real = batched_mod._probe_gather
+
+        def counting(config, data_seed):
+            configs.append(config)
+            return real(config, data_seed)
+
+        monkeypatch.setattr(batched_mod, "_probe_gather", counting)
+        return configs
+
+    def test_one_probe_per_campaign_call(self, probes):
+        # 4 fault rates x 3 chunks of trials = 12 batch points, 1 probe.
+        config = TestCampaignBatchSizes.CONFIG
+        report = run_campaign(config, batch=4)
+        assert probes == [config]
+        # Nothing outlives the call: the next one probes again.
+        assert run_campaign(config, batch=4).as_table() == report.as_table()
+        assert probes == [config, config]
+        assert batched_mod._PROBES.get() is None
+
+    def test_batches_outside_a_campaign_probe_each_time(self, probes):
+        for ber in (0.0, 1e-4):
+            run_gather_campaign_batch(SMALL, ber, _seeds(2))
+        assert probes == [SMALL, SMALL]
 
 
 class TestCleanMeshLane:
@@ -454,10 +538,10 @@ class TestReplayFailureContract:
         failing_seed, flat_index = self._failing_seed()
         real = getattr(batched_mod, lane_fn)
 
-        def boom(config, ber, trial_seed):
+        def boom(config, ber, trial_seed, *lane_state):
             if trial_seed == failing_seed:
                 raise OSError("simulated replay crash")
-            return real(config, ber, trial_seed)
+            return real(config, ber, trial_seed, *lane_state)
 
         monkeypatch.setattr(batched_mod, lane_fn, boom)
         with pytest.raises(SweepPointError) as excinfo:

@@ -11,7 +11,9 @@ properties checked here against brute-force references:
   exactly the draws, outputs and counter updates of the per-word hook,
   and frames only the words it corrupts;
 * **buffered streams** — a :class:`DrawStream` scans ahead and reads
-  back exactly the draws of the ``random.Random`` it wraps;
+  back exactly the draws of the ``random.Random`` it wraps, and one
+  primed with outputs a :class:`LaneRng` already drew reads exactly
+  what an unprimed one reads;
 * **mask algebra** — :func:`merge_masks` is the boolean union,
   :func:`compact_indices` / :func:`scatter_lanes` are stable inverses.
 
@@ -214,14 +216,12 @@ class TestCorruptBurst:
 
 # One read of a DrawStream: a scan from the read offset, or a consuming
 # getrandbits(k) / random() call.
-stream_reads = st.lists(
-    st.one_of(
-        st.tuples(st.just("scan"), st.integers(min_value=1, max_value=40)),
-        st.tuples(st.just("bits"), st.integers(min_value=0, max_value=100)),
-        st.tuples(st.just("random"), st.just(0)),
-    ),
-    max_size=30,
+stream_read = st.one_of(
+    st.tuples(st.just("scan"), st.integers(min_value=1, max_value=40)),
+    st.tuples(st.just("bits"), st.integers(min_value=0, max_value=100)),
+    st.tuples(st.just("random"), st.just(0)),
 )
+stream_reads = st.lists(stream_read, max_size=30)
 
 
 class TestDrawStream:
@@ -267,6 +267,52 @@ class TestDrawStream:
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
             DrawStream(random.Random(0), 0.5).getrandbits(-1)
+
+    @given(
+        lane_seeds,
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=120),
+        st.lists(
+            st.one_of(
+                stream_read,
+                st.tuples(st.just("sample"), st.integers(min_value=1, max_value=40)),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_primed_equals_unprimed(self, seed, p, primed_draws, reads):
+        # A stream primed with a LaneRng row, on the lane's generator
+        # (which stands past that row), reads what a stream on a fresh
+        # random.Random(seed) reads, and leaves the generator the same.
+        lanes = LaneRng([seed])
+        row = lanes.outputs(primed_draws)[0]
+        primed = DrawStream(lanes.rngs[0], p, row)
+        plain_rng = random.Random(seed)
+        plain = DrawStream(plain_rng, p)
+        assert primed.drawn == 2 * primed_draws
+        for kind, arg in reads:
+            if kind == "scan":
+                start, stop = primed.pos, primed.pos + 2 * arg
+                assert plain.pos == start
+                assert primed.next_below(start, stop) == plain.next_below(
+                    start, stop
+                )
+                assert primed.count_below(start, stop) == plain.count_below(
+                    start, stop
+                )
+            elif kind == "bits":
+                assert primed.getrandbits(arg) == plain.getrandbits(arg)
+            elif kind == "random":
+                assert primed.random() == plain.random()
+            else:
+                assert primed.sample(range(152), arg) == plain.sample(
+                    range(152), arg
+                )
+        while primed.pos < primed.drawn or plain.pos < plain.drawn:
+            assert primed.getrandbits(32) == plain.getrandbits(32)
+        assert primed.drawn == plain.drawn
+        assert lanes.rngs[0].getstate() == plain_rng.getstate()
 
 
 class TestMaskAlgebra:
