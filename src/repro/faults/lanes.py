@@ -9,9 +9,9 @@ draw from :class:`random.Random`, so lane ``i``'s draws must be exactly
 :class:`LaneRng` gets that by construction: it keeps one
 ``random.Random(seed)`` per lane and reads each lane's Mersenne Twister
 outputs in bulk with ``getrandbits``, then assembles the 53-bit
-doubles exactly as CPython's ``random()`` does.  :meth:`LaneRng.below`,
-:func:`outputs_below` and :func:`draw_below` answer "is this draw below
-``p``?" and convert only the few draws that can be.  Lanes never share
+doubles exactly as CPython's ``random()`` does.  :func:`outputs_below`
+and :func:`draw_below` answer "is this draw below ``p``?" and convert
+only the few draws that can be.  Lanes never share
 state, so a lane's draws do not depend on how many other lanes share the
 batch or in what order they appear (property-tested in
 ``tests/test_lane_properties.py``).
@@ -221,7 +221,7 @@ class LaneRng:
         One integer seed per lane, exactly as it would be passed to
         ``random.Random(seed)`` (any magnitude or sign).
 
-    Only ``random()`` draws, and :meth:`below`'s comparison of them, are
+    Only ``random()`` draws, as their :meth:`outputs` or as doubles, are
     exposed — that is the only primitive the fault injectors consume on
     their classification-relevant paths (``rng.sample`` is reached
     *after* a lane has already diverged).  A diverged lane goes on from
@@ -255,14 +255,6 @@ class LaneRng:
         """``(lanes, count)`` float64 draws, bit-identical per lane to
         ``random.Random(seed).random()`` (``genrand_res53``)."""
         return _res53(self.outputs(count))
-
-    def below(self, count: int, p) -> np.ndarray:
-        """``(lanes, count)`` booleans: ``self.random(count) < p``.
-
-        ``p`` is a threshold or one per draw (broadcast along the last
-        axis); only draws that can pass are converted to doubles.
-        """
-        return outputs_below(self.outputs(count), p)
 
 
 def merge_masks(*masks: np.ndarray) -> np.ndarray:

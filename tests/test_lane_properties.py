@@ -38,6 +38,7 @@ from repro.faults.lanes import (  # noqa: E402
     compact_indices,
     draw_below,
     merge_masks,
+    outputs_below,
     scatter_lanes,
 )
 from repro.faults.models import DriftEpisode, PscanFaultModel  # noqa: E402
@@ -123,7 +124,7 @@ class TestDrawBelow:
     @settings(max_examples=40, deadline=None)
     def test_lane_below_equals_random_compare(self, seeds, thresholds):
         p = np.asarray(thresholds)
-        below = LaneRng(seeds).below(p.size, p)
+        below = outputs_below(LaneRng(seeds).outputs(p.size), p)
         assert np.array_equal(below, LaneRng(seeds).random(p.size) < p)
 
     def test_threshold_at_a_draw_is_exclusive(self):
