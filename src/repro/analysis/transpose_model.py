@@ -117,7 +117,7 @@ def measure_mesh_transpose(
     scaled matrix.
 
     ``engine`` selects the mesh backend: ``"reference"`` (default, the
-    oracle the ``analytic`` fuzz kind compares against), ``"fast"``, or
+    oracle the ``analytic`` fuzz kind compares against) or
     ``"compiled"`` — the schedule-compiled closed forms, which make
     paper-scale (1024-processor) measurement take milliseconds at every
     ``reorder_cycles`` but refuse configurations outside their domain

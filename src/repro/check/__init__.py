@@ -11,9 +11,9 @@ Three parts (see ``docs/correctness.md``):
   rather than a first-failure exception.
 * :mod:`repro.check.fuzz` — a **seeded differential fuzzer** driven by
   one table, ``KINDS``: each kind's row holds its generator, its
-  engine pairs (reference ↔ fast mesh, event ↔ compiled SCA, …), its
-  property checks (analytic Table III band, CRC codec laws, …) and its
-  shrink rules.  Any divergence fails the run.
+  engine pairs (event ↔ compiled SCA, reference ↔ compiled mesh, …),
+  its property checks (reference mesh invariants, analytic Table III
+  band, CRC codec laws, …) and its shrink rules.  Any divergence fails the run.
 * :mod:`repro.check.shrink` — a **config shrinker** that minimizes a
   failing fuzz case within its row's floors and constructibility
   predicate, and emits a committed regression seed under

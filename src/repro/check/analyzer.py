@@ -785,7 +785,6 @@ def _lint_mesh_configs() -> LintReport:
     merged = LintReport(target="shipped mesh configurations")
     for label, cfg in (
         ("MeshConfig()", MeshConfig()),
-        ("MeshConfig(engine='fast')", MeshConfig(engine="fast")),
         ("MeshConfig(engine='compiled')", MeshConfig(engine="compiled")),
         ("MeshConfig(memory_reorder_cycles=4)",
          MeshConfig(memory_reorder_cycles=4)),

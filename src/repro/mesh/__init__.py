@@ -4,12 +4,11 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "compiled_network": ("CompiledMeshNetwork",),
-    "fast_network": ("FastMeshNetwork",),
     "flit": ("Flit", "Packet"),
     "flowtiming": ("MeshFlowTiming", "run_mesh_fft2d_flow"),
     "network": (
-        "MESH_ENGINES", "MeshConfig", "MeshFaultConfig", "MeshFaultReport", "MeshNetwork",
-        "MeshStats", "SinkRecord", "mesh_signature", "packet_id_base",
+        "MESH_ENGINES", "FastMeshNetwork", "MeshConfig", "MeshFaultConfig", "MeshFaultReport",
+        "MeshNetwork", "MeshStats", "SinkRecord", "mesh_signature", "packet_id_base",
     ),
     "overlap": ("MeshOverlapResult", "run_mesh_model2_overlap"),
     "routing": (

@@ -17,16 +17,16 @@ flit movement, producing the *same* :class:`~repro.mesh.network.MeshStats`
 the reference engine computes (cycles, packet latencies in delivery
 order, per-node flit heat map, memory busy cycles, hop counts) at any
 scale — including the paper's 1024-processor configuration that the
-flit-level engines cannot finish in a bench budget.
+flit-level reference engine cannot finish in a bench budget.
 
 Applicability predicate (checked, never assumed)
 ------------------------------------------------
 Everything outside the empirically pinned domain raises
 :class:`~repro.util.errors.EngineUnsupportedError` — the compiled engine
 refuses loudly rather than silently degrading (callers that want a
-fallback catch the error and re-run with ``engine="reference"`` or
-``"fast"``).  The domain, validated flit-for-flit against the reference
-engine across mesh sizes 2x2..16x16, 1-8 packets/node, ``r`` in {2, 4},
+fallback catch the error and re-run with ``engine="reference"``).  The
+domain, validated flit-for-flit against the reference engine across
+mesh sizes 2x2..16x16, 1-8 packets/node, ``r`` in {2, 4},
 2-5 flits/packet and several column-0 sinks (``r == 1`` on the narrower
 grid given below):
 
@@ -235,7 +235,7 @@ class CompiledMeshNetwork(MeshNetwork):
             "compiled",
             "fault_injection",
             "closed-form evaluation assumes a fault-free mesh; use "
-            "engine='reference' or 'fast' for fail_link/fail_router runs",
+            "engine='reference' for fail_link/fail_router runs",
         )
 
     def fail_router(self, node: tuple[int, int]) -> None:
@@ -243,7 +243,7 @@ class CompiledMeshNetwork(MeshNetwork):
             "compiled",
             "fault_injection",
             "closed-form evaluation assumes a fault-free mesh; use "
-            "engine='reference' or 'fast' for fail_link/fail_router runs",
+            "engine='reference' for fail_link/fail_router runs",
         )
 
     def run_resilient(self, max_cycles: int | None = None):
@@ -251,7 +251,7 @@ class CompiledMeshNetwork(MeshNetwork):
             "compiled",
             "run_resilient",
             "graceful degradation is defined in terms of flit-level "
-            "recovery; use engine='reference' or 'fast'",
+            "recovery; use engine='reference'",
         )
 
     def step(self) -> int:
@@ -259,7 +259,7 @@ class CompiledMeshNetwork(MeshNetwork):
             "compiled",
             "step",
             "the compiled engine evaluates whole runs in closed form; "
-            "single-cycle stepping needs engine='reference' or 'fast'",
+            "single-cycle stepping needs engine='reference'",
         )
 
     # -- applicability predicate ----------------------------------------
@@ -279,7 +279,7 @@ class CompiledMeshNetwork(MeshNetwork):
                 "topology",
                 f"{type(self.topology).__name__}: the closed forms model "
                 "west-first paths on a plain rectangular mesh; torus and "
-                "other fabrics need engine='reference' or 'fast'",
+                "other fabrics need engine='reference'",
             )
         if cfg.memory_reorder_cycles == 1:
             missing = self._outside_reorder_one_law()

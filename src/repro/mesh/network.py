@@ -88,7 +88,7 @@ def _adjacency(
 #: Every value :attr:`MeshConfig.engine` accepts.  The config, the
 #: static linter and the ``--engine`` options of ``repro obs`` and
 #: ``repro sweep run`` all read this tuple.
-MESH_ENGINES = ("reference", "fast", "compiled")
+MESH_ENGINES = ("reference", "compiled")
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,18 +103,8 @@ class MeshConfig:
     #: Give up and report deadlock after this many consecutive idle
     #: cycles with undelivered traffic.
     deadlock_cycles: int = 10_000
-    #: Simulation engine: ``"reference"`` is the seed flit-by-flit
-    #: simulator and steps every cycle; ``"fast"`` selects the
-    #: structure-of-arrays :class:`~repro.mesh.fast_network.FastMeshNetwork`,
-    #: which jumps the clock over quiescent intervals on fault-free runs
-    #: and produces identical :class:`MeshStats`, delivery orderings and
-    #: deadlock cycles (differentially tested in
-    #: ``tests/test_fast_engine.py``).  Its measured wall-clock lead
-    #: over the reference engine is about 2.2x on the 64-processor
-    #: transpose gather, 4-5x on the 1024-processor one at t_p = 1, and
-    #: about 0.85x (it is slower) on the 16-processor ``all_to_all`` and
-    #: ``halo2d`` workloads; see docs/performance.md, "Reference
-    #: planner".  ``"compiled"``
+    #: Simulation engine: ``"reference"`` is the flit-by-flit
+    #: simulator, the oracle, and steps every cycle; ``"compiled"``
     #: selects the closed-form
     #: :class:`~repro.mesh.compiled_network.CompiledMeshNetwork`, which
     #: skips flit-level simulation entirely for single-sink coalesced
@@ -247,24 +237,14 @@ class MeshNetwork:
         stats = net.run()
     """
 
-    #: Whether :meth:`run` and :meth:`run_resilient` jump the clock over
-    #: quiescent intervals.  The reference engine steps every cycle;
-    #: :class:`~repro.mesh.fast_network.FastMeshNetwork` overrides this
-    #: and supplies ``_skip_idle_cycles``.
-    _skips_idle = False
-
     def __new__(cls, *args: Any, **kwargs: Any) -> "MeshNetwork":
-        # Engine dispatch: ``MeshConfig(engine="fast")`` transparently
-        # instantiates the structure-of-arrays subclass, so call sites
-        # never import it explicitly.  Subclasses are left alone.
+        # Engine dispatch: ``MeshConfig(engine="compiled")`` transparently
+        # instantiates the closed-form subclass, so call sites never
+        # import it explicitly.  Subclasses are left alone.
         if cls is MeshNetwork:
             config = kwargs.get("config")
             if config is None and len(args) >= 2:
                 config = args[1]
-            if config is not None and config.engine == "fast":
-                from .fast_network import FastMeshNetwork
-
-                return object.__new__(FastMeshNetwork)
             if config is not None and config.engine == "compiled":
                 from .compiled_network import CompiledMeshNetwork
 
@@ -338,8 +318,7 @@ class MeshNetwork:
         self.stats = MeshStats()
         self.sunk: list[SinkRecord] = []
         # Optional observability hook (duck-typed ObsSession); None keeps
-        # the hot loops at one pointer comparison per hook site.  Shared
-        # by the fast engine, which inherits every instrumented method.
+        # the hot loops at one pointer comparison per hook site.
         self._obs: Any = None
 
     # -- construction -------------------------------------------------------
@@ -374,11 +353,10 @@ class MeshNetwork:
         ``obs`` duck-types :class:`repro.obs.session.ObsSession`: the
         mesh calls its ``mesh_inject`` / ``mesh_deliver`` /
         ``mesh_fault`` / ``mesh_cycle`` / ``mesh_run_begin`` /
-        ``mesh_run_end`` hooks.  Semantic events come from methods shared
-        by every engine, so reference and fast runs produce identical
-        event sequences (the trace-oracle contract); only the sampled
-        ``mesh.sample`` category is engine-dependent.  Pass ``None`` to
-        detach.
+        ``mesh_run_end`` hooks.  The semantic categories (``mesh``,
+        ``mesh.fault``) record what the network did; the sampled
+        ``mesh.sample`` category records every ``mesh_sample_cycles``-th
+        stepped cycle.  Pass ``None`` to detach.
         """
         self._obs = obs
 
@@ -978,7 +956,6 @@ class MeshNetwork:
         ``max_cycles`` elapses with traffic still in the network.
         """
         idle = 0
-        skip = self._skips_idle
         if self._obs is not None:
             self._obs.mesh_run_begin(self.cycle, "run")
         while self.traffic_remaining:
@@ -989,8 +966,6 @@ class MeshNetwork:
             moved = self.step()
             if moved == 0:
                 idle += 1
-                if skip and not self._faults_enabled:
-                    idle = self._skip_idle_cycles(idle, max_cycles)
                 if idle >= self.config.deadlock_cycles:
                     raise NetworkError(
                         f"deadlock: no flit moved for {idle} cycles at "
@@ -1017,7 +992,6 @@ class MeshNetwork:
         """
         idle = 0
         aborted: str | None = None
-        skip = self._skips_idle
         stall_window = max(4 * self.fault_config.link_timeout_cycles, 64)
         if self._obs is not None:
             self._obs.mesh_run_begin(self.cycle, "run_resilient")
@@ -1043,8 +1017,6 @@ class MeshNetwork:
                 continue
             if moved == 0:
                 idle += 1
-                if skip and not self._faults_enabled:
-                    idle = self._skip_idle_cycles(idle, max_cycles)
                 if self._faults_enabled and idle >= stall_window:
                     # Fault-induced deadlock: shed one packet and go on.
                     if self._break_stall():
@@ -1087,6 +1059,13 @@ class MeshNetwork:
             ),
         )
         return self.stats, report
+
+
+#: Not an engine: ``bench/ledger.py`` still lists ``FastMeshNetwork.inject``
+#: among its entry points and resolves each name on ``repro.mesh``.  The
+#: alias goes away with that name list (ROADMAP.md, "Repair the
+#: per-layer ledger"); ``MeshConfig(engine="fast")`` raises ``ConfigError``.
+FastMeshNetwork = MeshNetwork
 
 
 def packet_id_base(net: MeshNetwork) -> int:

@@ -25,9 +25,10 @@ turns "a workload" into a first-class, engine-agnostic object:
     the event/compiled SCA engines; :func:`evaluate_workload_point` is
     the picklable sweep/serve worker.
 
-Every family is differentially fuzzed (reference vs fast mesh engines,
-event vs compiled SCA engines) by the ``workload`` kind in
-:mod:`repro.check.fuzz` and linted by ``repro check lint``.
+Every family is fuzzed by the ``workload`` kind in
+:mod:`repro.check.fuzz` (reference mesh invariants and an id-shift
+relation; event vs compiled SCA engines) and linted by
+``repro check lint``.
 """
 
 from .._lazy import lazy_exports

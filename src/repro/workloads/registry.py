@@ -15,7 +15,7 @@ cache key), and stamps the *fully resolved* params onto the description.
 The description itself is deliberately dual-representation:
 
 * ``packets`` — wormhole packets for the electronic mesh engines
-  (:class:`~repro.mesh.network.MeshConfig` ``reference``/``fast``);
+  (:class:`~repro.mesh.network.MeshConfig` ``reference``/``compiled``);
 * ``cp_phases`` — for patterns with a photonic lowering, the sequence
   of CP-program epochs (gather/scatter orders) that move the same
   logical words over the PSCAN, runnable on the event and compiled SCA

@@ -16,7 +16,7 @@ spread evenly along the waveguide, the receiver at the far end.
 ``fn(**point) -> dict`` worker the sweep runtime and the job server
 require; the point carries the registry name, the engine, and the
 family params — all of which land in the content-addressed
-``point_key``, so a ``fast`` result can never alias a ``reference`` one
+``point_key``, so a ``compiled`` result can never alias a ``reference`` one
 and two spellings of the same traffic cannot miss the cache.
 """
 
@@ -42,7 +42,7 @@ class WorkloadRunResult:
 
     ``mesh_signature`` is the full observable signature (cycle count,
     per-packet latencies, heat map, id-normalized sink records) — the
-    object the reference-vs-fast differential compares byte-for-byte.
+    object the ``workload`` fuzz kind checks.
     ``slo`` is the shared latency block over ``stats.packet_latencies``
     (``None`` only when no packet was delivered); ``pairs`` maps
     ``"(sx, sy)->(dx, dy)"`` to offered flits, delivered bandwidth, and

@@ -92,9 +92,8 @@ class TestCaseStream:
 class TestOracles:
     """Each oracle family stays clean on a short fixed-seed run.
 
-    Every equivalent-engine pair in the repo is cross-executed here:
-    reference vs fast mesh (the fast one skipping idle cycles, plus
-    obs traces),
+    Every equivalent-engine pair and oracle check in the repo runs
+    here: the reference mesh's invariants and metamorphic relations,
     codec vs corruption, measured vs analytic transpose, protected
     gather vs itself, and compiled schedules vs the static analyzer.
     """

@@ -225,6 +225,15 @@ class TestMeshConfigLint:
         args = sweep_parser().parse_args(["run", "--engine", engine])
         assert args.engine == engine
 
+    def test_fast_is_not_an_engine(self):
+        # One engine per tier: the reference oracle and the compiled one.
+        assert MESH_ENGINES == ("reference", "compiled")
+        with pytest.raises(ConfigError) as excinfo:
+            MeshConfig(engine="fast")
+        assert str(excinfo.value) == (
+            "engine must be one of ('reference', 'compiled'), got 'fast'"
+        )
+
     def test_unknown_engine_rejected_everywhere(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="engine"):
             MeshConfig(engine="warp")

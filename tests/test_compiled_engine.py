@@ -377,6 +377,10 @@ class TestCompiledMeshEquivalence:
         assert isinstance(net, CompiledMeshNetwork)
         assert isinstance(net, MeshNetwork)
 
+    def test_reference_dispatch_is_plain(self):
+        net = MeshNetwork(MeshTopology.square(16), MeshConfig())
+        assert type(net) is MeshNetwork
+
     def test_empty_run_matches_reference(self):
         sigs = []
         for engine in ("reference", "compiled"):

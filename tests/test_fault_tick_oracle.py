@@ -8,11 +8,7 @@ tick rescans every cached route for a dead, unquarantined output link
 and every router's input heads for a flit over its hop budget.
 
 Both ticks must give identical per-cycle ``mesh.fault`` event streams,
-:class:`~repro.mesh.network.MeshStats` and fault reports.  The
-reference-vs-fast trace oracle (``tests/test_obs_oracle.py``) cannot
-catch a fault-tick bug, because both engines share the tick; here the
-new tick runs on both engines against the old one on the reference
-engine.
+:class:`~repro.mesh.network.MeshStats` and fault reports.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.models import MeshFaultPlan
-from repro.mesh import MeshConfig, MeshNetwork, MeshTopology
+from repro.mesh import MeshNetwork, MeshTopology
 from repro.mesh.flit import Packet
 from repro.mesh.network import mesh_signature, packet_id_base
 from repro.mesh.routing import XYRouting
@@ -117,7 +113,7 @@ def _observe(net: MeshNetwork, recorder: FaultRecorder, stats, report) -> tuple:
     )
 
 
-def _run(cls, engine, side, setup, *, routing=None, cols=4, fail_at=None,
+def _run(cls, side, setup, *, routing=None, cols=4, fail_at=None,
          packets=None):
     """Build a ``side`` × ``side`` mesh, arm it, run it resiliently.
 
@@ -125,7 +121,7 @@ def _run(cls, engine, side, setup, *, routing=None, cols=4, fail_at=None,
     ``fail_at`` stepped cycles when given.
     """
     topo = MeshTopology.square(side * side)
-    net = cls(topo, MeshConfig(engine=engine), routing=routing)
+    net = cls(topo, routing=routing)
     recorder = FaultRecorder()
     net.attach_observer(recorder)
     net.add_memory_interface((0, 0))
@@ -150,10 +146,9 @@ def _dead_links(count, seed):
 
 
 def _assert_ticks_agree(side, setup, **kwargs):
-    oracle = _run(FullScanNetwork, "reference", side, setup, **kwargs)
+    oracle = _run(FullScanNetwork, side, setup, **kwargs)
     assert oracle[0], "the scenario should raise fault events"
-    for engine in ("reference", "fast"):
-        assert _run(MeshNetwork, engine, side, setup, **kwargs) == oracle, engine
+    assert _run(MeshNetwork, side, setup, **kwargs) == oracle
 
 
 class TestFaultTickOracle:
@@ -190,11 +185,10 @@ class TestFaultTickOracle:
             net.fail_link((0, 3), (1, 3))
 
         kwargs = dict(routing=PingPongRouting(), packets=packets, fail_at=fail_at)
-        oracle = _run(FullScanNetwork, "reference", 4, setup, **kwargs)
+        oracle = _run(FullScanNetwork, 4, setup, **kwargs)
         drops = [(cycle, d) for cycle, kind, d in oracle[0] if kind == "drop"]
         assert drops == [(95 if fail_at is None else 70, {"packet": 0, "flits": 1})]
-        for engine in ("reference", "fast"):
-            assert _run(MeshNetwork, engine, 4, setup, **kwargs) == oracle
+        assert _run(MeshNetwork, 4, setup, **kwargs) == oracle
 
     @pytest.mark.parametrize("fail_at", [None, 25])
     def test_hop_budget_under_load(self, fail_at):

@@ -275,7 +275,7 @@ _TOPOLOGIES = [
 
 
 class TestAdjacencyOncePerTopology:
-    @pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
     @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=repr)
     def test_same_as_per_network_construction(self, topology, engine):
         net = MeshNetwork(topology, MeshConfig(engine=engine))
@@ -293,7 +293,7 @@ class TestAdjacencyOncePerTopology:
         assert {n: list(e) for n, e in net._adjacent.items()} == adjacent
         assert all(type(e) is tuple for e in net._adjacent.values())
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
     @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=repr)
     def test_equal_topologies_share_no_mutable_state(self, topology, engine):
         twin = type(topology)(topology.width, topology.height)
@@ -473,6 +473,36 @@ def _digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+class _WallRouting:
+    """Routes every head east, off the edge of the mesh: a sure deadlock."""
+
+    name = "into-the-wall"
+
+    def route(self, topology, node, dest, downstream_space):
+        return Port.EAST
+
+
+def _walled_net():
+    net = MeshNetwork(
+        MeshTopology(3, 1), MeshConfig(deadlock_cycles=50),
+        routing=_WallRouting(),
+    )
+    net.inject(Packet(source=(0, 0), dest=(1, 0), payloads=[1]))
+    return net
+
+
+def _future_dated_net():
+    net = MeshNetwork(
+        MeshTopology.square(16), MeshConfig(memory_reorder_cycles=4)
+    )
+    net.add_memory_interface((0, 0))
+    net.inject(Packet(source=(3, 3), dest=(0, 0), payloads=[1, 2]))
+    net.inject(
+        Packet(source=(2, 3), dest=(0, 0), payloads=[3], created_cycle=400)
+    )
+    return net
+
+
 class TestReferencePlannerPinned:
     """The reference engine is the oracle: its output must never drift."""
 
@@ -481,22 +511,46 @@ class TestReferencePlannerPinned:
         assert _digest(_PINNED_CASES[case]()) == _PINNED_DIGESTS[case]
 
     def test_off_mesh_route_deadlock_message(self):
-        class WallRouting:
-            name = "into-the-wall"
-
-            def route(self, topology, node, dest, downstream_space):
-                return Port.EAST
-
-        net = MeshNetwork(
-            MeshTopology(3, 1), MeshConfig(deadlock_cycles=50),
-            routing=WallRouting(),
-        )
-        net.inject(Packet(source=(0, 0), dest=(1, 0), payloads=[1]))
+        net = _walled_net()
         with pytest.raises(NetworkError) as excinfo:
             net.run()
         assert str(excinfo.value) == (
             "deadlock: no flit moved for 50 cycles at cycle 56"
         )
+        assert net.cycle == 56
+
+    def test_resilient_stall_cycle(self):
+        # No fault is armed, so no stall break: the watchdog reports.
+        _stats, report = _walled_net().run_resilient()
+        assert (report.kind, report.cycle, report.message) == (
+            "stall", 56, "stall: 0 packet(s) lost, 1 in flight at cycle 56"
+        )
+
+    def test_future_dated_injection(self):
+        # The reference engine steps through the idle stretch before a
+        # packet created at cycle 400, one step() per cycle.
+        net = _future_dated_net()
+        steps = [0]
+        step = net.step
+
+        def counted():
+            steps[0] += 1
+            return step()
+
+        net.step = counted
+        stats = net.run()
+        assert stats.cycles == steps[0] == 414
+        assert stats.packet_latencies == [19, 13]
+        assert [(r.cycle, r.payload) for r in net.sunk] == [
+            (14, None), (15, 1), (19, 2), (412, None), (413, 3),
+        ]
+
+    def test_max_cycles_stops_the_idle_stretch(self):
+        net = _future_dated_net()
+        with pytest.raises(NetworkError) as excinfo:
+            net.run(max_cycles=200)
+        assert str(excinfo.value) == "traffic undelivered after max_cycles=200"
+        assert net.cycle == 200
 
     def test_compiled_run_builds_no_plan_tables(self):
         net = _transpose_net(

@@ -1,20 +1,18 @@
-"""Trace-oracle differential tests.
+"""Trace-oracle tests.
 
-The observability layer records *semantic* events from methods shared by
-every engine implementation, so two engines that claim equivalence must
-produce identical normalized traces — a much sharper oracle than
-comparing end-state stats:
+The observability layer records *semantic* events from the methods that
+change the network, so a trace must agree with the run it describes —
+a much sharper oracle than end-state stats alone:
 
-* reference vs fast mesh engine, clean and faulty (``run_resilient``);
+* the reference mesh's trace against its own delivery log and fault
+  counters, clean and faulty (``run_resilient``);
 * per-dispatch kernel records under ``ObsConfig(sim_dispatch=True)``;
 * the same seeded workload twice (determinism).
-
-Engine-*dependent* events (the sampled ``mesh.sample`` category — a
-cycle-skipping engine never visits skipped cycles) are excluded by
-construction, and one test demonstrates why.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.core import Pscan, gather_schedule
 from repro.mesh import MeshConfig, MeshNetwork, MeshTopology
@@ -23,8 +21,10 @@ from repro.obs import ObsConfig, ObsSession, normalize_events
 from repro.photonics import Waveguide
 from repro.sim import Simulator
 
-#: Categories the mesh oracles compare: engine-independent semantics.
+#: Categories of what the network did (``mesh.sample`` is a sampler).
 SEMANTIC = ("mesh", "mesh.fault")
+#: Kill the link feeding the sink's column so recovery engages.
+FAIL = ((0, 0), (0, 1))
 
 
 def canon(events: list[dict]) -> list[dict]:
@@ -49,75 +49,95 @@ def canon(events: list[dict]) -> list[dict]:
 
 
 def _mesh_session(
-    engine: str,
     *,
     fail: tuple[tuple[int, int], tuple[int, int]] | None = None,
-    resilient: bool = False,
     sample_cycles: int = 0,
-    processors: int = 16,
-    cols: int = 4,
-) -> ObsSession:
-    """Run the transpose gather on ``engine`` under observation."""
+) -> tuple[ObsSession, MeshNetwork]:
+    """Run the 16-processor transpose gather under observation."""
     session = ObsSession(ObsConfig(mesh_sample_cycles=sample_cycles))
-    topo = MeshTopology.square(processors)
-    net = MeshNetwork(topo, MeshConfig(engine=engine, memory_reorder_cycles=1))
+    topo = MeshTopology.square(16)
+    net = MeshNetwork(topo, MeshConfig(memory_reorder_cycles=1))
     net.attach_observer(session)
     net.add_memory_interface((0, 0))
     if fail is not None:
         net.fail_link(*fail)
-    for packet in make_transpose_gather(topo, cols=cols).packets:
-        net.inject(packet)
-    if resilient:
+    net.inject_all(make_transpose_gather(topo, cols=4).packets)
+    if fail is not None:
         net.run_resilient(max_cycles=100_000)
     else:
         net.run()
-    return session
+    return session, net
+
+
+def _events(session: ObsSession, cat: str, name: str | None = None) -> list:
+    return [
+        e for e in session.tracer.events
+        if e.cat == cat and (name is None or e.name == name)
+    ]
+
+
+def _deliveries_match_sink_log(session: ObsSession, net: MeshNetwork) -> None:
+    delivered = [
+        (e.ts, e.track, e.args["packet"], tuple(e.args["source"]))
+        for e in _events(session, "mesh", "deliver")
+    ]
+    assert delivered == [
+        (float(r.cycle), f"node{r.node}", r.packet_id, r.source)
+        for r in net.sunk
+    ]
 
 
 class TestMeshEngineOracle:
-    def test_reference_vs_fast_clean(self):
-        ref = _mesh_session("reference")
-        fast = _mesh_session("fast")
-        ref_events = canon(normalize_events(ref.tracer.events, categories=SEMANTIC))
-        fast_events = canon(normalize_events(fast.tracer.events, categories=SEMANTIC))
-        assert ref_events  # the oracle is vacuous on an empty trace
-        assert ref_events == fast_events
+    def test_trace_matches_stats_clean(self):
+        session, net = _mesh_session()
+        assert net.sunk  # the oracle is vacuous on an empty run
+        _deliveries_match_sink_log(session, net)
+        injected = _events(session, "mesh", "inject")
+        assert len(injected) == len(net._packet_meta)
+        assert sum(e.args["flits"] for e in injected) == len(net.sunk)
+        assert not _events(session, "mesh.fault")
 
-    def test_reference_vs_fast_faulty(self):
-        # Kill the link feeding the sink's column so recovery engages:
-        # quarantine + reroute (and possibly drops) must appear, and must
-        # appear identically on both engines.
-        fail = ((0, 0), (0, 1))
-        ref = _mesh_session("reference", fail=fail, resilient=True)
-        fast = _mesh_session("fast", fail=fail, resilient=True)
-        ref_events = canon(normalize_events(ref.tracer.events, categories=SEMANTIC))
-        fast_events = canon(normalize_events(fast.tracer.events, categories=SEMANTIC))
-        assert any(e["cat"] == "mesh.fault" for e in ref_events)
-        assert ref_events == fast_events
+    def test_trace_matches_stats_faulty(self):
+        session, net = _mesh_session(fail=FAIL)
+        stats = net.stats
+        _deliveries_match_sink_log(session, net)
+        faults = _events(session, "mesh.fault")
+        drops = [e.args for e in faults if e.name == "drop"]
+        assert stats.reroutes and stats.quarantine_events
+        assert sum(e.name == "reroute" for e in faults) == stats.reroutes
+        assert sum(e.name == "quarantine" for e in faults) == (
+            stats.quarantine_events
+        )
+        assert sum(d["flits"] for d in drops) == stats.flits_dropped
+        assert {d["packet"] for d in drops} == set(stats.packets_lost)
 
     def test_fault_metrics_agree(self):
-        fail = ((0, 0), (0, 1))
-        ref = _mesh_session("reference", fail=fail, resilient=True)
-        fast = _mesh_session("fast", fail=fail, resilient=True)
-        assert ref.metrics.to_dict() == fast.metrics.to_dict()
+        session, net = _mesh_session(fail=FAIL)
+        metrics = session.metrics
 
-    def test_sampled_category_is_engine_dependent(self):
-        # The *reason* mesh.sample is excluded from the oracle: the fast
-        # engine cycle-skips, so it visits a different set of cycles.
-        # Semantic categories still agree even with sampling on.
-        ref = _mesh_session("reference", sample_cycles=8)
-        fast = _mesh_session("fast", sample_cycles=8)
-        ref_sem = canon(normalize_events(ref.tracer.events, categories=SEMANTIC))
-        fast_sem = canon(normalize_events(fast.tracer.events, categories=SEMANTIC))
-        assert ref_sem == fast_sem
-        ref_sample = [e for e in ref.tracer.events if e.cat == "mesh.sample"]
-        fast_sample = [e for e in fast.tracer.events if e.cat == "mesh.sample"]
-        # Reference visits every cycle; the skipping engine visits fewer.
-        assert len(fast_sample) <= len(ref_sample)
+        def count(kind):
+            metric = metrics.get("mesh_fault_events", kind=kind)
+            return 0 if metric is None else metric.value
+
+        assert count("reroute") == net.stats.reroutes
+        assert count("quarantine") == net.stats.quarantine_events
+        assert metrics.get("mesh_cycles").value == net.stats.cycles
+
+    def test_sampler_leaves_semantic_events_alone(self):
+        # The reference engine steps every cycle, so the sampler records
+        # every 8th one; sampling adds no semantic event.
+        plain, _net = _mesh_session()
+        sampled, net = _mesh_session(sample_cycles=8)
+        assert canon(normalize_events(sampled.tracer.events, categories=SEMANTIC)) \
+            == canon(normalize_events(plain.tracer.events, categories=SEMANTIC))
+        samples = _events(sampled, "mesh.sample")
+        assert [e.ts for e in samples] == [
+            float(8 * i) for i in range(math.ceil(net.cycle / 8))
+        ]
 
     def test_same_run_twice_is_deterministic(self):
-        a = _mesh_session("reference", fail=((0, 0), (0, 1)), resilient=True)
-        b = _mesh_session("reference", fail=((0, 0), (0, 1)), resilient=True)
+        a, _net = _mesh_session(fail=FAIL)
+        b, _net = _mesh_session(fail=FAIL)
         assert canon(normalize_events(a.tracer.events)) == canon(
             normalize_events(b.tracer.events)
         )
