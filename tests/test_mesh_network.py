@@ -517,7 +517,25 @@ class TestReferencePlannerPinned:
         assert str(excinfo.value) == (
             "deadlock: no flit moved for 50 cycles at cycle 56"
         )
-        assert net.cycle == 56
+
+    def test_deadlock_fires_at_cycle_56(self):
+        # The watchdog fires on the 56th stepped cycle: no idle stretch is
+        # skipped on the way to it.
+        net = _walled_net()
+        steps = [0]
+        step = net.step
+
+        def counted():
+            steps[0] += 1
+            return step()
+
+        net.step = counted
+        with pytest.raises(NetworkError) as excinfo:
+            net.run()
+        assert (str(excinfo.value), net.cycle) == (
+            "deadlock: no flit moved for 50 cycles at cycle 56", 56
+        )
+        assert steps[0] == 56
 
     def test_resilient_stall_cycle(self):
         # No fault is armed, so no stall break: the watchdog reports.
