@@ -1,12 +1,12 @@
 """Seeded differential fuzzer: equivalent-engine pairs and oracle checks.
 
 The repo ships several *pairs* (or families) of implementations that claim
-observational equivalence — the compiled SCA and mesh engines next to
-their event-driven and flit-level references, an analytic Table III
-model next to the measured flit simulator, a canonical CRC frame codec,
-and the CRC-protected retransmitting gather.  The reference mesh engine
-is the oracle for the rest, so it is checked on its own: invariants any
-correct run satisfies, and metamorphic relations between runs.  Each
+observational equivalence — the compiled mesh engine next to its
+flit-level reference, an analytic Table III model next to the measured
+flit simulator, a canonical CRC frame codec, and the CRC-protected
+retransmitting gather.  The two oracles — the reference mesh engine and
+the event-driven SCA bus — are checked on their own: invariants and
+closed forms any correct run satisfies, and relations between runs.  Each
 pair is covered by targeted unit tests on a handful of hand-picked
 workloads; this module generates *randomized* workloads from a seed and
 fails on any divergence.
@@ -82,19 +82,29 @@ Case kinds
     ERROR diagnostic.
 
 ``compiled``
-    The schedule-compiled analytic backends against their event-driven
-    references.  ``Pscan(engine="compiled")`` gather/scatter executions
-    must be bit-identical to the event engine — arrivals, modulation
-    times, delivered words, clock window, moved bits, final simulator
-    time, and (when ``trace`` is set) the semantic ``sca`` obs trace —
-    including back-to-back transactions sharing one clock epoch chain.
-    ``MeshConfig(engine="compiled")`` transpose runs must reproduce the
-    reference engine's full stats signature (``sunk`` records excluded:
-    the compiled mesh documents them as unpopulated).  At ``reorder=1``
-    that holds for one element and one header flit per packet; the
-    other ``reorder=1`` shapes are out of domain and must refuse with a
-    structured :class:`~repro.util.errors.EngineUnsupportedError`
-    naming ``reorder_cycles`` — never silently fall back or mis-answer.
+    ``sca`` cases run the event-driven :class:`~repro.core.pscan.Pscan`
+    on its own, over gather/scatter schedule families:
+
+    * ``sca.timeline`` — node ``n`` at ``x`` drives cycle ``c`` at
+      ``clock.edge_time(epoch + c, x) + response_ns`` and the word
+      lands one flight later, within ``_SCA_TOL_NS``;
+    * ``sca.conservation`` — arrivals in cycle order are the schedule
+      order carrying their words, each scatter listener captures its
+      slice of the burst, and ``total_bits_moved`` grows by one bus
+      word per cycle;
+    * ``sca.epoch`` (when ``repeat`` is set) — a back-to-back second
+      transaction is the first shifted to edge ``floor(now / T) + 2``;
+    * ``sca.trace`` (when ``trace`` is set) — the semantic ``sca``
+      events restate the execution record, word by word.
+
+    ``mesh`` cases run ``MeshConfig(engine="compiled")`` transposes,
+    which must reproduce the reference engine's full stats signature
+    (``sunk`` records excluded: the compiled mesh documents them as
+    unpopulated).  At ``reorder=1`` that holds for one element and one
+    header flit per packet; the other ``reorder=1`` shapes are out of
+    domain and must refuse with a structured
+    :class:`~repro.util.errors.EngineUnsupportedError` naming
+    ``reorder_cycles`` — never silently fall back or mis-answer.
 
 ``batched``
     The SIMD-lockstep campaign engine (:mod:`repro.faults.batched`) vs
@@ -112,8 +122,9 @@ Case kinds
     traffic with every packet id shifted must give the same mesh
     signature, :mod:`repro.obs.slo` latency block and per-pair table.
     Families with a photonic lowering additionally replay their CP
-    phases on the event vs compiled SCA engines (bit-exact executions),
-    and every description must lint clean under
+    phases on the SCA bus, and each phase must deliver exactly its order
+    with its payloads (``workload.cp``); every description must lint
+    clean under
     :func:`repro.check.analyzer.analyze_traffic`.
 
 Every case is reconstructible from ``(kind, seed, params)`` — the JSON
@@ -514,22 +525,6 @@ def _schedule_order(p: Params) -> list[tuple[int, int]]:
         random.Random(p["pseed"]).shuffle(order)
         return order
     raise ValueError(f"unknown schedule family {family!r}")
-
-
-def _sca_signature(ex) -> tuple:
-    """Bit-exact observable signature of one SCA execution."""
-    return (
-        ex.kind,
-        tuple(
-            (a.time_ns, a.cycle, a.source_node, a.word_index, a.value)
-            for a in ex.arrivals
-        ),
-        tuple(sorted((n, tuple(ts)) for n, ts in ex.modulation_times.items())),
-        ex.start_ns,
-        ex.end_ns,
-        ex.period_ns,
-        tuple(sorted((n, tuple(vs)) for n, vs in ex.delivered.items())),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1170,12 +1165,35 @@ def _divisible(*couplings: tuple[str, str]) -> Callable[[Params], bool]:
 
 
 # ---------------------------------------------------------------------------
-# compiled-engine executors and refusal check
+# SCA checks (the event engine on its own) and the compiled-mesh executors
 # ---------------------------------------------------------------------------
 
+#: How far (ns) an executed SCA instant may sit from its closed form.  The
+#: kernel reaches each instant through a chain of Timeouts, so a permuted
+#: gather can land a few ulps (under 1e-15 ns) off; a timing fault moves
+#: an instant by at least the 0.01 ns response skew.
+_SCA_TOL_NS = 1e-9
 
-def _run_compiled_sca(params: Params, engine: str, session=None):
-    """Run one (or two back-to-back) SCA transactions; return signatures."""
+
+@dataclass
+class _ScaTxn:
+    """One executed SCA transaction and the inputs it must account for."""
+
+    #: Clock edge of schedule cycle 0, counted from ``sim.now`` here.
+    epoch: int
+    order: list[tuple[int, int]]
+    #: The word each bus cycle must carry.
+    words: list[Any]
+    execution: Any
+    #: How much ``total_bits_moved`` grew during the transaction.
+    bits: int
+
+
+def _run_sca(params: Params, session=None):
+    """Run one (or two back-to-back) SCA transactions on a fresh bus.
+
+    Returns the bus and one :class:`_ScaTxn` per transaction.
+    """
     from ..core import Pscan, gather_schedule, scatter_schedule
     from ..photonics import Waveguide
     from ..sim import Simulator
@@ -1184,56 +1202,167 @@ def _run_compiled_sca(params: Params, engine: str, session=None):
     pitch = 10.0
     length = (nodes + 1) * pitch + 10.0
     sim = Simulator()
-    wg = Waveguide(length_mm=length)
-    positions = {i: (i + 1) * pitch for i in range(nodes)}
-    ps = Pscan(sim, wg, positions, engine=engine)
+    ps = Pscan(sim, Waveguide(length_mm=length),
+               {i: (i + 1) * pitch for i in range(nodes)})
     if session is not None:
         ps.attach_observer(session)
     order = _schedule_order(params)
-    sigs = []
+    txns = []
     for rep in range(2 if params.get("repeat") else 1):
+        elapsed = sim.now - ps.clock.t0_ns
+        # Two guard edges after the edge in flight, so even a node at
+        # position 0 can react; a bus that never ran starts at edge 0.
+        epoch = math.floor(elapsed / ps.clock.period_ns) + 2 if elapsed > 0 else 0
+        bits = ps.total_bits_moved
         if params["op"] == "gather":
-            sched = gather_schedule(order)
             data = {
                 n: [complex(n, w + 7 * rep) for w in range(words)]
                 for n in range(nodes)
             }
-            ex = ps.execute_gather(sched, data, receiver_mm=length)
+            ex = ps.execute_gather(gather_schedule(order), data, receiver_mm=length)
+            cycle_words = [data[n][w] for n, w in order]
         else:
-            sched = scatter_schedule(order)
-            burst = [complex(rep, i) for i in range(len(order))]
-            ex = ps.execute_scatter(sched, burst, source_mm=0.0)
-        sigs.append((_sca_signature(ex), ps.total_bits_moved, ps.sim.now))
-    return tuple(sigs)
+            cycle_words = [complex(rep, i) for i in range(len(order))]
+            ex = ps.execute_scatter(scatter_schedule(order), cycle_words, source_mm=0.0)
+        txns.append(_ScaTxn(epoch, order, cycle_words, ex, ps.total_bits_moved - bits))
+    return ps, txns
 
 
-def _canon_sca_trace(events: list[dict]) -> list[dict]:
-    """Order exactly-coincident instants canonically.
+def _sca_conservation(oracle: str, order, ex, words) -> Iterable[tuple[str, str]]:
+    """Each ``(node, word)`` of ``order`` moves once, on its own cycle.
 
-    The waveguide geometry makes word flight times exact multiples of
-    the bus period, so a later modulation and an earlier word's arrival
-    can share one float timestamp; the event queue breaks that tie by
-    timeout insertion sequence, which is not part of the compiled
-    engine's contract.  Comparing canonically-sorted traces still pins
-    the exact multiset of instants at every timestamp.
+    Arrivals in cycle order carry ``words[cycle]``; a scatter listener
+    captures exactly its slice of the burst, in order.
     """
-    return sorted(events, key=lambda ev: (
-        ev.get("ts", 0.0),
-        ev.get("name", ""),
-        ev.get("track", ""),
-        sorted((ev.get("args") or {}).items()),
-    ))
-
-
-def _sca_trace(params: Params, engine: str) -> list[dict]:
-    """Run with an obs session; return the ``sca`` events, canonical."""
-    from ..obs import ObsConfig, ObsSession, normalize_events
-
-    session = ObsSession(ObsConfig())
-    _run_compiled_sca(params, engine, session=session)
-    return _canon_sca_trace(
-        normalize_events(session.tracer.events, categories=("sca",))
+    want = [(c, n, w, words[c]) for c, (n, w) in enumerate(order)]
+    got = sorted(
+        ((a.cycle, a.source_node, a.word_index, a.value) for a in ex.arrivals),
+        key=lambda r: r[0],
     )
+    if got != want:
+        yield oracle, f"arrivals by cycle: {_diff_repr(want, got)}"
+    if ex.kind == "scatter":
+        slices: dict[int, list] = {}
+        for _c, n, _w, v in want:
+            slices.setdefault(n, []).append(v)
+        if ex.delivered != slices:
+            yield oracle, f"delivered: {_diff_repr(slices, ex.delivered)}"
+
+
+def _instants(ex, by: float = 0.0) -> list[tuple]:
+    """``(what, node, cycle, t + by)`` for every instant ``ex`` records.
+
+    Modulations (the scatter source is node -1), arrivals (named by the
+    gather driver or the scatter listener) and the execution window.
+    """
+    return sorted(
+        [("mod", n, c, t + by) for n, v in ex.modulation_times.items() for c, t in v]
+        + [("land", a.source_node, a.cycle, a.time_ns + by) for a in ex.arrivals]
+        + [("window", 0, 0, ex.start_ns + by), ("window", 1, 0, ex.end_ns + by)]
+    )
+
+
+def _closed_form(ps, txn: _ScaTxn, observer_mm: float) -> list[tuple]:
+    """The instants :func:`_instants` must find, from the paper's law.
+
+    Node ``n`` at ``x`` drives cycle ``c`` at ``edge_time(epoch + c, x)
+    + response``; the word lands one flight later at the gather receiver
+    (``observer_mm``) or at the scatter listener (the source sits at
+    ``observer_mm``).
+    """
+    rows = []
+    for c, (n, _w) in enumerate(txn.order):
+        if txn.execution.kind == "gather":
+            driver, src, dst = n, ps.positions_mm[n], observer_mm
+        else:
+            driver, src, dst = -1, observer_mm, ps.positions_mm[n]
+        t = ps.clock.edge_time(txn.epoch + c, src) + ps.response_ns
+        rows += [("mod", driver, c, t),
+                 ("land", n, c, t + ps.waveguide.propagation_delay_ns(src, dst))]
+    first = min(r[3] for r in rows if r[0] == "mod")
+    last = max(r[3] for r in rows if r[0] == "land")
+    return sorted(rows + [("window", 0, 0, first), ("window", 1, 0, last)])
+
+
+def _misfit(got: list[tuple], want: list[tuple]) -> str | None:
+    """Where two :func:`_instants` lists part beyond ``_SCA_TOL_NS``."""
+    if [r[:3] for r in got] != [r[:3] for r in want]:
+        return _diff_repr(want, got)
+    return next(
+        (f"{a[:3]} at {a[3]} ns, expected {b[3]} ns"
+         for a, b in zip(got, want) if abs(a[3] - b[3]) > _SCA_TOL_NS),
+        None,
+    )
+
+
+def _sca_trace(session, txns: list[_ScaTxn]) -> Iterable[tuple[str, str]]:
+    """Per word, one ``modulate`` and one ``arrival`` (gather) or one
+    ``deliver`` (scatter) event, stamped as the execution records it.
+
+    The scatter source's drive instants are not traced: its record is
+    the burst itself, and each word shows up once, where it is peeled off.
+    """
+    want = []
+    for txn in txns:
+        ex = txn.execution
+        if ex.kind == "scatter":
+            want += [
+                ("deliver", a.time_ns, f"node{a.source_node}",
+                 (("cycle", a.cycle), ("word", a.word_index)))
+                for a in ex.arrivals
+            ]
+            continue
+        want += [
+            ("modulate", t, f"node{n}", (("cycle", c),))
+            for n, v in ex.modulation_times.items() for c, t in v
+        ]
+        want += [
+            ("arrival", a.time_ns, "receiver", (
+                ("cycle", a.cycle), ("node", a.source_node), ("word", a.word_index)))
+            for a in ex.arrivals
+        ]
+    got = [
+        (e.name, e.ts, e.track, tuple(sorted(e.args.items())))
+        for e in session.tracer.events
+        if e.cat == "sca" and e.name in ("modulate", "arrival", "deliver")
+    ]
+    if sorted(got) != sorted(want):
+        yield "sca.trace", _diff_repr(sorted(want), sorted(got))
+
+
+def _check_sca(case: FuzzCase) -> Iterable[tuple[str, str]]:
+    """A compiled-kind SCA case: timeline, conservation, epoch and trace."""
+    from ..obs import ObsConfig, ObsSession
+
+    p = case.params
+    if _compiled_mesh(p):
+        return
+    session = ObsSession(ObsConfig()) if p.get("trace") else None
+    ps, txns = _run_sca(p, session=session)
+    # The gather receiver sits at the far end, the scatter source at 0.
+    observer_mm = ps.waveguide.length_mm if p["op"] == "gather" else 0.0
+    miss = _misfit(_instants(txns[0].execution),
+                   _closed_form(ps, txns[0], observer_mm))
+    if miss:
+        yield "sca.timeline", miss
+    for txn in txns:
+        yield from _sca_conservation("sca.conservation", txn.order,
+                                     txn.execution, txn.words)
+        moved = len(txn.order) * ps.wdm.bits_per_cycle
+        if txn.bits != moved:
+            yield "sca.conservation", (
+                f"total_bits_moved grew by {txn.bits}, {len(txn.order)} "
+                f"words carry {moved}"
+            )
+    if len(txns) > 1:
+        # The second transaction is the first, shifted by whole periods.
+        second = txns[1]
+        miss = _misfit(_instants(second.execution), _instants(
+            txns[0].execution, by=second.epoch * ps.clock.period_ns))
+        if miss:
+            yield "sca.epoch", f"shifted to edge {second.epoch}: {miss}"
+    if session is not None:
+        yield from _sca_trace(session, txns)
 
 
 def _run_compiled_mesh(params: Params, engine: str) -> tuple:
@@ -1418,12 +1547,17 @@ def _check_workload_mesh(case: FuzzCase) -> Iterable[tuple[str, str]]:
             yield f"workload.shift.{aspect}", _diff_repr(x, y)
 
 
-def _run_workload_cp(p: Params, engine: str) -> tuple:
+def _check_workload_cp(case: FuzzCase) -> Iterable[tuple[str, str]]:
+    """Every CP phase delivers exactly its order, with its payloads."""
     from ..workloads import run_cp_phases
+    from ..workloads.runner import _word_value
 
-    return tuple(
-        _sca_signature(ex) for ex in run_cp_phases(_workload(p), engine)
-    )
+    desc = _workload(case.params)
+    if not desc.cp_phases:
+        return
+    for phase, ex in zip(desc.cp_phases, run_cp_phases(desc)):
+        words = [_word_value(desc.name, n, w) for n, w in phase.order]
+        yield from _sca_conservation("workload.cp", phase.order, ex, words)
 
 
 def _check_workload_lint(case: FuzzCase) -> Iterable[tuple[str, str]]:
@@ -1480,17 +1614,11 @@ KINDS: dict[str, Kind] = {
     "compiled": Kind(
         _gen_compiled,
         pairs=(
-            Pair("compiled.sca", partial(_run_compiled_sca, engine="event"),
-                 partial(_run_compiled_sca, engine="compiled"),
-                 when=lambda p: not _compiled_mesh(p)),
-            Pair("compiled.sca.trace", partial(_sca_trace, engine="event"),
-                 partial(_sca_trace, engine="compiled"),
-                 when=lambda p: not _compiled_mesh(p) and p.get("trace")),
             Pair("compiled.mesh", partial(_run_compiled_mesh, engine="reference"),
                  partial(_run_compiled_mesh, engine="compiled"),
                  when=_compiled_mesh_in_domain),
         ),
-        checks=(_check_compiled_refusal,),
+        checks=(_check_sca, _check_compiled_refusal),
         floors={"nodes": 2, "words": 1, "block": 1, "pseed": _SEED,
                 "processors": _SQUARES, "cols": 1, "reorder": 1,
                 "elements_per_packet": 1, "header_flits": 1},
@@ -1505,12 +1633,7 @@ KINDS: dict[str, Kind] = {
     ),
     "workload": Kind(
         _gen_workload,
-        pairs=(
-            Pair("workload.cp", partial(_run_workload_cp, engine="event"),
-                 partial(_run_workload_cp, engine="compiled"),
-                 when=lambda p: _workload(p).cp_phases),
-        ),
-        checks=(_check_workload_mesh, _check_workload_lint),
+        checks=(_check_workload_mesh, _check_workload_cp, _check_workload_lint),
         floors={"processors": _SQUARES, "reorder": 1, "words_per_pair": 1,
                 "words": 1, "halo": 1, "batch": 1, "features_in": 1,
                 "features_out": 1, "packets_per_node": 1, "seed": _SEED,

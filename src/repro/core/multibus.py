@@ -70,7 +70,6 @@ class MultiBusPscan:
         positions_mm: dict[int, float],
         wdm: WdmPlan | None = None,
         response_ns: float = 0.01,
-        engine: str = "event",
     ) -> None:
         if waveguides < 1:
             raise ConfigError(f"need >= 1 waveguide, got {waveguides}")
@@ -102,7 +101,6 @@ class MultiBusPscan:
                     self.positions_mm,
                     wdm=wdm,
                     response_ns=response_ns,
-                    engine=engine,
                 )
             )
 
@@ -129,9 +127,8 @@ class MultiBusPscan:
 
         Every node the schedule names must sit on the bus: an unknown
         node would otherwise surface as a ``KeyError`` deep inside one
-        bus's event loop (or, worse, a silent truncation on the compiled
-        backend), so the shape mismatch is rejected here as a structured
-        :class:`ConfigError` before any bus runs.
+        bus's event loop, so the shape mismatch is rejected here as a
+        structured :class:`ConfigError` before any bus runs.
         """
         unknown = sorted(
             {node for node, _ in schedule.order} - set(self.positions_mm)

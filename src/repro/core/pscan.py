@@ -36,13 +36,7 @@ from ..photonics.devices import PhotonicLink
 from ..photonics.waveguide import Waveguide
 from ..photonics.wdm import WdmPlan, paper_pscan_plan
 from ..sim.engine import Simulator
-from ..util.errors import (
-    CollisionError,
-    ConfigError,
-    EngineUnsupportedError,
-    LinkBudgetError,
-    ScheduleError,
-)
+from ..util.errors import CollisionError, LinkBudgetError, ScheduleError
 from .cp import Role
 from .schedule import GlobalSchedule, gather_schedule
 
@@ -197,14 +191,6 @@ class Pscan:
         Optional link-budget model; when given, every transmission path is
         checked against Eq. 1 and a :class:`LinkBudgetError` is raised if
         any receiver would be below sensitivity.
-    engine:
-        ``"event"`` (default) runs the discrete-event kernel;
-        ``"compiled"`` lowers the schedule to vectorized closed-form
-        timeline evaluation (:mod:`repro.core.compiled`) producing a
-        bit-identical :class:`ScaExecution`.  The compiled engine only
-        covers the deterministic, fault-free contract: a fault hook
-        raises :class:`~repro.util.errors.EngineUnsupportedError`
-        instead of silently falling back.
     """
 
     def __init__(
@@ -215,13 +201,7 @@ class Pscan:
         wdm: WdmPlan | None = None,
         response_ns: float = 0.01,
         link: PhotonicLink | None = None,
-        engine: str = "event",
     ) -> None:
-        if engine not in ("event", "compiled"):
-            raise ConfigError(
-                f"unknown Pscan engine {engine!r}; choose 'event' or 'compiled'"
-            )
-        self.engine = engine
         self.sim = sim
         self.waveguide = waveguide
         self.positions_mm = dict(positions_mm)
@@ -278,22 +258,6 @@ class Pscan:
                 f"ring passes (margin {self.link.margin_db(distance, rings):.2f} dB)"
             )
 
-    def _require_compiled_supported(self) -> None:
-        """Police the compiled engine's applicability predicate.
-
-        The analytic lowering is only valid for deterministic, fault-free
-        runs: a fault hook can rewrite any word at detection time.  It
-        raises — never silently degrades — so "compiled" always means
-        compiled (see :class:`~repro.util.errors.EngineUnsupportedError`).
-        """
-        if self.fault_hook is not None:
-            raise EngineUnsupportedError(
-                "compiled",
-                "fault_hook",
-                "fault injection rewrites words at detection time; "
-                "run with engine='event' (the default) instead",
-            )
-
     def _next_epoch_cycle(self) -> int:
         """First clock edge index usable for a transaction starting now.
 
@@ -339,11 +303,6 @@ class Pscan:
         execution record; raises :class:`CollisionError` if two words ever
         land on the same bus cycle at the receiver.
         """
-        if self.engine == "compiled":
-            self._require_compiled_supported()
-            from .compiled import compiled_gather
-
-            return compiled_gather(self, schedule, data, receiver_mm)
         if schedule.kind != "gather":
             raise ScheduleError(f"expected a gather schedule, got {schedule.kind!r}")
         result = ScaExecution(kind="gather", period_ns=self.clock.period_ns)
@@ -440,11 +399,6 @@ class Pscan:
         slots determine which node captures it.  All listeners must be
         downstream of the source.
         """
-        if self.engine == "compiled":
-            self._require_compiled_supported()
-            from .compiled import compiled_scatter
-
-            return compiled_scatter(self, schedule, burst, source_mm)
         if schedule.kind != "scatter":
             raise ScheduleError(f"expected a scatter schedule, got {schedule.kind!r}")
         if len(burst) != schedule.total_cycles:

@@ -54,13 +54,6 @@ class PsyncConfig:
     the legacy one-word-per-bus-cycle timing, which preserves all
     relative results and matches Table III's 64-bit-bus cycle counting.
 
-    ``engine``: ``"event"`` (default) runs scatter/gather on the
-    discrete-event kernel; ``"compiled"`` lowers each schedule to
-    closed-form vectorized timeline evaluation with bit-identical
-    execution records (see :mod:`repro.core.compiled`).  Unsupported
-    configurations (fault hooks) raise
-    :class:`~repro.util.errors.EngineUnsupportedError` at execute time.
-
     ``layout``: serpentine variant.  ``"auto"`` (default, the seed
     behaviour) snakes square processor counts over the chip and falls
     back to one row otherwise; ``"square"`` demands a perfect square
@@ -73,7 +66,6 @@ class PsyncConfig:
     response_ns: float = 0.01
     word_bits: int = constants.FFT_SAMPLE_BITS
     word_granular_clock: bool = False
-    engine: str = "event"
     layout: str = "auto"
 
     def __post_init__(self) -> None:
@@ -81,11 +73,6 @@ class PsyncConfig:
             raise ConfigError(f"need >= 1 processor, got {self.processors}")
         if self.word_bits < 1:
             raise ConfigError(f"word_bits must be >= 1, got {self.word_bits}")
-        if self.engine not in ("event", "compiled"):
-            raise ConfigError(
-                f"unknown core engine {self.engine!r}; "
-                "choose 'event' or 'compiled'"
-            )
         if self.layout not in ("auto", "square", "single-row"):
             raise ConfigError(
                 f"unknown layout {self.layout!r}; "
@@ -171,7 +158,6 @@ class PsyncMachine:
             wdm=effective,
             response_ns=self.config.response_ns,
             link=link,
-            engine=self.config.engine,
         )
         self.head = HeadNode(wdm=self.wdm, word_bits=self.config.word_bits)
         self.memory = PscanMemoryController()

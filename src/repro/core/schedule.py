@@ -52,51 +52,6 @@ class GlobalSchedule:
     programs: dict[int, CommunicationProgram] = field(default_factory=dict)
     order: list[tuple[int, int]] = field(default_factory=list)
     kind: str = "gather"
-    # Memo store for the derived views (timeline / word_map /
-    # utilization).  The views are pure functions of the schedule, but
-    # the dataclass is mutable, so each memo is keyed by a cheap O(P)
-    # structural token: any mutation through the public surface (adding
-    # a program, appending a slot, changing kind/total_cycles) changes
-    # the token and transparently invalidates.  Excluded from __eq__ and
-    # repr — two schedules with different cache states are still equal.
-    _memo: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def _memo_token(self) -> tuple:
-        """Structural fingerprint of everything the derived views read.
-
-        O(P) in node count (schedules RLE to a handful of slots per
-        node), not O(total_cycles): slot identity covers the claims
-        because :class:`~repro.core.cp.Slot` is frozen.
-        """
-        return (
-            self.total_cycles,
-            self.kind,
-            len(self.order),
-            tuple(
-                (node_id, tuple(self.programs[node_id].slots))
-                for node_id in sorted(self.programs)
-            ),
-        )
-
-    def _memoized(self, key: str, compute):
-        token = self._memo_token()
-        if self._memo.get("token") != token:
-            self._memo.clear()
-            self._memo["token"] = token
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def invalidate(self) -> None:
-        """Drop every memoized view (mutation through a back door).
-
-        Normal mutation (replacing a program, adding a slot) already
-        invalidates via the structural token; this is the explicit hatch
-        for exotic in-place edits the token cannot see.
-        """
-        self._memo.clear()
 
     def validate(self) -> None:
         """Check the invariant: every cycle claimed exactly once.
@@ -152,53 +107,12 @@ class GlobalSchedule:
                 for cycle in slot.cycles():
                     yield cycle, node_id, slot
 
-    def timeline(self) -> dict[int, list[tuple[int, "Slot"]]]:
-        """Map each claimed bus cycle to the ``(node, slot)`` claimants.
-
-        A valid schedule has exactly one claimant per cycle in
-        ``[0, total_cycles)``; anything else is a lintable violation.
-
-        Memoized on the schedule's structure (the compiled lowering and
-        the :mod:`repro.check` linter both hit this repeatedly on the
-        same immutable schedule): repeated calls return the *same*
-        object, so treat it as read-only.
-        """
-        return self._memoized("timeline", self._compute_timeline)
-
-    def _compute_timeline(self) -> dict[int, list[tuple[int, "Slot"]]]:
-        out: dict[int, list[tuple[int, Slot]]] = {}
-        for cycle, node_id, slot in self.iter_claims():
-            out.setdefault(cycle, []).append((node_id, slot))
-        return out
-
-    def word_map(self) -> dict[tuple[int, int], list[int]]:
-        """Map ``(node, word)`` to the cycle(s) that move it.
-
-        Each word of a valid schedule moves on exactly one cycle; a
-        repeated word shows up as a multi-cycle entry.  Memoized like
-        :meth:`timeline`; treat the returned dict as read-only.
-        """
-        return self._memoized("word_map", self._compute_word_map)
-
-    def _compute_word_map(self) -> dict[tuple[int, int], list[int]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for cycle, node_id, slot in self.iter_claims():
-            word = slot.word_offset + (cycle - slot.start_cycle)
-            out.setdefault((node_id, word), []).append(cycle)
-        return out
-
     @property
     def utilization(self) -> float:
-        """Fraction of bus cycles carrying data (1.0 for a valid SCA).
-
-        Memoized like :meth:`timeline`.
-        """
-        return self._memoized("utilization", self._compute_utilization)
-
-    def _compute_utilization(self) -> float:
+        """Fraction of bus cycles carrying data (1.0 for a valid SCA)."""
         if self.total_cycles == 0:
             return 0.0
-        active_role = Role.DRIVE if self.kind == "gather" else Role.LISTEN
+        active_role = self.active_role
         used = sum(
             slot.length
             for cp in self.programs.values()

@@ -713,10 +713,6 @@ class MeshNetwork:
         moves: list[
             tuple[tuple[int, int], Port, tuple[int, int] | None, Port | None]
         ] = []
-        # Space is judged on start-of-cycle occupancy; reserve as we plan
-        # so two flits cannot claim the same last slot.
-        space_left: dict[tuple[tuple[int, int], Port], int] = {}
-
         occupancy = self._occupancy
         route_cache = self._route
         owner_map = self._owner
@@ -759,7 +755,9 @@ class MeshNetwork:
                         # can never move; the deadlock detector handles it.
                         continue
                     if len(out[2]) >= cap:
-                        # Downstream full (reservations only lower it).
+                        # Downstream full.  Each downstream buffer has one
+                        # upstream output, planned at most once a cycle, so
+                        # start-of-cycle space needs no reservation.
                         continue
                     if faults_on and (node, route) in dead:
                         # Dead link: the flit cannot traverse.  It sits
@@ -775,17 +773,9 @@ class MeshNetwork:
                 wants.setdefault(route, []).append(in_port)
 
             for out_port, candidates in wants.items():
-                # Downstream capacity / sink availability.
-                if out_port is local:
-                    if not self._sink_ready(node):
-                        continue
-                else:
-                    nbr, key, down = outs[out_port]
-                    left = space_left.get(key)
-                    if left is None:
-                        left = cap - len(down)
-                    if left <= 0:
-                        continue
+                # Sink availability (downstream space was judged above).
+                if out_port is local and not self._sink_ready(node):
+                    continue
                 # Round-robin arbitration among candidate inputs.
                 rr_key = (node, out_port)
                 if len(candidates) == 1:
@@ -799,7 +789,7 @@ class MeshNetwork:
                 if out_port is local:
                     moves.append((node, winner, None, None))
                 else:
-                    space_left[key] = left - 1
+                    nbr, key, _down = outs[out_port]
                     moves.append((node, winner, nbr, key[1]))
         return moves
 

@@ -47,16 +47,17 @@ class ConfigError(ReproError, ValueError):
 class EngineUnsupportedError(ConfigError):
     """A fast/analytic engine was asked to simulate outside its contract.
 
-    The compiled engine (``engine="compiled"``) trades generality for
-    speed: it evaluates deterministic, fault-free schedules in closed
-    form and refuses everything else **loudly** — silently falling back
-    to an event simulation would make "compiled" mean "sometimes
-    compiled", and silently producing approximate numbers would poison
-    differential baselines.  Callers that want graceful degradation
-    catch this error and re-run with ``engine="reference"`` explicitly.
+    The compiled mesh engine (``MeshConfig(engine="compiled")``) trades
+    generality for speed: it evaluates deterministic, fault-free
+    transposes in closed form and refuses everything else **loudly** —
+    silently falling back to a flit simulation would make "compiled"
+    mean "sometimes compiled", and silently producing approximate
+    numbers would poison differential baselines.  Callers that want
+    graceful degradation catch this error and re-run with
+    ``engine="reference"`` explicitly.
 
     ``engine`` names the engine that refused, ``feature`` the unsupported
-    capability (machine-readable token, e.g. ``"fault_hook"`` or
+    capability (machine-readable token, e.g. ``"fault_injection"`` or
     ``"multiple_sinks"``), and ``reason`` the human explanation.
     """
 

@@ -22,12 +22,12 @@ turns "a workload" into a first-class, engine-agnostic object:
     :class:`~repro.mesh.network.MeshConfig` engine and reports the
     shared :mod:`repro.obs.slo` latency block + per-pair delivered
     bandwidth; :func:`run_cp_phases` runs a description's CP phases on
-    the event/compiled SCA engines; :func:`evaluate_workload_point` is
+    the event-driven SCA bus; :func:`evaluate_workload_point` is
     the picklable sweep/serve worker.
 
 Every family is fuzzed by the ``workload`` kind in
 :mod:`repro.check.fuzz` (reference mesh invariants and an id-shift
-relation; event vs compiled SCA engines) and linted by
+relation; word conservation of the CP phases) and linted by
 ``repro check lint``.
 """
 

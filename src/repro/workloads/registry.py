@@ -18,8 +18,7 @@ The description itself is deliberately dual-representation:
   (:class:`~repro.mesh.network.MeshConfig` ``reference``/``compiled``);
 * ``cp_phases`` — for patterns with a photonic lowering, the sequence
   of CP-program epochs (gather/scatter orders) that move the same
-  logical words over the PSCAN, runnable on the event and compiled SCA
-  engines.
+  logical words over the PSCAN, runnable on the event-driven SCA bus.
 
 Families that have no sensible bus lowering (uniform random, halo) ship
 an empty ``cp_phases``; consumers must check, not assume.

@@ -9,8 +9,8 @@ on every engine) plus the FM16-style per-pair table (offered flits,
 delivered bandwidth in flits/cycle, per-pair latency moments).
 
 :func:`run_cp_phases` is the photonic counterpart: it replays a
-description's CP epochs on a PSCAN (event or compiled engine), nodes
-spread evenly along the waveguide, the receiver at the far end.
+description's CP epochs on the event-driven PSCAN, nodes spread evenly
+along the waveguide, the receiver at the far end.
 
 :func:`evaluate_workload_point` is the module-level (picklable)
 ``fn(**point) -> dict`` worker the sweep runtime and the job server
@@ -146,7 +146,6 @@ def _word_value(name: str, node: int, word: int) -> str:
 
 def run_cp_phases(
     description: TrafficDescription,
-    engine: str = "event",
     *,
     node_spacing_mm: float = 10.0,
     session: Any = None,
@@ -155,9 +154,7 @@ def run_cp_phases(
 
     Nodes sit at ``node_spacing_mm`` intervals from the head of the
     waveguide; gathers detect at the far end, scatters drive from the
-    head.  ``engine`` is the :class:`~repro.core.pscan.Pscan` engine
-    (``"event"`` or ``"compiled"``); the compiled engine forbids
-    observers, so ``session`` is only attached on the event path.
+    head; ``session``, when given, observes the kernel and the bus.
     Raises :class:`ConfigError` for families with no photonic lowering.
     """
     from ..core import Pscan
@@ -176,9 +173,8 @@ def run_cp_phases(
         sim,
         Waveguide(length_mm=length_mm),
         {i: node_spacing_mm * i for i in range(n)},
-        engine=engine,
     )
-    if session is not None and engine == "event":
+    if session is not None:
         sim.attach_observer(session)
         pscan.attach_observer(session)
     executions: list[Any] = []

@@ -94,8 +94,9 @@ class TestOracles:
 
     Every equivalent-engine pair and oracle check in the repo runs
     here: the reference mesh's invariants and metamorphic relations,
-    codec vs corruption, measured vs analytic transpose, protected
-    gather vs itself, and compiled schedules vs the static analyzer.
+    the event SCA bus's closed forms, codec vs corruption, measured vs
+    analytic transpose, protected gather vs itself, and compiled
+    schedules vs the static analyzer.
     """
 
     @pytest.mark.parametrize("kind", CASE_KINDS)
@@ -137,6 +138,60 @@ class TestOracles:
             },
         )
         assert run_case(case) == []
+
+
+class TestScaChecks:
+    """The event SCA bus's checks see a fault no second engine shares."""
+
+    @staticmethod
+    def _case(op="gather", trace=False):
+        return FuzzCase(kind="compiled", seed=0, params={
+            "target": "sca", "family": "permuted", "pseed": 42, "op": op,
+            "nodes": 4, "words": 5, "repeat": True, "trace": trace,
+        })
+
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    def test_clean(self, op):
+        assert run_case(self._case(op, trace=True)) == []
+
+    def test_one_guard_edge_breaks_the_epoch_chain(self, monkeypatch):
+        from repro.core import Pscan
+
+        guarded = Pscan._next_epoch_cycle
+        monkeypatch.setattr(Pscan, "_next_epoch_cycle",
+                            lambda self: max(0, guarded(self) - 1))
+        assert {d.oracle for d in run_case(self._case())} == {"sca.epoch"}
+
+    def test_late_modulation_breaks_timeline_and_trace(self, monkeypatch):
+        from repro.core import Pscan
+
+        gather = Pscan.execute_gather
+
+        def late(self, *args, **kwargs):
+            ex = gather(self, *args, **kwargs)
+            ex.modulation_times = {
+                n: [(c, t + 0.01) for c, t in v]
+                for n, v in ex.modulation_times.items()
+            }
+            return ex
+
+        monkeypatch.setattr(Pscan, "execute_gather", late)
+        found = {d.oracle for d in run_case(self._case(trace=True))}
+        assert found == {"sca.timeline", "sca.trace"}
+
+    def test_lost_delivery_breaks_conservation(self, monkeypatch):
+        from repro.core import Pscan
+
+        scatter = Pscan.execute_scatter
+
+        def lossy(self, *args, **kwargs):
+            ex = scatter(self, *args, **kwargs)
+            ex.delivered[0].pop()
+            return ex
+
+        monkeypatch.setattr(Pscan, "execute_scatter", lossy)
+        found = {d.oracle for d in run_case(self._case("scatter"))}
+        assert found == {"sca.conservation"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,43 +1,27 @@
-"""Differential tests: ``engine="compiled"`` vs the event/reference paths.
+"""Differential tests: ``MeshConfig(engine="compiled")`` vs the reference.
 
-The compiled engine lowers a deterministic schedule straight to closed
-form — vectorized timeline evaluation for SCA (:mod:`repro.core.compiled`)
-and per-packet arithmetic for the mesh transpose gather
-(:class:`repro.mesh.compiled_network.CompiledMeshNetwork`).  Its contract
-is *bit-identical observables inside a documented domain, loud refusal
-outside it*:
+The compiled mesh engine lowers a deterministic transpose gather
+straight to per-packet arithmetic
+(:class:`repro.mesh.compiled_network.CompiledMeshNetwork`).  Its
+contract is *bit-identical observables inside a documented domain, loud
+refusal outside it*:
 
-* SCA: identical :class:`~repro.core.pscan.ScaExecution` records — float
-  timestamps, arrival order, delivered payloads, epoch continuity across
-  back-to-back transactions — on the same schedule grids the fast-engine
-  suite uses.
-* Mesh: identical :class:`~repro.mesh.network.MeshStats` (the per-flit
-  ``sunk`` log is the one documented divergence, so signatures drop it).
+* Inside the domain: identical :class:`~repro.mesh.network.MeshStats`
+  (the per-flit ``sunk`` log is the one documented divergence, so
+  signatures drop it).
 * Outside the domain: a structured
   :class:`~repro.util.errors.EngineUnsupportedError` naming the refused
   ``feature`` — never a silent fallback, never a silently wrong number.
 
-Trace comparisons use a canonical (timestamp-major) sort: the waveguide
-geometry makes flight times exact multiples of the bus period, so
-coincident instants' relative order is event-queue insertion noise, not
-part of the compiled contract.  The sorted comparison still pins the
-exact multiset of instants at every timestamp.
+The photonic side has one engine, the event-driven
+:class:`~repro.core.pscan.Pscan`; its closed-form checks live in
+``tests/test_pscan.py``.
 """
-
-import random
 
 import pytest
 
-from repro.core import MultiBusPscan, Pscan, PsyncConfig, PsyncMachine
-from repro.core.schedule import (
-    GlobalSchedule,
-    block_interleave_order,
-    control_then_data_order,
-    gather_schedule,
-    round_robin_order,
-    scatter_schedule,
-    transpose_order,
-)
+from repro.core import Pscan
+from repro.core.schedule import gather_schedule, transpose_order
 from repro.mesh import (
     MeshConfig,
     MeshNetwork,
@@ -60,89 +44,6 @@ from repro.util.errors import (
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-_PITCH_MM = 10.0
-
-
-def _pscan(nodes, engine, *, session=None):
-    """A Pscan with nodes at (i+1)*pitch on a pitch-padded waveguide."""
-    length = (nodes + 1) * _PITCH_MM + 10.0
-    ps = Pscan(
-        Simulator(),
-        Waveguide(length_mm=length),
-        {i: (i + 1) * _PITCH_MM for i in range(nodes)},
-        engine=engine,
-    )
-    if session is not None:
-        ps.attach_observer(session)
-    return ps, length
-
-
-def _orders(nodes, words):
-    """The schedule families both engines must agree on."""
-    shuffled = transpose_order(nodes, words)
-    random.Random(nodes * 31 + words).shuffle(shuffled)
-    return {
-        "transpose": transpose_order(nodes, words),
-        "round_robin": round_robin_order(nodes, words),
-        "model1": round_robin_order(nodes, words, block=words),
-        "block_interleave": block_interleave_order(nodes, words),
-        "control_then_data": control_then_data_order(nodes, 1, words),
-        "permuted": shuffled,
-    }
-
-
-def _sca_signature(ps, ex):
-    """Everything the event path observably produces, bit-for-bit."""
-    return (
-        ex.kind,
-        tuple(
-            (a.time_ns, a.cycle, a.source_node, a.word_index, a.value)
-            for a in ex.arrivals
-        ),
-        tuple(sorted((n, tuple(ts)) for n, ts in ex.modulation_times.items())),
-        ex.start_ns,
-        ex.end_ns,
-        ex.period_ns,
-        tuple(sorted((n, tuple(ws)) for n, ws in ex.delivered.items())),
-        ps.total_bits_moved,
-        ps.sim.now,
-    )
-
-
-def _run_sca(engine, op, order, nodes, words, *, transactions=1, session=None):
-    """One or more back-to-back transactions; returns per-txn signatures."""
-    ps, length = _pscan(nodes, engine, session=session)
-    sigs = []
-    for rep in range(transactions):
-        if op == "gather":
-            data = {
-                n: [complex(n, w + 7 * rep) for w in range(words + 1)]
-                for n in range(nodes)
-            }
-            ex = ps.execute_gather(
-                gather_schedule(order), data, receiver_mm=length
-            )
-        else:
-            burst = [complex(rep, i) for i in range(len(order))]
-            ex = ps.execute_scatter(
-                scatter_schedule(order), burst, source_mm=0.0
-            )
-        sigs.append(_sca_signature(ps, ex))
-    return tuple(sigs)
-
-
-def _canon_sca_trace(events):
-    """Timestamp-major canonical order (see module docstring)."""
-    return sorted(
-        events,
-        key=lambda ev: (
-            ev.get("ts", 0.0),
-            ev.get("name", ""),
-            ev.get("track", ""),
-            sorted((ev.get("args") or {}).items()),
-        ),
-    )
 
 
 def _mesh_signature(net, stats):
@@ -173,150 +74,16 @@ def _run_mesh_transpose(
 
 
 # ---------------------------------------------------------------------------
-# SCA: compiled vs event, bit-for-bit
-# ---------------------------------------------------------------------------
-
-
-class TestCompiledScaEquivalence:
-    @pytest.mark.parametrize("nodes,words", [(2, 1), (4, 3), (8, 5)])
-    @pytest.mark.parametrize("op", ["gather", "scatter"])
-    def test_all_families_identical(self, op, nodes, words):
-        for family, order in _orders(nodes, words).items():
-            event = _run_sca("event", op, order, nodes, words)
-            compiled = _run_sca("compiled", op, order, nodes, words)
-            assert compiled == event, f"{op}/{family} diverged"
-
-    @pytest.mark.parametrize("op", ["gather", "scatter"])
-    def test_back_to_back_transactions_keep_epoch_continuity(self, op):
-        # A second transaction's epoch derives from sim.now after the
-        # first; the compiled clock advance must leave it identical.
-        order = transpose_order(4, 3)
-        event = _run_sca("event", op, order, 4, 3, transactions=3)
-        compiled = _run_sca("compiled", op, order, 4, 3, transactions=3)
-        assert compiled == event
-
-    def test_single_node_single_word(self):
-        order = [(0, 0)]
-        for op in ("gather", "scatter"):
-            assert _run_sca("compiled", op, order, 1, 1) == _run_sca(
-                "event", op, order, 1, 1
-            )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            _pscan(4, "warp")
-
-
-# ---------------------------------------------------------------------------
-# SCA: PsyncMachine models and multi-bus striping
-# ---------------------------------------------------------------------------
-
-
-def _machine(engine, *, processors=4):
-    return PsyncMachine(PsyncConfig(processors=processors, engine=engine))
-
-
-class TestCompiledMachineEquivalence:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda m: m.model1_scatter_schedule(4),
-            lambda m: m.model2_scatter_schedule(4, 2),
-            lambda m: m.model2_scatter_schedule(4, 4),
-        ],
-        ids=["model1", "model2-k2", "model2-k4"],
-    )
-    def test_scatter_models_fill_identical_memories(self, build):
-        results = {}
-        for engine in ("event", "compiled"):
-            m = _machine(engine)
-            schedule = build(m)
-            burst = [complex(0, i) for i in range(schedule.total_cycles)]
-            ex = m.scatter(schedule, burst)
-            results[engine] = (
-                _sca_signature(m.pscan, ex),
-                m.local_memory,
-            )
-        assert results["compiled"] == results["event"]
-
-    def test_transpose_gather_identical(self):
-        results = {}
-        for engine in ("event", "compiled"):
-            m = _machine(engine)
-            for pid in m.local_memory:
-                m.local_memory[pid] = [complex(pid, w) for w in range(3)]
-            ex = m.gather(m.transpose_gather_schedule(3))
-            results[engine] = _sca_signature(m.pscan, ex)
-        assert results["compiled"] == results["event"]
-
-    def test_scatter_then_gather_round_trip(self):
-        # The full Fig.-6 cycle on one machine: epoch continuity across
-        # *different* operation kinds.
-        results = {}
-        for engine in ("event", "compiled"):
-            m = _machine(engine)
-            sched = m.model2_scatter_schedule(4, 2)
-            sx = m.scatter(sched, [complex(0, i) for i in range(sched.total_cycles)])
-            gx = m.gather(m.transpose_gather_schedule(4))
-            results[engine] = (
-                _sca_signature(m.pscan, sx)[:-2],  # bits/now covered below
-                _sca_signature(m.pscan, gx),
-                m.local_memory,
-            )
-        assert results["compiled"] == results["event"]
-
-    def test_config_rejects_unknown_engine(self):
-        with pytest.raises(ConfigError):
-            PsyncConfig(engine="warp")
-
-    @pytest.mark.parametrize("waveguides", [1, 2, 3])
-    def test_multibus_striped_gather_identical(self, waveguides):
-        nodes, words = 4, 3
-        length = (nodes + 1) * _PITCH_MM + 10.0
-        positions = {i: (i + 1) * _PITCH_MM for i in range(nodes)}
-        data = {n: [complex(n, w) for w in range(words)] for n in range(nodes)}
-        schedule = gather_schedule(transpose_order(nodes, words))
-        results = {}
-        for engine in ("event", "compiled"):
-            bus = MultiBusPscan(waveguides, length, positions, engine=engine)
-            ex = bus.execute_gather(schedule, data, receiver_mm=length)
-            results[engine] = (
-                ex.stream,
-                ex.duration_ns,
-                ex.all_gapless,
-                ex.total_cycles,
-                [
-                    tuple(
-                        (a.time_ns, a.cycle, a.source_node, a.word_index, a.value)
-                        for a in sub.arrivals
-                    )
-                    for sub in ex.per_bus
-                ],
-            )
-        assert results["compiled"] == results["event"]
-
-
-# ---------------------------------------------------------------------------
-# SCA: refusal contract
+# SCA: fault hooks
 # ---------------------------------------------------------------------------
 
 
 class TestScaRefusals:
-    def test_fault_hook_refused(self):
-        ps, length = _pscan(4, "compiled")
-        ps.fault_hook = lambda t, node, word, value: value
-        with pytest.raises(EngineUnsupportedError) as exc:
-            ps.execute_gather(
-                gather_schedule(transpose_order(4, 2)),
-                {n: [0, 0] for n in range(4)},
-                receiver_mm=length,
-            )
-        assert exc.value.engine == "compiled"
-        assert exc.value.feature == "fault_hook"
-
     def test_event_engine_still_accepts_fault_hook(self):
-        # The refusal is a compiled-engine property, not a general one.
-        ps, length = _pscan(2, "event")
+        # Refusing fault injection is a compiled-mesh property: the one
+        # SCA engine, the event-driven bus, takes a fault hook.
+        length = 40.0
+        ps = Pscan(Simulator(), Waveguide(length_mm=length), {0: 10.0, 1: 20.0})
         ps.fault_hook = lambda t, node, word, value: value
         ex = ps.execute_gather(
             gather_schedule(transpose_order(2, 1)),
@@ -887,29 +654,7 @@ class TestMeshIntakeParity:
 # ---------------------------------------------------------------------------
 
 
-def _sca_obs_run(engine, op):
-    session = ObsSession(ObsConfig())
-    order = transpose_order(4, 3)
-    _run_sca(engine, op, order, 4, 3, transactions=2, session=session)
-    trace = _canon_sca_trace(
-        normalize_events(session.tracer.events, categories=("sca",))
-    )
-    metrics = {
-        name: sorted(
-            (labels, m.value)
-            for (n, labels), m in session.metrics._metrics.items()
-            if n == name
-        )
-        for name in session.metrics.names()
-    }
-    return trace, metrics
-
-
 class TestObservabilityParity:
-    @pytest.mark.parametrize("op", ["gather", "scatter"])
-    def test_sca_trace_and_metrics_identical(self, op):
-        assert _sca_obs_run("compiled", op) == _sca_obs_run("event", op)
-
     def test_mesh_run_summary_metrics_identical(self):
         # Per-packet deliver events are a documented compiled-engine
         # omission (sink-arbitration noise decides packet attribution);
@@ -975,44 +720,3 @@ class TestObservabilityParity:
             if ev.cat == "mesh" and ev.name == "run"
         ]
         assert phases == ["B", "E"]
-
-
-# ---------------------------------------------------------------------------
-# GlobalSchedule memoization (satellite: derived views built once)
-# ---------------------------------------------------------------------------
-
-
-class TestScheduleMemoization:
-    def _schedule(self) -> GlobalSchedule:
-        return gather_schedule(transpose_order(4, 3))
-
-    def test_views_constructed_once(self):
-        sched = self._schedule()
-        assert sched.timeline() is sched.timeline()
-        assert sched.word_map() is sched.word_map()
-        assert sched.utilization == sched.utilization
-        # utilization is a float (not identity-comparable): pin the memo
-        # entry itself instead.
-        assert "utilization" in sched._memo
-
-    def test_structural_mutation_invalidates(self):
-        sched = self._schedule()
-        before = sched.timeline()
-        sched.total_cycles += 1
-        after = sched.timeline()
-        assert after is not before
-
-    def test_explicit_invalidate_drops_memo(self):
-        sched = self._schedule()
-        first = sched.timeline()
-        sched.invalidate()
-        assert sched._memo == {}
-        again = sched.timeline()
-        assert again is not first
-        assert again == first
-
-    def test_memo_excluded_from_equality(self):
-        a = self._schedule()
-        b = self._schedule()
-        a.timeline()  # warm one side only
-        assert a == b

@@ -9,6 +9,8 @@ from repro.fft import fft2d_reference
 from repro.mesh.flowtiming import run_mesh_fft2d_flow
 from repro.util.errors import ConfigError, ScheduleError
 
+from .test_pscan import assert_closed_form
+
 
 def make_setup(rows=4, cols=8):
     positions = {i: i * 10.0 for i in range(rows)}
@@ -27,6 +29,19 @@ class TestMultiBus:
         assert ex.stream == expected
         assert ex.all_gapless
         assert ex.total_cycles == sched.total_cycles
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_each_bus_carries_its_stripe(self, w):
+        # Bus i drives cycles i, i + W, ... of the parent order, compacted,
+        # on its own clock from edge 0.
+        positions, sched, data, _ = make_setup(rows=4, cols=3)
+        mb = MultiBusPscan(w, 50.0, positions)
+        ex = mb.execute_gather(sched, data, receiver_mm=50.0)
+        assert len(ex.per_bus) == w
+        for i, (bus, sub) in enumerate(zip(mb.buses, ex.per_bus)):
+            stripe = sched.order[i::w]
+            words = [data[n][c] for n, c in stripe]
+            assert_closed_form(bus, sub, stripe, 0, words, 50.0)
 
     def test_duration_scales_down(self):
         positions, sched, data, _ = make_setup(rows=4, cols=16)

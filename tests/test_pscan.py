@@ -1,13 +1,18 @@
 """Tests for the event-driven PSCAN executor (repro.core.pscan)."""
 
+import math
+import random
+
 import pytest
 
 from repro.core import Pscan, gather_schedule, scatter_schedule
 from repro.core.schedule import (
     block_interleave_order,
+    control_then_data_order,
     round_robin_order,
     transpose_order,
 )
+from repro.obs import ObsConfig, ObsSession
 from repro.photonics import PhotonicLink, Photodiode, Waveguide, WdmPlan
 from repro.sim import Simulator
 from repro.util.errors import CollisionError, LinkBudgetError, ScheduleError
@@ -188,3 +193,175 @@ class TestTimingExactness:
         # End-to-end: first modulation at ~t=response; last arrival is
         # flight-dominated.
         assert ex.duration_ns > 1.0
+
+
+# ---------------------------------------------------------------------------
+# Closed form: t_mod = edge_time(epoch + c, x) + t_resp, one flight to land
+# ---------------------------------------------------------------------------
+
+_PITCH_MM = 10.0
+
+
+def _bus(nodes):
+    """Nodes at (i + 1) * pitch on a pitch-padded waveguide."""
+    length = (nodes + 1) * _PITCH_MM + 10.0
+    ps = Pscan(
+        Simulator(),
+        Waveguide(length_mm=length),
+        {i: (i + 1) * _PITCH_MM for i in range(nodes)},
+    )
+    return ps, length
+
+
+def _families(nodes, words):
+    shuffled = transpose_order(nodes, words)
+    random.Random(nodes * 31 + words).shuffle(shuffled)
+    return {
+        "transpose": transpose_order(nodes, words),
+        "round_robin": round_robin_order(nodes, words),
+        "model1": round_robin_order(nodes, words, block=words),
+        "block_interleave": block_interleave_order(nodes, words),
+        "control_then_data": control_then_data_order(nodes, 1, words),
+        "permuted": shuffled,
+    }
+
+
+def next_epoch(ps):
+    """Cycle 0's clock edge for a transaction starting now: two guard
+    edges past the edge in flight, edge 0 on a bus that never ran."""
+    elapsed = ps.sim.now - ps.clock.t0_ns
+    return math.floor(elapsed / ps.clock.period_ns) + 2 if elapsed > 0 else 0
+
+
+def _transact(ps, length, op, order, rep=0):
+    """Run one transaction; returns (execution, epoch, expected words)."""
+    epoch = next_epoch(ps)
+    if op == "gather":
+        data = {n: [complex(n, w + 7 * rep) for w in range(len(order))] for n, _ in order}
+        ex = ps.execute_gather(gather_schedule(order), data, receiver_mm=length)
+        words = [data[n][w] for n, w in order]
+    else:
+        words = [complex(rep, c) for c in range(len(order))]
+        ex = ps.execute_scatter(scatter_schedule(order), words, source_mm=0.0)
+    return ex, epoch, words
+
+
+def assert_closed_form(ps, ex, order, epoch, words, observer_mm):
+    """Every word moves once, on its cycle, at its closed-form instants."""
+    mods, lands = {}, []
+    for c, (n, _w) in enumerate(order):
+        if ex.kind == "gather":
+            driver, src, dst = n, ps.positions_mm[n], observer_mm
+        else:
+            driver, src, dst = -1, observer_mm, ps.positions_mm[n]
+        t = ps.clock.edge_time(epoch + c, src) + ps.response_ns
+        mods.setdefault(driver, []).append((c, t))
+        lands.append(t + ps.waveguide.propagation_delay_ns(src, dst))
+    seen = {n: v for n, v in ex.modulation_times.items() if v}
+    assert sorted(seen) == sorted(mods)
+    for node, want in mods.items():
+        got = sorted(seen[node])
+        assert [c for c, _ in got] == [c for c, _ in want]
+        assert [t for _, t in got] == pytest.approx([t for _, t in want], abs=1e-9)
+    arrivals = sorted(ex.arrivals, key=lambda a: a.cycle)
+    assert [(a.cycle, a.source_node, a.word_index, a.value) for a in arrivals] == [
+        (c, n, w, words[c]) for c, (n, w) in enumerate(order)
+    ]
+    assert [a.time_ns for a in arrivals] == pytest.approx(lands, abs=1e-9)
+    assert ex.start_ns == pytest.approx(min(t for v in mods.values() for _, t in v), abs=1e-9)
+    assert ex.end_ns == pytest.approx(max(lands), abs=1e-9)
+    if ex.kind == "scatter":
+        slices = {}
+        for c, (n, _w) in enumerate(order):
+            slices.setdefault(n, []).append(words[c])
+        assert ex.delivered == slices
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("nodes,words", [(2, 1), (4, 3), (8, 5)])
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    def test_all_families(self, op, nodes, words):
+        for family, order in _families(nodes, words).items():
+            ps, length = _bus(nodes)
+            ex, epoch, expected = _transact(ps, length, op, order)
+            observer = length if op == "gather" else 0.0
+            assert_closed_form(ps, ex, order, epoch, expected, observer)
+            assert ps.total_bits_moved == len(order) * ps.wdm.bits_per_cycle, family
+
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    def test_back_to_back_transactions_chain_epochs(self, op):
+        # Each transaction aliases cycle 0 onto the second clock edge
+        # after the previous one's last arrival.
+        order = transpose_order(4, 3)
+        ps, length = _bus(4)
+        observer = length if op == "gather" else 0.0
+        epochs = []
+        for rep in range(3):
+            ex, epoch, expected = _transact(ps, length, op, order, rep)
+            assert_closed_form(ps, ex, order, epoch, expected, observer)
+            assert ps.sim.now == ex.end_ns
+            epochs.append(epoch)
+        # The last word lands 1.97 ns in (gather: 12 words, then the flight
+        # to the far end) or 1.68 ns (scatter: at node 3, 40 mm down), in
+        # the span of edge 19 or 16; two guard edges follow, T = 0.1 ns.
+        assert epochs == {"gather": [0, 21, 42], "scatter": [0, 18, 36]}[op]
+        assert ps.total_bits_moved == 3 * len(order) * ps.wdm.bits_per_cycle
+
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    def test_single_node_single_word(self, op):
+        ps, length = _bus(1)
+        ex, epoch, expected = _transact(ps, length, op, [(0, 0)])
+        observer = length if op == "gather" else 0.0
+        assert_closed_form(ps, ex, [(0, 0)], epoch, expected, observer)
+
+
+class TestObservability:
+    """The semantic trace and the metrics restate the execution record."""
+
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    def test_trace_and_metrics_match_the_record(self, op):
+        session = ObsSession(ObsConfig())
+        ps, length = _bus(4)
+        ps.attach_observer(session)
+        order = transpose_order(4, 3)
+        runs = [_transact(ps, length, op, order, rep)[0] for rep in range(2)]
+        events = [e for e in session.tracer.events if e.cat == "sca"]
+
+        def pick(name):
+            return sorted(
+                (e.ts, e.track, tuple(sorted(e.args.items())))
+                for e in events if e.name == name
+            )
+
+        arrivals = [a for ex in runs for a in ex.arrivals]
+        if op == "gather":
+            assert pick("modulate") == sorted(
+                (t, f"node{n}", (("cycle", c),))
+                for ex in runs for n, v in ex.modulation_times.items() for c, t in v
+            )
+            assert pick("arrival") == sorted(
+                (a.time_ns, "receiver",
+                 (("cycle", a.cycle), ("node", a.source_node), ("word", a.word_index)))
+                for a in arrivals
+            )
+            assert pick("deliver") == []
+            assert session.metrics.get("sca_words_arrived").value == 2 * len(order)
+            for n in range(4):
+                assert session.metrics.get("sca_words_modulated", node=n).value == 6
+        else:
+            # The scatter source's drives are the burst itself; each word
+            # is traced once, where its listener peels it off.
+            assert pick("modulate") == [] and pick("arrival") == []
+            assert pick("deliver") == sorted(
+                (a.time_ns, f"node{a.source_node}",
+                 (("cycle", a.cycle), ("word", a.word_index)))
+                for a in arrivals
+            )
+            for n in range(4):
+                assert session.metrics.get("sca_words_delivered", node=n).value == 6
+        bursts = [e for e in events if e.name == f"{op} burst"]
+        assert [(e.ts, e.dur, e.args["words"]) for e in bursts] == [
+            (ex.start_ns, ex.duration_ns, len(order)) for ex in runs
+        ]
+        assert session.metrics.get("sca_bus_utilization", kind=op).value == runs[-1].bus_utilization
+        assert session.metrics.get("sca_gapless", kind=op).value == float(runs[-1].is_gapless)

@@ -6,6 +6,8 @@ from repro.core import PsyncConfig, PsyncMachine
 from repro.photonics.wdm import pam4_pscan_plan
 from repro.util.errors import ConfigError
 
+from .test_pscan import assert_closed_form, next_epoch
+
 
 class TestConstruction:
     def test_square_layout(self):
@@ -127,6 +129,51 @@ class TestRoundTrip:
         assert m.waveguide_flight_ns == pytest.approx(
             m.waveguide.length_mm / 70.0
         )
+
+
+class TestMachineClosedForm:
+    """The machine's collectives land every word on its closed-form cycle."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: m.model1_scatter_schedule(4),
+            lambda m: m.model2_scatter_schedule(4, 2),
+            lambda m: m.model2_scatter_schedule(4, 4),
+        ],
+        ids=["model1", "model2-k2", "model2-k4"],
+    )
+    def test_scatter_models_fill_memories(self, build):
+        m = PsyncMachine(PsyncConfig(processors=4))
+        sched = build(m)
+        burst = [complex(0, i) for i in range(sched.total_cycles)]
+        ex = m.scatter(sched, burst)
+        for pid, memory in m.local_memory.items():
+            assert memory == [burst[c] for c, (n, _w) in enumerate(sched.order) if n == pid]
+        assert_closed_form(m.pscan, ex, sched.order, 0, burst, m.head_position_mm)
+
+    def test_transpose_gather(self):
+        m = PsyncMachine(PsyncConfig(processors=4))
+        for pid in m.local_memory:
+            m.local_memory[pid] = [complex(pid, w) for w in range(3)]
+        sched = m.transpose_gather_schedule(3)
+        ex = m.gather(sched)
+        assert ex.stream == [complex(pid, w) for w in range(3) for pid in range(4)]
+        assert_closed_form(m.pscan, ex, sched.order, 0, ex.stream, m.memory_position_mm)
+
+    def test_scatter_then_gather_round_trip(self):
+        # The full Fig.-6 cycle on one machine: the gather's epoch follows
+        # on from the scatter's last delivery.
+        m = PsyncMachine(PsyncConfig(processors=4))
+        scatter = m.model2_scatter_schedule(4, 2)
+        sx = m.scatter(scatter, [complex(0, i) for i in range(scatter.total_cycles)])
+        epoch = next_epoch(m.pscan)
+        gather = m.transpose_gather_schedule(4)
+        gx = m.gather(gather)
+        words = [m.local_memory[n][w] for n, w in gather.order]
+        assert_closed_form(m.pscan, gx, gather.order, epoch, words, m.memory_position_mm)
+        assert gx.start_ns > sx.end_ns
+        assert m.pscan.total_bits_moved == 32 * m.pscan.wdm.bits_per_cycle
 
 
 def _transpose_gather(machine, words=3):

@@ -3,9 +3,9 @@
 The registry contract (name + scalar params -> canonical
 TrafficDescription), the built-in families' traffic shapes, every
 family's reference run through the shared runner against the fuzz
-invariants (including the SLO latency block), the event-vs-compiled
-identity of the photonic lowerings, the traffic linter, and the
-picklable sweep/serve worker.
+invariants (including the SLO latency block), the words each photonic
+lowering delivers, the traffic linter, and the picklable sweep/serve
+worker.
 """
 
 from __future__ import annotations
@@ -167,19 +167,27 @@ class TestEngineDifferential:
     @pytest.mark.parametrize(
         "name", ("all_to_all", "allreduce", "allgather", "dnn_layer")
     )
-    def test_cp_lowering_event_vs_compiled(self, name):
-        def arrivals(engine):
-            return [
-                [
-                    (a.time_ns, a.cycle, a.source_node, a.word_index, a.value)
-                    for a in ex.arrivals
-                ]
-                for ex in run_cp_phases(
-                    build_workload(name, processors=4), engine
-                )
+    def test_cp_phases_deliver_their_order(self, name):
+        # Each phase moves exactly its (node, word) order, one word per
+        # cycle, carrying the runner's provenance payload.
+        desc = build_workload(name, processors=4)
+        executions = run_cp_phases(desc)
+        assert len(executions) == len(desc.cp_phases)
+        for phase, ex in zip(desc.cp_phases, executions):
+            assert ex.kind == phase.kind
+            words = [f"{name}:n{n}:w{w}" for n, w in phase.order]
+            arrivals = sorted(ex.arrivals, key=lambda a: a.cycle)
+            assert [(a.cycle, a.source_node, a.word_index, a.value)
+                    for a in arrivals] == [
+                (c, n, w, words[c]) for c, (n, w) in enumerate(phase.order)
             ]
-
-        assert arrivals("event") == arrivals("compiled")
+            if phase.kind == "gather":
+                assert ex.stream == words and ex.is_gapless
+            else:
+                slices = {}
+                for (n, _w), word in zip(phase.order, words):
+                    slices.setdefault(n, []).append(word)
+                assert ex.delivered == slices
 
     def test_slo_block_contract(self):
         result = run_on_mesh(build_workload("all_to_all", processors=9))
