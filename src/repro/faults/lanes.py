@@ -118,7 +118,10 @@ class DrawStream(random.Random):
     them, never twice, and ``rng`` is not rewound: it stands
     :attr:`drawn` outputs further on.  A reader that ends at
     ``pos == drawn`` leaves ``rng`` exactly where reading the stream
-    through ``rng`` would have.
+    through ``rng`` would have.  Drawn outputs are scanned for draws
+    below ``p`` only when a scan asks for them, one parity at a time,
+    so outputs only ever read by ``getrandbits``/``random``, and the
+    parity no scan starts at, are never classified.
 
     ``drawn`` primes the stream with outputs a caller already drew from
     ``rng`` (``rng`` stands just past them): they are offsets ``0 ..
@@ -133,13 +136,17 @@ class DrawStream(random.Random):
         super().__init__(0)
         self._rng = rng
         self._p = p
-        self._out = np.empty(0, dtype="<u4")
-        #: Offsets of the draws below ``p``, split by parity, ascending.
+        self._out = np.asarray(
+            drawn if drawn is not None else (), dtype="<u4"
+        )
+        #: Per parity: the offsets of the draws below ``p`` in
+        #: ``range(lo, hi, 2)``, ascending, for that parity's
+        #: ``lo = self._lo[parity]`` and ``hi = self._hi[parity]``.
         self._hits: tuple[list[int], list[int]] = ([], [])
+        self._lo = [0, 1]
+        self._hi = [0, 1]
         #: Offset of the next output ``getrandbits``/``random`` consume.
         self.pos = 0
-        if drawn is not None and len(drawn):
-            self._extend(np.asarray(drawn, dtype="<u4"))
 
     @property
     def drawn(self) -> int:
@@ -150,31 +157,38 @@ class DrawStream(random.Random):
         """Draw from ``rng`` until every offset below ``end`` is known."""
         have = len(self._out)
         if end > have:
-            self._extend(_mt_outputs(self._rng, end - have))
+            more = _mt_outputs(self._rng, end - have)
+            self._out = np.concatenate((self._out, more)) if have else more
 
-    def _extend(self, outputs: np.ndarray) -> None:
-        """Append the next ``outputs`` of the stream and scan them."""
-        have = len(self._out)
-        self._out = np.concatenate((self._out, outputs)) if have else outputs
-        end = len(self._out)
-        # Draws at offsets >= have - 1 were missing their second output.
-        low = max(have - 1, 0)
-        for parity, hits in enumerate(self._hits):
-            first = low + (parity - low) % 2
-            pairs = (end - first) // 2
-            if pairs > 0:
-                found = np.flatnonzero(
-                    outputs_below(self._out[first:first + 2 * pairs], self._p)
-                )
-                hits.extend((first + 2 * found).tolist())
+    def _scan(self, start: int, stop: int) -> list[int]:
+        """The hits of ``start``'s parity, covering every drawn draw in
+        ``range(start, stop, 2)``.
+
+        A scan that starts outside what its parity already covers
+        starts that parity's window afresh at ``start``.
+        """
+        parity = start % 2
+        hits = self._hits[parity]
+        hi = self._hi[parity]
+        if not self._lo[parity] <= start <= hi:
+            hits.clear()
+            self._lo[parity] = self._hi[parity] = hi = start
+        pairs = (min(stop, len(self._out)) - hi) // 2
+        if pairs > 0:
+            found = np.flatnonzero(
+                outputs_below(self._out[hi:hi + 2 * pairs], self._p)
+            )
+            hits.extend((hi + 2 * found).tolist())
+            self._hi[parity] = hi + 2 * pairs
+        return hits
 
     def next_below(self, start: int, stop: int) -> int | None:
         """Offset of the first draw below ``p`` in ``range(start, stop, 2)``.
 
         ``None`` when there is none; ``stop - start`` must be even.
         """
-        hits = self._hits[start % 2]
         while True:
+            hits = self._scan(start, stop)
             i = bisect_left(hits, start)
             if i < len(hits) and hits[i] < stop:
                 return hits[i]
@@ -185,7 +199,7 @@ class DrawStream(random.Random):
     def count_below(self, start: int, stop: int) -> int:
         """How many draws in ``range(start, stop, 2)`` fall below ``p``."""
         self._draw_to(stop)
-        hits = self._hits[start % 2]
+        hits = self._scan(start, stop)
         return bisect_left(hits, stop) - bisect_left(hits, start)
 
     def getrandbits(self, k: int) -> int:

@@ -335,11 +335,13 @@ def run_sweep(
     if ckpt is not None:
         hits = sorted(results)
         ckpt.journal_hits(hits)
-        for index in hits:
-            _obs_call(
-                obs, "sweep_point",
-                index=index, key=ckpt.key_for(index), cached=True, wall_s=0.0,
-            )
+        if obs is not None:
+            for index in hits:
+                _obs_call(
+                    obs, "sweep_point",
+                    index=index, key=ckpt.key_for(index), cached=True,
+                    wall_s=0.0,
+                )
 
     def call(p: Any) -> R:
         if isinstance(p, Mapping):

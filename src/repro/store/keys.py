@@ -47,6 +47,7 @@ import json
 import math
 import weakref
 from collections.abc import Callable, Mapping, Sequence, Set
+from operator import itemgetter
 from typing import Any
 
 from ..util.errors import ConfigError
@@ -71,6 +72,33 @@ def _qualified_name(obj: type | Callable[..., Any]) -> str:
     return f"{module}:{qualname}"
 
 
+#: The canonical JSON encoder: ``.encode(x)`` is exactly
+#: ``json.dumps(x, sort_keys=True, separators=(",", ":"), allow_nan=False)``.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+#: ``json.dumps(x, sort_keys=True)``: the order mapping keys and set
+#: members sort in (the key format pins it).
+_SORT_KEY = json.JSONEncoder(sort_keys=True).encode
+#: ``json.dumps(s)`` for a ``str`` ``s``, without an encoder around it.
+_JSON_STR = json.encoder.encode_basestring_ascii
+
+
+def _encode(canonical: Any) -> str:
+    """``_CANONICAL(canonical)``, without the encoder for a ``str`` or ``None``."""
+    if type(canonical) is str:
+        return _JSON_STR(canonical)
+    if canonical is None:
+        return "null"
+    return _CANONICAL(canonical)
+
+
+def _sort_key(canonical: Any) -> str:
+    if type(canonical) is str:
+        return _JSON_STR(canonical)
+    return _SORT_KEY(canonical)
+
+
 def canonicalize(value: Any) -> Any:
     """Map ``value`` onto a canonical, JSON-serializable form.
 
@@ -78,17 +106,51 @@ def canonicalize(value: Any) -> Any:
     irrelevant, sets sorted) and injective on the supported vocabulary:
     distinct payloads get distinct canonical forms.  Unsupported values
     raise :class:`ConfigError` naming the offending type.
+
+    The built-in types grid points are made of dispatch on their exact
+    type; subclasses of them (``IntEnum``, ``StrEnum``, NumPy floats)
+    and everything else take the ``isinstance`` chain of
+    :func:`_canonicalize_other`, so both give the same form.
     """
-    if value is None or value is True or value is False:
+    kind = type(value)
+    if kind is str or kind is int or kind is bool or value is None:
         return value
+    if kind is float:
+        return _canonical_float(value)
+    if kind is dict:
+        return _canonical_map(value)
+    if kind is list or kind is tuple:
+        # Lists and tuples canonicalize identically on purpose: the
+        # sweep runtime treats both as "a positional point payload".
+        return [canonicalize(v) for v in value]
+    return _canonicalize_other(value)
+
+
+def _canonical_float(value: float) -> list[str]:
+    if math.isfinite(value):
+        # float.hex() is exact and round-trippable; repr would also
+        # work on CPython >= 3.1 but hex makes the intent explicit.
+        return [_TAG, "float", value.hex()]
+    return [_TAG, "float", str(value)]  # 'nan', 'inf', '-inf'
+
+
+def _canonical_map(value: Mapping[Any, Any]) -> list[Any]:
+    items = []
+    for k, v in value.items():
+        if type(k) is str:
+            items.append((_JSON_STR(k), k, canonicalize(v)))
+        else:
+            ck = canonicalize(k)
+            items.append((_sort_key(ck), ck, canonicalize(v)))
+    items.sort(key=itemgetter(0))  # stable: equal sort keys keep their order
+    return [_TAG, "map", [[ck, cv] for _, ck, cv in items]]
+
+
+def _canonicalize_other(value: Any) -> Any:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float):
-        if math.isfinite(value):
-            # float.hex() is exact and round-trippable; repr would also
-            # work on CPython >= 3.1 but hex makes the intent explicit.
-            return [_TAG, "float", value.hex()]
-        return [_TAG, "float", str(value)]  # 'nan', 'inf', '-inf'
+        return _canonical_float(value)
     if isinstance(value, complex):
         return [_TAG, "complex",
                 canonicalize(value.real), canonicalize(value.imag)]
@@ -105,20 +167,12 @@ def canonicalize(value: Any) -> Any:
         }
         return [_TAG, "dataclass", _qualified_name(type(value)), fields]
     if isinstance(value, Mapping):
-        items = [
-            [canonicalize(k), canonicalize(v)] for k, v in value.items()
-        ]
-        items.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
-        return [_TAG, "map", items]
+        return _canonical_map(value)
     if isinstance(value, Set):
-        members = sorted(
-            (canonicalize(v) for v in value),
-            key=lambda c: json.dumps(c, sort_keys=True),
-        )
+        members = [canonicalize(v) for v in value]
+        members.sort(key=_sort_key)
         return [_TAG, "set", members]
     if isinstance(value, Sequence):
-        # Lists and tuples canonicalize identically on purpose: the
-        # sweep runtime treats both as "a positional point payload".
         return [canonicalize(v) for v in value]
     item = getattr(value, "item", None)
     if callable(item):  # NumPy scalar duck-typing (no hard numpy dep)
@@ -134,13 +188,7 @@ def canonicalize(value: Any) -> Any:
 
 def canonical_json(value: Any) -> str:
     """One byte stream per canonical form: sorted keys, fixed separators."""
-    return json.dumps(
-        canonicalize(value),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        allow_nan=False,
-    )
+    return _CANONICAL(canonicalize(value))
 
 
 def worker_name(fn: Callable[..., Any]) -> str:
@@ -211,15 +259,14 @@ def point_key(
     callers that need to segregate otherwise-identical evaluations (for
     example an environment revision).
     """
-    envelope = {
-        "worker": worker_name(fn),
-        "fingerprint": (
-            fingerprint if fingerprint is not None else code_fingerprint(fn)
-        ),
-        "point": canonicalize(point),
-        "extra": canonicalize(extra),
-    }
-    payload = json.dumps(
-        envelope, sort_keys=True, separators=(",", ":"), allow_nan=False
+    # The bytes of ``json.dumps(envelope, sort_keys=True, ...)`` for the
+    # envelope of the module docstring, its four keys in sorted order.
+    if fingerprint is None:
+        fingerprint = code_fingerprint(fn)
+    payload = (
+        '{"extra":' + _encode(canonicalize(extra))
+        + ',"fingerprint":' + _encode(fingerprint)
+        + ',"point":' + _encode(canonicalize(point))
+        + ',"worker":' + _encode(worker_name(fn)) + "}"
     )
     return hashlib.sha256(payload.encode()).hexdigest()

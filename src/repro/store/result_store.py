@@ -77,12 +77,19 @@ class ResultStore:
         self.root = Path(root)
         self.objects_dir = self.root / "objects"
         self.runs_dir = self.root / "runs"
+        #: ``objects_dir`` as a string ending in a separator: the hit
+        #: path (:meth:`has`, :meth:`load`) joins keys onto it without
+        #: building a :class:`~pathlib.Path` per key.
+        self._objects_prefix = os.path.join(self.objects_dir, "")
 
     # -- paths ---------------------------------------------------------------
 
-    def _object_path(self, key: str) -> Path:
+    def _object_file(self, key: str) -> str:
         _check_key(key)
-        return self.objects_dir.joinpath(key[:2], f"{key}{_OBJECT_SUFFIX}")
+        return f"{self._objects_prefix}{key[:2]}{os.sep}{key}{_OBJECT_SUFFIX}"
+
+    def _object_path(self, key: str) -> Path:
+        return Path(self._object_file(key))
 
     def ensure_dirs(self) -> None:
         """Create the store skeleton (idempotent)."""
@@ -93,7 +100,7 @@ class ResultStore:
 
     def has(self, key: str) -> bool:
         """True when ``key`` resolves to a complete, committed result."""
-        return self._object_path(key).is_file()
+        return os.path.isfile(self._object_file(key))
 
     def store(self, key: str, value: Any) -> Path:
         """Atomically persist ``value`` under ``key``; returns the path.
@@ -129,9 +136,8 @@ class ResultStore:
 
     def load(self, key: str) -> Any:
         """Unpickle the result stored under ``key`` (KeyError when absent)."""
-        path = self._object_path(key)
         try:
-            with path.open("rb") as fh:
+            with open(self._object_file(key), "rb") as fh:
                 return pickle.load(fh)
         except FileNotFoundError:
             raise KeyError(key) from None

@@ -225,6 +225,18 @@ stream_read = st.one_of(
 stream_reads = st.lists(stream_read, max_size=30)
 
 
+def _offsets_below(seed, p, start, stop):
+    """Offsets in ``range(start, stop, 2)`` of ``random.Random(seed)``'s
+    output stream whose draw (that output and the next) is below ``p``."""
+    rng = random.Random(seed)
+    out = [rng.getrandbits(32) for _ in range(stop)]
+    return [
+        o for o in range(start, stop, 2)
+        if ((out[o] >> 5) * 67108864.0 + (out[o + 1] >> 6))
+        * (1.0 / 9007199254740992.0) < p
+    ]
+
+
 class TestDrawStream:
     @given(lane_seeds, st.floats(min_value=0.0, max_value=1.0), stream_reads)
     @settings(max_examples=100, deadline=None)
@@ -277,6 +289,13 @@ class TestDrawStream:
             st.one_of(
                 stream_read,
                 st.tuples(st.just("sample"), st.integers(min_value=1, max_value=40)),
+                st.tuples(
+                    st.just("scan_at"),
+                    st.tuples(
+                        st.integers(min_value=0, max_value=300),
+                        st.integers(min_value=1, max_value=40),
+                    ),
+                ),
             ),
             max_size=30,
         ),
@@ -286,6 +305,10 @@ class TestDrawStream:
         # A stream primed with a LaneRng row, on the lane's generator
         # (which stands past that row), reads what a stream on a fresh
         # random.Random(seed) reads, and leaves the generator the same.
+        # Each parity is scanned only when a scan starts at it, so scans
+        # after odd-length samples and ``scan_at`` scans (either parity,
+        # behind, inside or past the outputs already scanned) check that
+        # a parity's hits are found wherever its scans start.
         lanes = LaneRng([seed])
         row = lanes.outputs(primed_draws)[0]
         primed = DrawStream(lanes.rngs[0], p, row)
@@ -306,6 +329,15 @@ class TestDrawStream:
                 assert primed.getrandbits(arg) == plain.getrandbits(arg)
             elif kind == "random":
                 assert primed.random() == plain.random()
+            elif kind == "scan_at":
+                start, count = arg
+                stop = start + 2 * count
+                expect = _offsets_below(seed, p, start, stop)
+                for stream in (primed, plain):
+                    assert stream.next_below(start, stop) == (
+                        expect[0] if expect else None
+                    )
+                    assert stream.count_below(start, stop) == len(expect)
             else:
                 assert primed.sample(range(152), arg) == plain.sample(
                     range(152), arg

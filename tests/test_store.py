@@ -17,12 +17,18 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.faults.campaign import CampaignConfig
 from repro.llmore.app import Fft2dApp
 from repro.llmore.machine import ReorgMechanism
+from repro.mesh.topology import Port
 from repro.store import (
     JournalEntry,
     ResultStore,
@@ -198,16 +204,110 @@ class TestPointKey:
                          ts=1000.0),
             "938d4ce72577c00ec68a589a0d53915182db7176eeebc81257de46a9520a9f4f",
         ),
+        "set": (
+            {3, 1, 2},
+            "7153f179614d83f879070a1b5b5e02c4d73b65c8e77bfa7407298cbcfa9786c0",
+        ),
+        "frozenset": (
+            frozenset({"b", "a"}),
+            "93bec3292ff306e99422c2a23db13f742c5e4e977592cdaeccc3fe273e36363c",
+        ),
+        "enum": (
+            ReorgMechanism.SCA,
+            "fb4c45b09462a978d8426d9edf4263d1ec291f462eaec74f76a6c329f01a9f3b",
+        ),
+        "intenum": (  # an IntEnum member keys as its int value
+            Port.EAST,
+            "2b284e5b348beb2a5f10453fc529ca99c4f412c95e3f454cb4931a815e4285da",
+        ),
+        "true": (
+            True,
+            "96f761e40fbb77fb4bc0c3a5bef1498f64d8b0be2c6bbe28acfe15657d278f64",
+        ),
+        "one": (
+            1,
+            "83562c10d338bbb1d81746ed1fa04034a74de1ef2737bcad7186f765275c9587",
+        ),
+        "int_keys": (
+            {2: "b", 1: "a"},
+            "675eb9c0685f53839460404e6ca1febf72afb3fa05417246d11a8878ab86addd",
+        ),
+        "tuple_keys": (
+            {(1, 2): "x", (0, 5): "y"},
+            "c0f0a4138250550a1aa9f98346dd6390e6014cc24b380192ddc811f770dbeb61",
+        ),
+        "escaped_keys": (
+            {'"': 1, "é": 2, "a": 3},
+            "78e43a955bd22ec1c351ed444d219e965ed148b4e47ba1997d43b653efd76a4d",
+        ),
+        "nan": (
+            float("nan"),
+            "a4c1e6459c6ca9ed905e7c1fd35a1e86f151697262248e6c502935b759a07410",
+        ),
+        "inf": (
+            float("-inf"),
+            "62a0f7b2f768018a9610ab357a2ebe4e9f2cb807004d9d93e1e2f4b363557442",
+        ),
+        "complex": (
+            complex(1.5, -2.0),
+            "abbdd4a47df6e008f3d923f2fb1200bb380f4ee46acafc44e44fef3fcd4c355d",
+        ),
+        "bytes": (
+            b"\x00\xffP",
+            "65219e330cda49b06ae5e0da278ef125cb817377f1baa9dea0471a76b9ee85c5",
+        ),
+        "numpy_float": (
+            np.float64(0.25),
+            "4730ad4417eacf7330b3627dedd997bfc3125bc001655ea9c220beee0df82b03",
+        ),
+        "numpy_int": (
+            np.int64(7),
+            "9919c4ef77e9a7eb72942655a8dcce26fc2fee38d34d85bb21fa2aab3c778c18",
+        ),
+        "extra": (  # a third element is the ``extra`` salt
+            5,
+            "cfa1d37cd90db6fa28b91e7a48d66a3864d4b119bed432ea65bf07c8f15c8bb5",
+            "v2",
+        ),
+        "campaign_batch": (  # a batched fault campaign's grid point
+            (CampaignConfig(), 1e-3, (11, 22, 33)),
+            "5e2e8dff40fc4dff7874b87f250fc884c7c5154bbf57fddd93ee5c3a53689673",
+        ),
     }
 
     @pytest.mark.parametrize("kind", sorted(PINNED))
     def test_key_format_is_pinned(self, kind):
         from repro.analysis import measure_mesh_transpose
 
-        point, key = self.PINNED[kind]
+        point, key, *extra = self.PINNED[kind]
         assert point_key(
-            measure_mesh_transpose, point, fingerprint="0" * 64
+            measure_mesh_transpose, point, fingerprint="0" * 64,
+            extra=extra[0] if extra else None,
         ) == key
+
+    def test_set_key_ignores_hash_seed(self):
+        # String hashing is salted per process, so a set of strings
+        # iterates in another order under each of these seeds; its key
+        # must not follow that order.
+        script = (
+            "from repro.analysis import measure_mesh_transpose as f\n"
+            "from repro.store import point_key\n"
+            "s = {'alpha', 'beta', 'gamma', 'delta', 'epsilon'}\n"
+            "print(list(s))\n"
+            "print(point_key(f, s, fingerprint='0' * 64))\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            )
+            runs.append(out.stdout.splitlines())
+        (order_1, key_1), (order_2, key_2) = runs
+        assert order_1 != order_2
+        assert key_1 == key_2
 
 
 class TestCodeFingerprint:
@@ -426,6 +526,40 @@ class TestManifest:
         lines = path.read_text().splitlines()
         assert lines == [entry.to_json() for entry in entries]
         assert read_journal(path) == entries
+
+    #: Journal lines as ``repro sweep status`` reads them from existing
+    #: runs: a cache hit, and an executed point whose ``wall_s`` rounds
+    #: at 6 digits, both with 10-digit timestamps.
+    PINNED_LINES = [
+        (
+            JournalEntry(index=0, key="ab" * 32, cached=True, wall_s=0.0,
+                         ts=1760000000.25),
+            '{"cached":true,"index":0,"key":"abababababababababababababababab'
+            'abababababababababababababababab","ts":1760000000.25,'
+            '"wall_s":0.0}',
+        ),
+        (
+            JournalEntry(index=35, key="0123456789abcdef" * 4, cached=False,
+                         wall_s=0.01234567891, ts=1760000123.0),
+            '{"cached":false,"index":35,"key":"0123456789abcdef0123456789abcdef'
+            '0123456789abcdef0123456789abcdef","ts":1760000123.0,'
+            '"wall_s":0.012346}',
+        ),
+    ]
+
+    def test_journal_lines_are_pinned(self, tmp_path):
+        path = tmp_path / "run.journal"
+        entries = [entry for entry, _ in self.PINNED_LINES]
+        append_journal(path, *entries)
+        lines = [line for _, line in self.PINNED_LINES]
+        assert [entry.to_json() for entry in entries] == lines
+        assert path.read_text() == "".join(line + "\n" for line in lines)
+        assert read_journal(path) == [
+            JournalEntry(index=0, key="ab" * 32, cached=True, wall_s=0.0,
+                         ts=1760000000.25),
+            JournalEntry(index=35, key="0123456789abcdef" * 4, cached=False,
+                         wall_s=0.012346, ts=1760000123.0),
+        ]
 
     def test_read_missing_journal(self, tmp_path):
         assert read_journal(tmp_path / "absent.journal") == []
