@@ -120,8 +120,7 @@ class DrawStream(random.Random):
     ``pos == drawn`` leaves ``rng`` exactly where reading the stream
     through ``rng`` would have.  Drawn outputs are scanned for draws
     below ``p`` only when a scan asks for them, one parity at a time,
-    so outputs only ever read by ``getrandbits``/``random``, and the
-    parity no scan starts at, are never classified.
+    so a parity no scan starts at is never classified.
 
     ``drawn`` primes the stream with outputs a caller already drew from
     ``rng`` (``rng`` stands just past them): they are offsets ``0 ..
@@ -140,10 +139,8 @@ class DrawStream(random.Random):
             drawn if drawn is not None else (), dtype="<u4"
         )
         #: Per parity: the offsets of the draws below ``p`` in
-        #: ``range(lo, hi, 2)``, ascending, for that parity's
-        #: ``lo = self._lo[parity]`` and ``hi = self._hi[parity]``.
+        #: ``range(parity, self._hi[parity], 2)``, ascending.
         self._hits: tuple[list[int], list[int]] = ([], [])
-        self._lo = [0, 1]
         self._hi = [0, 1]
         #: Offset of the next output ``getrandbits``/``random`` consume.
         self.pos = 0
@@ -161,18 +158,11 @@ class DrawStream(random.Random):
             self._out = np.concatenate((self._out, more)) if have else more
 
     def _scan(self, start: int, stop: int) -> list[int]:
-        """The hits of ``start``'s parity, covering every drawn draw in
-        ``range(start, stop, 2)``.
-
-        A scan that starts outside what its parity already covers
-        starts that parity's window afresh at ``start``.
-        """
+        """The hits of ``start``'s parity, covering every drawn draw
+        below ``stop``."""
         parity = start % 2
         hits = self._hits[parity]
         hi = self._hi[parity]
-        if not self._lo[parity] <= start <= hi:
-            hits.clear()
-            self._lo[parity] = self._hi[parity] = hi = start
         pairs = (min(stop, len(self._out)) - hi) // 2
         if pairs > 0:
             found = np.flatnonzero(

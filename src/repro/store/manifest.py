@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from collections.abc import Iterable, Iterator
@@ -171,37 +170,17 @@ class JournalEntry:
     def to_json(self) -> str:
         """The entry's journal line: ``json.dumps`` of its fields with
         sorted keys and compact separators, ``wall_s`` rounded to 6
-        digits.  Entries of the declared field types are formatted
-        directly; anything else goes through :func:`json.dumps`."""
-        wall_s = round(self.wall_s, 6)
-        if (type(self.index) is int and type(self.key) is str
-                and type(self.cached) is bool
-                and _is_finite_float(self.ts) and _is_finite_float(wall_s)):
-            # float.__repr__ is how json writes a finite float.
-            return (
-                f'{{"cached":{"true" if self.cached else "false"},'
-                f'"index":{self.index},"key":{_json_str(self.key)},'
-                f'"ts":{self.ts!r},"wall_s":{wall_s!r}}}'
-            )
-        return json.dumps(
-            {
-                "index": self.index,
-                "key": self.key,
-                "cached": self.cached,
-                "wall_s": wall_s,
-                "ts": self.ts,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        digits, formatted directly (``float.__repr__`` is how json
+        writes a finite float)."""
+        return (
+            f'{{"cached":{"true" if self.cached else "false"},'
+            f'"index":{self.index},"key":{_json_str(self.key)},'
+            f'"ts":{self.ts!r},"wall_s":{round(self.wall_s, 6)!r}}}'
         )
 
 
 #: ``json.dumps(s)`` for a ``str`` ``s``.
 _json_str = json.encoder.encode_basestring_ascii
-
-
-def _is_finite_float(value: Any) -> bool:
-    return type(value) is float and math.isfinite(value)
 
 
 def append_journal(path: Path, *entries: JournalEntry) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 import re
+import stat
 import tempfile
 import time
 from collections.abc import Iterator
@@ -89,6 +90,8 @@ class ResultStore:
         return f"{self._objects_prefix}{key[:2]}{os.sep}{key}{_OBJECT_SUFFIX}"
 
     def _object_path(self, key: str) -> Path:
+        """:meth:`_object_file` as a :class:`~pathlib.Path`, for callers
+        that use its methods (:meth:`store` returns it)."""
         return Path(self._object_file(key))
 
     def ensure_dirs(self) -> None:
@@ -99,8 +102,16 @@ class ResultStore:
     # -- object CRUD ---------------------------------------------------------
 
     def has(self, key: str) -> bool:
-        """True when ``key`` resolves to a complete, committed result."""
-        return os.path.isfile(self._object_file(key))
+        """True when ``key`` resolves to a complete, committed result.
+
+        Only a missing object (or shard) reads as absent; any other
+        ``OSError``, such as an unreadable shard, propagates.
+        """
+        try:
+            mode = os.stat(self._object_file(key)).st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            return False
+        return stat.S_ISREG(mode)
 
     def store(self, key: str, value: Any) -> Path:
         """Atomically persist ``value`` under ``key``; returns the path.
@@ -145,7 +156,7 @@ class ResultStore:
     def delete(self, key: str) -> bool:
         """Remove ``key``'s object; True when something was deleted."""
         try:
-            self._object_path(key).unlink()
+            os.unlink(self._object_file(key))
             return True
         except FileNotFoundError:
             return False
@@ -170,7 +181,7 @@ class ResultStore:
         total = 0
         for key in self.keys():
             try:
-                total += self._object_path(key).stat().st_size
+                total += os.stat(self._object_file(key)).st_size
             except OSError:
                 pass
         return total
@@ -212,19 +223,19 @@ class ResultStore:
         scanned = removed = kept = reclaimed = 0
         for key in list(self.keys()):
             scanned += 1
-            path = self._object_path(key)
+            path = self._object_file(key)
             if key in protected:
                 kept += 1
                 continue
             if cutoff is not None:
                 try:
-                    if path.stat().st_mtime > cutoff:
+                    if os.stat(path).st_mtime > cutoff:
                         kept += 1
                         continue
                 except OSError:
                     pass
             try:
-                size = path.stat().st_size
+                size = os.stat(path).st_size
             except OSError:
                 size = 0
             if not dry_run:
