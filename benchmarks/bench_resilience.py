@@ -16,16 +16,23 @@ negative) retransmission overhead, and bit-for-bit campaign
 reproducibility under the same seed.
 
 A second bench pits the SIMD-lockstep batched campaign engine
-(``run_campaign(batch=)``) against the process-pool per-seed path on a
-dense low-BER grid and enforces the acceptance floor: byte-identical
-reports in every pair and a median of >= 5x campaign throughput over
-alternating pairs.
+(``run_campaign``) against the same trials run one seed at a time on a
+process pool, on a dense low-BER grid, and enforces the acceptance
+floor: byte-identical reports in every pair and a median of >= 5x
+campaign throughput over alternating pairs.
 """
 
 import statistics
 import time
 
 from repro.faults import CampaignConfig, run_campaign
+from repro.faults.campaign import (
+    _campaign_report,
+    _draw_seeds,
+    _run_gather_trial,
+    _run_mesh_trial,
+)
+from repro.perf.sweep import run_sweep
 
 from conftest import alternating_pairs, emit, once
 
@@ -77,7 +84,7 @@ def test_resilience_campaign(benchmark):
 #: keeps the mesh section fault-free: dead links force scalar replay by
 #: design, which would time the fallback rather than the lockstep path.
 #: The one fault-free mesh lane runs on the compiled engine in the
-#: batched campaign and on the reference engine in the pooled one.
+#: batched campaign and on the reference engine in the per-seed trials.
 BATCHED_CONFIG = CampaignConfig(
     processors=16,
     row_samples=8,
@@ -88,22 +95,51 @@ BATCHED_CONFIG = CampaignConfig(
 )
 
 
-def _timed_campaign(**kwargs):
+def _per_seed_trial(point):
+    """Picklable pool worker: one campaign trial, run on its own."""
+    section, config, arg, seed = point
+    if section == "gather":
+        return _run_gather_trial(config, arg, seed)
+    return _run_mesh_trial(config, arg, seed)
+
+
+def _timed_per_seed_pool():
+    """The campaign's trials, one seed at a time on a 4-worker pool."""
     t0 = time.perf_counter()
-    table = run_campaign(BATCHED_CONFIG, **kwargs).as_table()
-    return time.perf_counter() - t0, table
+    seeds_by_ber, mesh_lanes = _draw_seeds(BATCHED_CONFIG)
+    gather = [
+        ("gather", BATCHED_CONFIG, ber, seed)
+        for ber in BATCHED_CONFIG.fault_rates
+        for seed in seeds_by_ber[ber]
+    ]
+    mesh = [("mesh", BATCHED_CONFIG, dead, seed) for dead, seed in mesh_lanes]
+    rows = run_sweep(
+        _per_seed_trial, gather + mesh, parallel=True, max_workers=4
+    )
+    report = _campaign_report(
+        BATCHED_CONFIG, rows[: len(gather)], rows[len(gather) :]
+    )
+    return time.perf_counter() - t0, report.as_table()
+
+
+def _timed_batched():
+    t0 = time.perf_counter()
+    # One lockstep chunk per fault rate.
+    report = run_campaign(BATCHED_CONFIG, batch=BATCHED_CONFIG.trials)
+    return time.perf_counter() - t0, report.as_table()
 
 
 def test_batched_campaign_speedup():
     ratios = alternating_pairs(
-        "Resilience: process pool over SIMD-lockstep batched campaign",
-        lambda: _timed_campaign(parallel=True, max_workers=4),
-        # One lockstep chunk per fault rate.
-        lambda: _timed_campaign(batch=BATCHED_CONFIG.trials),
+        "Resilience: per-seed process pool over SIMD-lockstep batched "
+        "campaign",
+        _timed_per_seed_pool,
+        _timed_batched,
         pairs=10,
     )
-    # Acceptance floor: the lockstep engine must beat the process-pool
-    # path by at least 5x on its home-turf dense low-BER grid.
+    # Acceptance floor: the lockstep engine must beat the per-seed
+    # trials on a process pool by at least 5x on its home-turf dense
+    # low-BER grid.
     speedup = statistics.median(ratios)
     assert speedup >= 5.0, (
         f"batched campaign speedup {speedup:.2f}x fell below the 5x "

@@ -314,15 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
                            default=2,
                            help="sweep 0..N random dead mesh links")
             p.add_argument("--parallel", action="store_true",
-                           help="fan trials out over a process pool "
+                           help="fan lane batches out over a process pool "
                                 "(identical report, seeded merge)")
             p.add_argument("--batch", type=int, default=None, metavar="N",
                            help="advance N seed lanes in SIMD lockstep per "
-                                "grid point (identical report, byte-for-"
-                                "byte; see docs/resilience.md)")
+                                "grid point (default: --trials, one batch "
+                                "per fault rate; the report is byte-for-"
+                                "byte the same at any N; see "
+                                "docs/resilience.md)")
             from pathlib import Path as _P
             p.add_argument("--checkpoint", type=_P, default=None,
-                           help="persist/resume per-trial results through "
+                           help="persist/resume per-batch results through "
                                 "a content-addressed store (docs/sweeps.md)")
             p.add_argument("--no-resume", dest="resume",
                            action="store_false",

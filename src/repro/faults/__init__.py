@@ -20,12 +20,13 @@ P-sync architecture does when the physics misbehaves, in three layers:
     and energy, degradation curves vs fault rate.  CLI:
     ``python -m repro faults``.
 ``repro.faults.lanes`` / ``repro.faults.batched``
-    The SIMD-lockstep campaign engine: every lane's injector draw
-    stream is read in bulk at once, lanes where no fault fires share
-    one fault-free timeline, divergent gather lanes run the recovery
-    protocol without a timeline, and the rest fall back to scalar
-    replay — batched results are byte-identical to per-seed sequential
-    (``run_campaign(batch=N)``, ``python -m repro faults --batch N``).
+    The SIMD-lockstep campaign engine every ``run_campaign`` runs on:
+    every lane's injector draw stream is read in bulk at once, lanes
+    where no fault fires share one fault-free timeline, divergent
+    gather lanes run the recovery protocol without a timeline, and the
+    rest fall back to scalar replay — results are byte-identical to
+    running each seed on its own, at any batch size
+    (``python -m repro faults --batch N``).
 ``repro.faults.chaos``
     Seeded infrastructure chaos for the :mod:`repro.serve` job server:
     worker kills, torn store writes, slow tenants, clock-skewed

@@ -1,10 +1,10 @@
 """Struct-of-arrays Monte-Carlo campaign engine (SIMD-lockstep lanes).
 
-``run_campaign`` pays one full seeded event simulation per (seed, BER,
-drift) grid point, which makes the sensitivity surfaces in
-EXPERIMENTS.md process-bound.  This engine advances *hundreds* of lanes
-at once by exploiting the injector contract of
-:mod:`repro.faults.models`:
+The per-seed trial (:func:`~repro.faults.campaign._run_gather_trial`)
+pays one full seeded event simulation per seed, BER and drift setting.
+This engine, which every :func:`~repro.faults.campaign.run_campaign`
+runs on, advances *hundreds* of such lanes at once by exploiting the
+injector contract of :mod:`repro.faults.models`:
 
 * a component whose fault hook never fires runs the **exact fault-free
   code path** — no timing or result perturbation — so every lane whose
@@ -454,7 +454,7 @@ def run_mesh_campaign_batch(
 
 
 # ---------------------------------------------------------------------------
-# sweep workers (canonical batch points; keys never alias scalar points)
+# sweep workers (canonical batch points; the key names the batch shape)
 # ---------------------------------------------------------------------------
 
 

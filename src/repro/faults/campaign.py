@@ -1,9 +1,8 @@
 """Seeded Monte-Carlo resilience campaigns over the 2D-FFT workload.
 
-The harness the ISSUE's acceptance criteria run end-to-end: for each
-fault rate in a sweep, execute ``trials`` independent CRC-protected
-transpose gathers of a distributed 2D FFT's row-FFT outputs (the
-paper's Section V workload) under a seeded
+For each fault rate in a sweep, execute ``trials`` independent
+CRC-protected transpose gathers of a distributed 2D FFT's row-FFT
+outputs (the paper's Section V workload) under a seeded
 :class:`~repro.faults.models.PscanFaultModel`, and measure
 
 * **delivered-correct fraction** — words equal to the source data after
@@ -21,7 +20,10 @@ delivered packets and latency inflation via
 
 Determinism: every trial's injector seed derives from ``config.seed``
 via a private ``random.Random``, so the same config replays the same
-report, bit for bit.
+report, bit for bit.  :func:`run_campaign` runs the trials as lockstep
+lane batches (:mod:`repro.faults.batched`); :func:`_run_gather_trial`
+and :func:`_run_mesh_trial` run one seed at a time, and are the
+reference every batch is pinned to.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def _retry_policy(config: CampaignConfig) -> RetryPolicy:
 def _gather_row(
     stats: RetryStats, residual: list, correct_fraction: float
 ) -> tuple[float, int, int, int, int, bool, int, float]:
-    """A trial's raw row ingredients, in :func:`run_campaign`'s order."""
+    """A trial's raw row ingredients, in :func:`_campaign_report`'s order."""
     return (
         correct_fraction,
         stats.epochs,
@@ -306,16 +308,75 @@ def _chunked(items: Sequence, size: int) -> list:
     return [list(items[i : i + size]) for i in range(0, len(items), size)]
 
 
+def _draw_seeds(
+    config: CampaignConfig,
+) -> tuple[dict[float, list[int]], list[tuple[int, int]]]:
+    """Every trial seed of a campaign, drawn from ``config.seed``.
+
+    Returns ``(seeds_by_ber, mesh_lanes)``: ``config.trials`` gather
+    seeds per fault rate, drawn first in rate order, then one
+    ``(dead_links, seed)`` mesh lane per dead-link count.
+    """
+    seeder = random.Random(config.seed)
+    seeds_by_ber = {
+        ber: [seeder.randrange(2**32) for _ in range(config.trials)]
+        for ber in config.fault_rates
+    }
+    mesh_lanes = [
+        (dead, seeder.randrange(2**32))
+        for dead in range(config.mesh_link_failures + 1)
+    ]
+    return seeds_by_ber, mesh_lanes
+
+
+def _campaign_report(
+    config: CampaignConfig,
+    gather_rows: Sequence[tuple],
+    mesh_rows: Sequence[MeshCampaignRow],
+) -> CampaignReport:
+    """Aggregate per-trial rows into a :class:`CampaignReport`.
+
+    ``gather_rows`` holds one :func:`_run_gather_trial` row per seed of
+    :func:`_draw_seeds`, in its order (``config.trials`` per fault
+    rate); ``mesh_rows`` one :func:`_run_mesh_trial` row per mesh lane.
+    """
+    report = CampaignReport(config=config, mesh_rows=list(mesh_rows))
+    energy_model = PhotonicEnergyModel()
+    per_ber = _chunked(gather_rows, config.trials)
+    for ber, rows in zip(config.fault_rates, per_ber, strict=True):
+        frac, epochs, nacks, retx, undet, exh, ovh, ovf = zip(*rows)
+        retransmitted = sum(retx)
+        report.gather_rows.append(
+            GatherCampaignRow(
+                ber=ber,
+                trials=config.trials,
+                words_per_trial=config.processors * config.row_samples,
+                delivered_correct_fraction=sum(frac) / len(frac),
+                mean_epochs=sum(epochs) / config.trials,
+                crc_nacks=sum(nacks),
+                retransmitted_words=retransmitted,
+                undetected_errors=sum(undet),
+                exhausted_trials=sum(exh),
+                mean_overhead_cycles=sum(ovh) / len(ovh),
+                mean_overhead_fraction=sum(ovf) / len(ovf),
+                retransmit_energy_pj=energy_model.retransmission_energy_pj(
+                    config.processors, retransmitted
+                )
+                / config.trials,
+            )
+        )
+    return report
+
+
 def _raise_lane_error(err: SweepPointError, lane_counts: list[int]):
     """Re-raise a batch-level sweep failure as its failing *lane*.
 
     A batched worker that fails during per-lane fault replay raises a
     lane-scoped :class:`SweepPointError` — ``index`` = lane position in
-    the batch, ``point`` = the scalar ``(config, …, seed)`` payload.
+    the batch, ``point`` = the lane's ``(config, …, seed)`` payload.
     ``run_sweep`` then wraps it again with the *batch* grid index, which
     is useless for triage; this translates back to the campaign's flat
-    seed-order index and the (seed, point) pair, mirroring the scalar
-    path's PR-5 contract.
+    seed-order index and the (seed, point) pair.
     """
     cause = err.__cause__
     if not isinstance(cause, SweepPointError) or cause.point is None:
@@ -358,218 +419,86 @@ def run_campaign(
 ) -> CampaignReport:
     """Run the full campaign; same config (incl. seed) ⇒ same report.
 
-    With ``parallel=True`` the independent trials fan out over
-    :func:`repro.perf.sweep.run_sweep` (a process pool).  Every trial's
-    seed is drawn *before* dispatch, in the exact order the serial loop
-    draws them, and results merge back in grid order — so the report is
-    bit-for-bit identical either way (differentially tested).
-
-    With ``batch=N`` the grid is regrouped into lanes-of-N points and
-    executed by the SIMD-lockstep engine (:mod:`repro.faults.batched`):
-    lanes whose injector draws fire no fault share one fault-free
-    timeline, the rest replay scalar — the report stays bit-for-bit
-    identical to the per-seed path (differentially tested in
-    ``tests/test_batched_campaign.py``).  Batch points carry the batch
-    shape in their payload (``(config, ber, (seed, …))``) and run under
-    a different worker, so their content-addressed store keys never
-    alias scalar results.
+    Every trial's seed is drawn up front (:func:`_draw_seeds`), and the
+    trials run in lanes-of-``batch`` grid points on the SIMD-lockstep
+    engine (:mod:`repro.faults.batched`); ``batch`` defaults to
+    ``config.trials``, one gather batch per fault rate.  Lanes whose
+    injector draws fire no fault share one fault-free timeline,
+    divergent gather lanes recover in lockstep and the rest replay
+    scalar, so the report is bit-for-bit identical to running
+    :func:`_run_gather_trial` and :func:`_run_mesh_trial` one seed at a
+    time, whatever the batch size (differentially tested in
+    ``tests/test_batched_campaign.py``).  With ``parallel=True`` the
+    batches fan out over :func:`repro.perf.sweep.run_sweep`'s process
+    pool and merge back in grid order.
 
     ``checkpoint``/``resume`` enable the content-addressed result store
-    (see ``docs/sweeps.md``): every trial is persisted as it completes,
+    (see ``docs/sweeps.md``): every batch is persisted as it completes,
     an interrupted campaign resumes by re-executing only the missing
     grid points, and a warm store regenerates the report without
-    running a single simulation.  Grid points are canonical by
-    construction — ``(CampaignConfig, ber, trial_seed)`` tuples of a
-    frozen dataclass and plain numbers — so their store keys are stable
-    across processes and pickle protocols.  ``obs`` (an
-    :class:`repro.obs.ObsSession`) receives per-point spans/metrics
-    (plus per-section lane counters and a lanes/sec gauge in batched
-    mode); ``stop_after`` bounds how many *pending* points each of the
-    two sweeps may execute before raising
+    running a single simulation.  Batch points are canonical by
+    construction — ``(CampaignConfig, ber, (seed, …))`` and
+    ``(CampaignConfig, ((dead_links, seed), …))`` tuples of a frozen
+    dataclass and plain numbers — so their store keys are stable across
+    processes and pickle protocols, and name the batch shape.  ``obs``
+    (an :class:`repro.obs.ObsSession`) receives per-point spans/metrics
+    plus per-section lane counters and a lanes/sec gauge;
+    ``stop_after`` bounds how many *pending* points each of the two
+    sweeps may execute before raising
     :class:`~repro.util.errors.SweepInterrupted` (completed points stay
     checkpointed).
     """
     from ..perf.sweep import run_sweep
+    from .batched import _gather_batch_point, _mesh_batch_point, shared_probes
 
     config = config or CampaignConfig()
-    if batch is not None and batch < 1:
+    if batch is None:
+        batch = config.trials
+    if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch!r}")
-    report = CampaignReport(config=config)
-    seeder = random.Random(config.seed)
-    energy_model = PhotonicEnergyModel()
+    seeds_by_ber, mesh_lanes = _draw_seeds(config)
+    sweep = dict(
+        parallel=parallel,
+        max_workers=max_workers,
+        checkpoint=checkpoint,
+        resume=resume,
+        obs=obs,
+        stop_after=stop_after,
+    )
 
-    # Draw every seed up front, in serial-loop order: per-BER trial
-    # seeds first, then the mesh sweep's seeds.
-    seeds_by_ber = {
-        ber: [seeder.randrange(2**32) for _ in range(config.trials)]
+    gather_grid = [
+        (config, ber, tuple(chunk))
         for ber in config.fault_rates
-    }
-    mesh_seeds = [
-        seeder.randrange(2**32)
-        for _ in range(config.mesh_link_failures + 1)
+        for chunk in _chunked(seeds_by_ber[ber], batch)
     ]
-
-    if batch is None:
-        gather_grid = [
-            (config, ber, trial_seed)
-            for ber in config.fault_rates
-            for trial_seed in seeds_by_ber[ber]
-        ]
-        gather_results = run_sweep(
-            _gather_point,
-            gather_grid,
-            parallel=parallel,
-            max_workers=max_workers,
-            checkpoint=checkpoint,
-            resume=resume,
-            obs=obs,
-            label="faults-gather",
-            stop_after=stop_after,
-        )
-    else:
-        from .batched import _gather_batch_point, shared_probes
-
-        batch_grid = [
-            (config, ber, tuple(chunk))
-            for ber in config.fault_rates
-            for chunk in _chunked(seeds_by_ber[ber], batch)
-        ]
-        t0 = time.perf_counter()
-        try:
-            # Every batch point of this call shares one fault-free probe.
-            with shared_probes():
-                batch_results = run_sweep(
-                    _gather_batch_point,
-                    batch_grid,
-                    parallel=parallel,
-                    max_workers=max_workers,
-                    checkpoint=checkpoint,
-                    resume=resume,
-                    obs=obs,
-                    label="faults-gather-batched",
-                    stop_after=stop_after,
-                )
-        except SweepPointError as err:
-            _raise_lane_error(err, [len(p[2]) for p in batch_grid])
-        _emit_batch_obs(
-            obs, "faults-gather", batch_results, time.perf_counter() - t0
-        )
-        gather_results = [row for res in batch_results for row in res.rows]
-    by_ber: dict[float, list[tuple]] = {}
-    flat_gather_grid = [
-        (config, ber, trial_seed)
-        for ber in config.fault_rates
-        for trial_seed in seeds_by_ber[ber]
-    ]
-    for (cfg_, ber, _seed), row in zip(flat_gather_grid, gather_results):
-        by_ber.setdefault(ber, []).append(row)
-
-    for ber in config.fault_rates:
-        fractions: list[float] = []
-        overhead_cycles: list[int] = []
-        overhead_fracs: list[float] = []
-        epochs = nacks = retx = undetected = exhausted = 0
-        for frac, ep, nk, rt, ud, exh, ovh, ovf in by_ber[ber]:
-            fractions.append(frac)
-            overhead_cycles.append(ovh)
-            overhead_fracs.append(ovf)
-            epochs += ep
-            nacks += nk
-            retx += rt
-            undetected += ud
-            exhausted += int(exh)
-        report.gather_rows.append(
-            GatherCampaignRow(
-                ber=ber,
-                trials=config.trials,
-                words_per_trial=config.processors * config.row_samples,
-                delivered_correct_fraction=sum(fractions) / len(fractions),
-                mean_epochs=epochs / config.trials,
-                crc_nacks=nacks,
-                retransmitted_words=retx,
-                undetected_errors=undetected,
-                exhausted_trials=exhausted,
-                mean_overhead_cycles=sum(overhead_cycles) / len(overhead_cycles),
-                mean_overhead_fraction=sum(overhead_fracs) / len(overhead_fracs),
-                retransmit_energy_pj=energy_model.retransmission_energy_pj(
-                    config.processors, retx
-                )
-                / config.trials,
+    t0 = time.perf_counter()
+    try:
+        # Every batch point of this call shares one fault-free probe.
+        with shared_probes():
+            gather_results = run_sweep(
+                _gather_batch_point,
+                gather_grid,
+                label="faults-gather-batched",
+                **sweep,
             )
+    except SweepPointError as err:
+        _raise_lane_error(err, [len(p[2]) for p in gather_grid])
+    _emit_batch_obs(
+        obs, "faults-gather", gather_results, time.perf_counter() - t0
+    )
+
+    mesh_grid = [(config, tuple(chunk)) for chunk in _chunked(mesh_lanes, batch)]
+    t0 = time.perf_counter()
+    try:
+        mesh_results = run_sweep(
+            _mesh_batch_point, mesh_grid, label="faults-mesh-batched", **sweep
         )
+    except SweepPointError as err:
+        _raise_lane_error(err, [len(p[1]) for p in mesh_grid])
+    _emit_batch_obs(obs, "faults-mesh", mesh_results, time.perf_counter() - t0)
 
-    if batch is None:
-        mesh_grid = [
-            (config, dead, mesh_seeds[dead])
-            for dead in range(config.mesh_link_failures + 1)
-        ]
-        report.mesh_rows.extend(
-            run_sweep(
-                _mesh_point,
-                mesh_grid,
-                parallel=parallel,
-                max_workers=max_workers,
-                checkpoint=checkpoint,
-                resume=resume,
-                obs=obs,
-                label="faults-mesh",
-                stop_after=stop_after,
-            )
-        )
-    else:
-        from .batched import _mesh_batch_point
-
-        mesh_lanes = [
-            (dead, mesh_seeds[dead])
-            for dead in range(config.mesh_link_failures + 1)
-        ]
-        mesh_grid_b = [
-            (config, tuple(chunk)) for chunk in _chunked(mesh_lanes, batch)
-        ]
-        t0 = time.perf_counter()
-        try:
-            mesh_results = run_sweep(
-                _mesh_batch_point,
-                mesh_grid_b,
-                parallel=parallel,
-                max_workers=max_workers,
-                checkpoint=checkpoint,
-                resume=resume,
-                obs=obs,
-                label="faults-mesh-batched",
-                stop_after=stop_after,
-            )
-        except SweepPointError as err:
-            _raise_lane_error(err, [len(p[1]) for p in mesh_grid_b])
-        _emit_batch_obs(
-            obs, "faults-mesh", mesh_results, time.perf_counter() - t0
-        )
-        report.mesh_rows.extend(
-            row for res in mesh_results for row in res.rows
-        )
-    return report
-
-
-def _gather_point(point: tuple) -> tuple:
-    """Picklable sweep worker: one seeded protected-gather trial.
-
-    Point payloads are *canonical* — ``(CampaignConfig, ber, trial_seed)``
-    with a frozen dataclass of plain values — so the content-addressed
-    store key (:func:`repro.store.keys.point_key`) is identical across
-    processes, platforms and pickle protocols; the result is a plain
-    tuple of numbers/bools, safe for the pickled object store.
-    """
-    config, ber, trial_seed = point
-    return _run_gather_trial(config, ber, trial_seed)
-
-
-def _mesh_point(point: tuple) -> MeshCampaignRow:
-    """Picklable sweep worker: one seeded faulty-mesh transpose.
-
-    Canonical payload ``(CampaignConfig, dead_links, seed)``; the
-    :class:`MeshCampaignRow` result is a dataclass of plain values
-    (``report_kind`` is pre-flattened to ``str | None`` rather than a
-    live report object, keeping the stored result small and canonical).
-    """
-    config, dead_links, seed = point
-    return _run_mesh_trial(config, dead_links, seed)
+    return _campaign_report(
+        config,
+        [row for res in gather_results for row in res.rows],
+        [row for res in mesh_results for row in res.rows],
+    )

@@ -466,12 +466,6 @@ class MeshNetwork:
 
     # -- helpers --------------------------------------------------------------
 
-    def _buffer_space(self, node: tuple[int, int], port: Port) -> int:
-        buf = self._buffers.get((node, port))
-        if buf is None:
-            return 0
-        return self.config.buffer_flits - len(buf)
-
     def _downstream_space(self, node: tuple[int, int]) -> dict[Port, int]:
         """Free slots in each neighbour buffer this router's outputs feed."""
         cap = self.config.buffer_flits

@@ -16,14 +16,14 @@ This suite pins that contract:
   shared across calls;
 * the fault-free mesh lane on the compiled engine, equal to the
   reference trial across mesh sizes and row lengths;
-* gather + mesh workloads through ``run_campaign(batch=)`` at batch
-  sizes 1, 7, 64 and a non-divisor remainder split;
+* gather + mesh workloads through ``run_campaign`` at the default
+  batch and sizes 1, 7, 64 with a non-divisor remainder split, each
+  against the per-seed oracle (:func:`per_seed_campaign`);
 * the crashed-then-resumed checkpoint path and the warm-cache path;
-* the store-key no-aliasing guarantee (batch shape in the canonical
-  payload, distinct worker);
-* the PR-5-style failure contract: a worker raising inside fault
-  replay reports the failing ``(seed, point)`` pair, not the bare
-  campaign/batch index.
+* the batch shape in the canonical store payload;
+* the failure contract: a lane raising inside fault replay reports
+  the failing ``(seed, point)`` pair, not the bare campaign/batch
+  index.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ from repro.faults.batched import (
 )
 from repro.faults.campaign import (
     CampaignConfig,
+    _campaign_report,
+    _draw_seeds,
     _fft_row_data,
-    _gather_point,
     _run_gather_trial,
     _run_mesh_trial,
     run_campaign,
@@ -62,6 +63,20 @@ from repro.util.errors import (
     SweepInterrupted,
     SweepPointError,
 )
+
+
+def per_seed_campaign(config: CampaignConfig):
+    """The per-seed oracle: ``run_campaign``'s trials, one seed at a time."""
+    seeds_by_ber, mesh_lanes = _draw_seeds(config)
+    return _campaign_report(
+        config,
+        [
+            _run_gather_trial(config, ber, seed)
+            for ber in config.fault_rates
+            for seed in seeds_by_ber[ber]
+        ],
+        [_run_mesh_trial(config, dead, seed) for dead, seed in mesh_lanes],
+    )
 
 
 def _seeds(count: int, master: int = 20130901) -> list[int]:
@@ -417,7 +432,7 @@ class TestLockstepRefusal:
         assert batch.lanes_replayed == len(seeds) - batch.lanes_clean > 0
 
 
-# -- run_campaign(batch=) -----------------------------------------------------
+# -- run_campaign -------------------------------------------------------------
 
 
 class TestCampaignBatchSizes:
@@ -429,9 +444,9 @@ class TestCampaignBatchSizes:
 
     @pytest.fixture(scope="class")
     def scalar_report(self):
-        return run_campaign(self.CONFIG)
+        return per_seed_campaign(self.CONFIG)
 
-    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("batch", [None, 1, 7, 64])
     def test_report_byte_identical(self, scalar_report, batch):
         report = run_campaign(self.CONFIG, batch=batch)
         assert report.gather_rows == scalar_report.gather_rows
@@ -475,7 +490,7 @@ class TestCheckpointResume:
     )
 
     def test_crashed_then_resumed(self, tmp_path):
-        scalar = run_campaign(self.CONFIG)
+        scalar = per_seed_campaign(self.CONFIG)
         store = str(tmp_path / "store")
         with pytest.raises(SweepInterrupted):
             run_campaign(self.CONFIG, batch=4, checkpoint=store, stop_after=1)
@@ -490,20 +505,6 @@ class TestCheckpointResume:
 
 
 class TestStoreKeys:
-    def test_batch_points_never_alias_scalar(self):
-        seed = _seeds(1)[0]
-        scalar_key = point_key(
-            _gather_point,
-            (SMALL, 1e-4, seed),
-            fingerprint=code_fingerprint(_gather_point),
-        )
-        batch_key = point_key(
-            _gather_batch_point,
-            (SMALL, 1e-4, (seed,)),
-            fingerprint=code_fingerprint(_gather_batch_point),
-        )
-        assert scalar_key != batch_key
-
     def test_batch_shape_in_key(self):
         seeds = tuple(_seeds(4))
         fingerprint = code_fingerprint(_gather_batch_point)
@@ -518,7 +519,7 @@ class TestStoreKeys:
         assert whole != split
 
 
-# -- failure contract (PR-5 mirror) ------------------------------------------
+# -- failure contract ---------------------------------------------------------
 
 
 class TestReplayFailureContract:
@@ -528,11 +529,10 @@ class TestReplayFailureContract:
     )
 
     def _failing_seed(self):
-        # With BER 1e-3 every trial replays scalar; pick the campaign's
-        # second drawn seed so index mapping is non-trivial.
-        seeder = random.Random(self.CONFIG.seed)
-        seeds = [seeder.randrange(2**32) for _ in range(self.CONFIG.trials)]
-        return seeds[1], 1
+        # With BER 1e-3 every lane diverges; pick the campaign's second
+        # drawn seed so index mapping is non-trivial.
+        seeds_by_ber, _ = _draw_seeds(self.CONFIG)
+        return seeds_by_ber[1e-3][1], 1
 
     def _assert_lane_failure_contract(self, monkeypatch, config, lane_fn):
         failing_seed, flat_index = self._failing_seed()
@@ -565,24 +565,6 @@ class TestReplayFailureContract:
         self._assert_lane_failure_contract(
             monkeypatch, config, "_run_gather_trial"
         )
-
-    def test_scalar_worker_failure_names_seed_and_point(self, monkeypatch):
-        failing_seed, flat_index = self._failing_seed()
-        import repro.faults.campaign as campaign_mod
-
-        real = _run_gather_trial
-
-        def boom(config, ber, trial_seed):
-            if trial_seed == failing_seed:
-                raise OSError("simulated replay crash")
-            return real(config, ber, trial_seed)
-
-        monkeypatch.setattr(campaign_mod, "_run_gather_trial", boom)
-        with pytest.raises(SweepPointError) as excinfo:
-            run_campaign(self.CONFIG)
-        err = excinfo.value
-        assert err.index == flat_index
-        assert err.point == (self.CONFIG, 1e-3, failing_seed)
 
     def test_sweep_point_error_pickles(self):
         err = SweepPointError(

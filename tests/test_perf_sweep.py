@@ -12,6 +12,8 @@ from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.perf.sweep import default_workers, grid_points, run_sweep
 from repro.util.errors import ConfigError
 
+from .test_batched_campaign import per_seed_campaign
+
 # ---------------------------------------------------------------------------
 # module-level workers (must be picklable for ProcessPoolExecutor)
 # ---------------------------------------------------------------------------
@@ -83,5 +85,7 @@ class TestCampaignParallelDeterminism:
             mesh_link_failures=1,
         )
         serial = run_campaign(config, parallel=False)
-        parallel = run_campaign(config, parallel=True, max_workers=2)
+        # One lane per batch, so the pool has 4 gather + 2 mesh points.
+        parallel = run_campaign(config, parallel=True, max_workers=2, batch=1)
         assert parallel.as_table() == serial.as_table()
+        assert parallel == per_seed_campaign(config)

@@ -141,8 +141,8 @@ class TestCanonicalize:
         """The satellite audit: real campaign points must canonicalize."""
         config = CampaignConfig(trials=2, fault_rates=(0.0, 1e-4))
         for ber in config.fault_rates:
-            canonical_json((config, ber, 12345))
-        canonical_json((config, 1, 999))  # mesh point shape
+            canonical_json((config, ber, (12345, 678)))
+        canonical_json((config, ((0, 999), (1, 1000))))  # mesh batch shape
 
     def test_llmore_grid_is_canonical(self):
         canonical_json((Fft2dApp(), 256, 1, 1))

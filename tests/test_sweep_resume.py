@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.faults.campaign as campaign_mod
+import repro.faults.batched as batched_mod
 import repro.store as store_pkg
 from repro.faults.campaign import CampaignConfig, run_campaign
 from repro.obs import ObsSession
@@ -449,6 +449,8 @@ class TestCampaignResume:
         fault_rates=(0.0, 1e-4),
         mesh_link_failures=1,
     )
+    #: One lane per batch point: a grid of 4 gather + 2 mesh points.
+    BATCH = 1
 
     def test_interrupted_campaign_resumes_byte_identical(
         self, tmp_path, monkeypatch
@@ -457,35 +459,39 @@ class TestCampaignResume:
 
         # Count per-point executions *below* the sweep workers, so the
         # store keys (derived from the workers' source) are unchanged.
+        # Clean lanes never run a per-seed trial, so count the batches.
         calls: list[tuple] = []
-        real_gather = campaign_mod._run_gather_trial
-        real_mesh = campaign_mod._run_mesh_trial
+        real_gather = batched_mod.run_gather_campaign_batch
+        real_mesh = batched_mod.run_mesh_campaign_batch
 
-        def counting_gather(config, ber, seed):
-            calls.append(("gather", ber, seed))
-            return real_gather(config, ber, seed)
+        def counting_gather(config, ber, seeds):
+            calls.append(("gather", ber, tuple(seeds)))
+            return real_gather(config, ber, seeds)
 
-        def counting_mesh(config, dead, seed):
-            calls.append(("mesh", dead, seed))
-            return real_mesh(config, dead, seed)
+        def counting_mesh(config, lanes):
+            calls.append(("mesh", tuple(lanes)))
+            return real_mesh(config, lanes)
 
         monkeypatch.setattr(
-            campaign_mod, "_run_gather_trial", counting_gather
+            batched_mod, "run_gather_campaign_batch", counting_gather
         )
-        monkeypatch.setattr(campaign_mod, "_run_mesh_trial", counting_mesh)
+        monkeypatch.setattr(
+            batched_mod, "run_mesh_campaign_batch", counting_mesh
+        )
 
         ckpt = tmp_path / "store"
         # Interrupt at ~50%: the gather grid has 4 points; stop after 2.
         with pytest.raises(SweepInterrupted):
             run_campaign(
                 self.CONFIG, parallel=False, checkpoint=str(ckpt),
-                stop_after=2,
+                stop_after=2, batch=self.BATCH,
             )
         executed_at_crash = list(calls)
         assert len(executed_at_crash) == 2  # exactly half the gather grid
 
         resumed = run_campaign(
-            self.CONFIG, parallel=False, checkpoint=str(ckpt)
+            self.CONFIG, parallel=False, checkpoint=str(ckpt),
+            batch=self.BATCH,
         )
         assert resumed.as_table() == baseline  # byte-identical report
 
@@ -497,7 +503,8 @@ class TestCampaignResume:
         # And a warm regeneration simulates nothing at all.
         warm_calls_before = len(calls)
         warm = run_campaign(
-            self.CONFIG, parallel=False, checkpoint=str(ckpt)
+            self.CONFIG, parallel=False, checkpoint=str(ckpt),
+            batch=self.BATCH,
         )
         assert warm.as_table() == baseline
         assert len(calls) == warm_calls_before
@@ -507,9 +514,12 @@ class TestCampaignResume:
         with pytest.raises(SweepInterrupted):
             run_campaign(
                 self.CONFIG, parallel=False, checkpoint=str(ckpt),
-                stop_after=2,
+                stop_after=2, batch=self.BATCH,
             )
-        run_campaign(self.CONFIG, parallel=False, checkpoint=str(ckpt))
+        run_campaign(
+            self.CONFIG, parallel=False, checkpoint=str(ckpt),
+            batch=self.BATCH,
+        )
         store = ResultStore(ckpt)
         manifests = list(SweepManifest.iter_dir(store.runs_dir))
         assert len(manifests) == 2  # gather + mesh sweeps
