@@ -17,7 +17,7 @@ the mesh number two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..memory.controller import PscanMemoryController
 from ..mesh.network import MeshConfig, MeshNetwork
@@ -101,6 +101,24 @@ class MeasuredTranspose:
     def elements(self) -> int:
         """Total matrix elements moved."""
         return self.processors * self.row_samples
+
+
+#: :class:`MeasuredTranspose`'s field names in declaration order, the
+#: order of its pickled state.
+_MEASURED_FIELDS = tuple(f.name for f in fields(MeasuredTranspose))
+
+
+def _measured_setstate(self: MeasuredTranspose, state: list[int]) -> None:
+    # Unpickling a cache hit: the pickled state is the field values in
+    # field order (``dataclasses``' own ``__getstate__``, so the bytes
+    # stay the same), set without its per-call ``fields()``.
+    for name, value in zip(_MEASURED_FIELDS, state):
+        object.__setattr__(self, name, value)
+
+
+# Assigned after decoration: on some Pythons ``dataclass(slots=True,
+# frozen=True)`` replaces a ``__setstate__`` the class body defines.
+MeasuredTranspose.__setstate__ = _measured_setstate
 
 
 def measure_mesh_transpose(

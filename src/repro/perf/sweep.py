@@ -154,16 +154,14 @@ class _Checkpoint:
             ResultStore,
             SweepManifest,
             code_fingerprint,
-            point_key,
+            point_keys,
             worker_name,
         )
 
         self.store = ResultStore(Path(directory))
         self.store.ensure_dirs()
         fingerprint = code_fingerprint(fn)
-        self.keys = [
-            point_key(fn, p, fingerprint=fingerprint) for p in points
-        ]
+        self.keys = point_keys(fn, points, fingerprint=fingerprint)
         self.manifest = SweepManifest(
             worker=worker_name(fn),
             fingerprint=fingerprint,
@@ -193,11 +191,9 @@ class _Checkpoint:
         """One journal line per cache hit, all in a single append."""
         from ..store import JournalEntry, append_journal
 
-        ts = time.time()
-        append_journal(self._journal, *(
-            JournalEntry(index=i, key=self.keys[i], cached=True, wall_s=0.0, ts=ts)
-            for i in indices
-        ))
+        append_journal(
+            self._journal, *JournalEntry.hit_lines(self.keys, indices, time.time())
+        )
 
     def commit(self, index: int, value: Any, wall_s: float) -> None:
         """Persist one executed point + journal line (atomic, crash-safe)."""
@@ -212,7 +208,7 @@ class _Checkpoint:
                 cached=False,
                 wall_s=wall_s,
                 ts=time.time(),
-            ),
+            ).to_json(),
         )
 
     def key_for(self, index: int) -> str:

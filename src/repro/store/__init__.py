@@ -23,7 +23,8 @@ campaigns and figure sweeps never talk to this package directly.
 from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "keys": ("canonical_json", "canonicalize", "code_fingerprint", "point_key", "worker_name"),
+    "keys": ("canonical_json", "canonicalize", "code_fingerprint", "point_key", "point_keys",
+             "worker_name"),
     "leases": ("ServeJournal", "ServeJournalEntry", "ServeReplay", "StaleIndex", "point_identity"),
     "manifest": ("JournalEntry", "SweepManifest", "append_journal", "read_journal"),
     "result_store": ("GcReport", "ResultStore"),

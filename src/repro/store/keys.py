@@ -46,7 +46,7 @@ import inspect
 import json
 import math
 import weakref
-from collections.abc import Callable, Mapping, Sequence, Set
+from collections.abc import Callable, Iterable, Mapping, Sequence, Set
 from operator import itemgetter
 from typing import Any
 
@@ -58,6 +58,7 @@ __all__ = [
     "code_fingerprint",
     "worker_name",
     "point_key",
+    "point_keys",
 ]
 
 #: Tag used for values that need a type marker to stay injective.
@@ -82,15 +83,6 @@ _CANONICAL = json.JSONEncoder(
 _SORT_KEY = json.JSONEncoder(sort_keys=True).encode
 #: ``json.dumps(s)`` for a ``str`` ``s``, without an encoder around it.
 _JSON_STR = json.encoder.encode_basestring_ascii
-
-
-def _encode(canonical: Any) -> str:
-    """``_CANONICAL(canonical)``, without the encoder for a ``str`` or ``None``."""
-    if type(canonical) is str:
-        return _JSON_STR(canonical)
-    if canonical is None:
-        return "null"
-    return _CANONICAL(canonical)
 
 
 def _sort_key(canonical: Any) -> str:
@@ -126,24 +118,34 @@ def canonicalize(value: Any) -> Any:
     return _canonicalize_other(value)
 
 
-def _canonical_float(value: float) -> list[str]:
+def _float_text(value: float) -> str:
     if math.isfinite(value):
         # float.hex() is exact and round-trippable; repr would also
         # work on CPython >= 3.1 but hex makes the intent explicit.
-        return [_TAG, "float", value.hex()]
-    return [_TAG, "float", str(value)]  # 'nan', 'inf', '-inf'
+        return value.hex()
+    return str(value)  # 'nan', 'inf', '-inf'
 
 
-def _canonical_map(value: Mapping[Any, Any]) -> list[Any]:
+def _canonical_float(value: float) -> list[str]:
+    return [_TAG, "float", _float_text(value)]
+
+
+def _sorted_items(value: Mapping[Any, Any]) -> list[tuple[str, Any, Any]]:
+    """``(sort key, canonical key, value)`` per item of a map, in the
+    order the key format pins: by the key's ``json.dumps`` form."""
     items = []
     for k, v in value.items():
         if type(k) is str:
-            items.append((_JSON_STR(k), k, canonicalize(v)))
+            items.append((_JSON_STR(k), k, v))
         else:
             ck = canonicalize(k)
-            items.append((_sort_key(ck), ck, canonicalize(v)))
+            items.append((_sort_key(ck), ck, v))
     items.sort(key=itemgetter(0))  # stable: equal sort keys keep their order
-    return [_TAG, "map", [[ck, cv] for _, ck, cv in items]]
+    return items
+
+
+def _canonical_map(value: Mapping[Any, Any]) -> list[Any]:
+    return [_TAG, "map", [[ck, canonicalize(v)] for _, ck, v in _sorted_items(value)]]
 
 
 def _canonicalize_other(value: Any) -> Any:
@@ -186,8 +188,42 @@ def _canonicalize_other(value: Any) -> Any:
     )
 
 
+#: The encoded forms of :func:`_canonical_float` and
+#: :func:`_canonical_map` up to their last element, which
+#: :func:`canonical_json` appends itself.
+_FLOAT_OPEN = _CANONICAL(_canonical_float(0.0))[:-len('"0x0.0p+0"]')]
+_MAP_OPEN = _CANONICAL(_canonical_map({}))[:-len("[]]")]
+
+
 def canonical_json(value: Any) -> str:
-    """One byte stream per canonical form: sorted keys, fixed separators."""
+    """One byte stream per canonical form: sorted keys, fixed separators.
+
+    Exactly ``_CANONICAL(canonicalize(value))``, written in one pass:
+    the built-in types grid points are made of (exact ``str``, ``int``,
+    ``bool``, ``None``, ``float``, ``dict``, ``list`` and ``tuple``) are
+    emitted directly, and everything else is emitted as the encoding of
+    its :func:`canonicalize` form.
+    """
+    kind = type(value)
+    if kind is str:
+        return _JSON_STR(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is float:
+        return f'{_FLOAT_OPEN}"{_float_text(value)}"]'
+    if kind is dict:
+        # A str key's sort key is its encoding.
+        pairs = ",".join([
+            f"[{sk if type(ck) is str else _CANONICAL(ck)},{canonical_json(v)}]"
+            for sk, ck, v in _sorted_items(value)
+        ])
+        return f"{_MAP_OPEN}[{pairs}]]"
+    if kind is list or kind is tuple:
+        return f"[{','.join(map(canonical_json, value))}]"
     return _CANONICAL(canonicalize(value))
 
 
@@ -259,14 +295,32 @@ def point_key(
     callers that need to segregate otherwise-identical evaluations (for
     example an environment revision).
     """
+    return point_keys(fn, (point,), fingerprint=fingerprint, extra=extra)[0]
+
+
+def point_keys(
+    fn: Callable[..., Any],
+    points: Iterable[Any],
+    *,
+    fingerprint: str | None = None,
+    extra: Any = None,
+) -> list[str]:
+    """:func:`point_key` of every point of a grid, in grid order.
+
+    The envelope parts every point shares (``extra``, ``fingerprint``
+    and ``worker``) are encoded once for the grid.
+    """
     # The bytes of ``json.dumps(envelope, sort_keys=True, ...)`` for the
     # envelope of the module docstring, its four keys in sorted order.
     if fingerprint is None:
         fingerprint = code_fingerprint(fn)
-    payload = (
-        '{"extra":' + _encode(canonicalize(extra))
-        + ',"fingerprint":' + _encode(fingerprint)
-        + ',"point":' + _encode(canonicalize(point))
-        + ',"worker":' + _encode(worker_name(fn)) + "}"
+    head = (
+        f'{{"extra":{canonical_json(extra)},'
+        f'"fingerprint":{canonical_json(fingerprint)},"point":'
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    tail = f',"worker":{canonical_json(worker_name(fn))}}}'
+    sha256 = hashlib.sha256
+    return [
+        sha256(f"{head}{canonical_json(point)}{tail}".encode()).hexdigest()
+        for point in points
+    ]

@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -175,25 +175,42 @@ class JournalEntry:
         return (
             f'{{"cached":{"true" if self.cached else "false"},'
             f'"index":{self.index},"key":{_json_str(self.key)},'
-            f'"ts":{self.ts!r},"wall_s":{round(self.wall_s, 6)!r}}}'
+            f"{_line_tail(self.ts, self.wall_s)}"
         )
+
+    @staticmethod
+    def hit_lines(keys: Sequence[str], indices: Iterable[int], ts: float) -> list[str]:
+        """The journal lines of the cache hits ``indices`` of a run whose
+        keys are ``keys``, all at ``ts``: for each ``i``, exactly
+        ``JournalEntry(i, keys[i], True, 0.0, ts).to_json()``, with the
+        ``ts``/``wall_s`` tail they share formatted once."""
+        tail = _line_tail(ts, 0.0)
+        return [
+            f'{{"cached":true,"index":{i},"key":{_json_str(keys[i])},{tail}'
+            for i in indices
+        ]
+
+
+def _line_tail(ts: float, wall_s: float) -> str:
+    return f'"ts":{ts!r},"wall_s":{round(wall_s, 6)!r}}}'
 
 
 #: ``json.dumps(s)`` for a ``str`` ``s``.
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def append_journal(path: Path, *entries: JournalEntry) -> None:
-    """Append one completion line per entry in a single ``O_APPEND`` write.
+def append_journal(path: Path, *lines: str) -> None:
+    """Append journal lines (:meth:`JournalEntry.to_json`,
+    :meth:`JournalEntry.hit_lines`) in a single ``O_APPEND`` write.
 
     A batch (every cache hit of one run) costs one open and one write;
     a crash mid-write can at worst tear the last line, which
     :func:`read_journal` skips.
     """
-    if not entries:
+    if not lines:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = memoryview("".join(entry.to_json() + "\n" for entry in entries).encode())
+    data = memoryview("".join([f"{line}\n" for line in lines]).encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         while data:  # os.write may write less than it was given

@@ -42,6 +42,11 @@ PICKLE_PROTOCOL = 4
 
 _OBJECT_SUFFIX = ".pkl"
 
+#: Bytes :meth:`ResultStore.load` asks for per ``os.read``: an object
+#: shorter than this (such as a pickled ``MeasuredTranspose``, under
+#: 100 bytes) loads with one read.
+_READ_SIZE = 1 << 16
+
 
 @dataclass(frozen=True, slots=True)
 class GcReport:
@@ -146,12 +151,29 @@ class ResultStore:
         return path
 
     def load(self, key: str) -> Any:
-        """Unpickle the result stored under ``key`` (KeyError when absent)."""
+        """Unpickle the result stored under ``key`` (KeyError when absent).
+
+        Only a missing object (or shard) is a ``KeyError``; a directory
+        or a torn pickle at the object path raises whatever reading or
+        unpickling it raises.  The object is read with one
+        ``os.read`` when it is shorter than ``_READ_SIZE``: a regular
+        file reads short only at its end, and a pickle cut short any
+        other way fails to unpickle rather than loading wrong.
+        """
         try:
-            with open(self._object_file(key), "rb") as fh:
-                return pickle.load(fh)
+            fd = os.open(self._object_file(key), os.O_RDONLY)
         except FileNotFoundError:
             raise KeyError(key) from None
+        try:
+            data = os.read(fd, _READ_SIZE)
+            if len(data) == _READ_SIZE:
+                chunks = [data]
+                while chunk := os.read(fd, _READ_SIZE):
+                    chunks.append(chunk)
+                data = b"".join(chunks)
+        finally:
+            os.close(fd)
+        return pickle.loads(data)
 
     def delete(self, key: str) -> bool:
         """Remove ``key``'s object; True when something was deleted."""

@@ -13,10 +13,17 @@ Three contracts:
   torn-journal tolerance, and reference/age-aware garbage collection.
 """
 
+import collections
+import copy
+import dataclasses
+import enum
+import hashlib
 import json
 import math
 import os
 import pickle
+import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -38,9 +45,11 @@ from repro.store import (
     canonicalize,
     code_fingerprint,
     point_key,
+    point_keys,
     read_journal,
     worker_name,
 )
+from repro.store.keys import _CANONICAL
 from repro.util.errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -312,6 +321,171 @@ class TestPointKey:
         assert len(keys) == 1
 
 
+# ---------------------------------------------------------------------------
+# the one-pass emitter against the canonical form it writes
+# ---------------------------------------------------------------------------
+
+
+class _Hue(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tone(str, enum.Enum):  # what ``enum.StrEnum`` (3.11+) is
+    PLAIN = "a"
+    ACCENT = "é"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Cell:
+    x: object
+    y: object
+
+
+#: Strings whose JSON escapes sort them apart from their raw order
+#: (``"é"`` is ``"\\u00e9"``, before ``"a"``; ``'"'`` is ``'\\"'``).
+_STRINGS = ("", "a", "z", "Z", '"', "\\", "é", "\x7f", "\u2603",
+            "\U0001f600", "a\nb", "\x00", "processors", "engine")
+
+
+def _random_float(rng):
+    roll = rng.random()
+    if roll < 0.3:
+        return rng.choice((0.0, -0.0, 0.1, 1.0, -2.5, math.inf, -math.inf,
+                           math.nan, 5e-324, 1e308))
+    if roll < 0.6:
+        return rng.uniform(-1e6, 1e6)
+    return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+
+
+def _random_scalar(rng):
+    kind = rng.randrange(13)
+    if kind == 0:
+        return rng.choice(_STRINGS)
+    if kind == 1:
+        return "".join(rng.choice(_STRINGS) for _ in range(rng.randrange(3)))
+    if kind == 2:
+        return rng.choice((0, 1, -1, 2**64, -(2**70))) + rng.randrange(-3, 4)
+    if kind == 3:
+        return rng.random() < 0.5
+    if kind == 4:
+        return None
+    if kind == 5:
+        return _random_float(rng)
+    if kind == 6:
+        return rng.choice(list(_Hue))
+    if kind == 7:
+        return rng.choice(list(_Tone))
+    if kind == 8:
+        return np.int64(rng.randrange(-1000, 1000))
+    if kind == 9:
+        return np.float64(_random_float(rng))
+    if kind == 10:
+        return complex(_random_float(rng), _random_float(rng))
+    if kind == 11:
+        return rng.randbytes(rng.randrange(4))
+    return ReorgMechanism.SCA
+
+
+def _random_hashable(rng, depth):
+    roll = rng.randrange(5) if depth else 0
+    if roll == 1:
+        return tuple(_random_hashable(rng, depth - 1)
+                     for _ in range(rng.randrange(3)))
+    if roll == 2:
+        return frozenset(_random_hashable(rng, depth - 1)
+                         for _ in range(rng.randrange(3)))
+    if roll == 3:
+        return _Cell(_random_hashable(rng, depth - 1),
+                     _random_hashable(rng, depth - 1))
+    return _random_scalar(rng)
+
+
+def _random_payload(rng, depth=3):
+    roll = rng.randrange(9) if depth else 0
+    size = rng.randrange(5)
+    if roll == 1:
+        return [_random_payload(rng, depth - 1) for _ in range(size)]
+    if roll == 2:
+        return tuple(_random_payload(rng, depth - 1) for _ in range(size))
+    if roll == 3:  # string keys, some of them escaped
+        return {rng.choice(_STRINGS): _random_payload(rng, depth - 1)
+                for _ in range(size)}
+    if roll == 4:  # any canonical keys: ints next to bools, enums, tuples
+        return {_random_hashable(rng, depth - 1): _random_payload(rng, depth - 1)
+                for _ in range(size)}
+    if roll == 5:
+        members = {_random_hashable(rng, depth - 1) for _ in range(size)}
+        return members if rng.random() < 0.5 else frozenset(members)
+    if roll == 6:
+        return _Cell(_random_payload(rng, depth - 1),
+                     _random_payload(rng, depth - 1))
+    if roll == 7:
+        return collections.OrderedDict(
+            (rng.choice(_STRINGS), _random_payload(rng, depth - 1))
+            for _ in range(size)
+        )
+    return _random_scalar(rng)
+
+
+def _envelope_key(fn, point, fingerprint, extra):
+    """``point_key`` as the module docstring defines it."""
+    envelope = {
+        "worker": worker_name(fn),
+        "fingerprint": fingerprint,
+        "point": canonicalize(point),
+        "extra": canonicalize(extra),
+    }
+    text = json.dumps(envelope, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCanonicalEmitter:
+    """``canonical_json`` writes the bytes of ``_CANONICAL(canonicalize(x))``
+    in one pass; ``point_key`` wraps them in the envelope's bytes."""
+
+    def test_random_payloads_match_the_canonical_form(self):
+        rng = random.Random(20130901)
+        fingerprint = "0" * 64
+        points, extras = [], []
+        for _ in range(20_000):
+            point = _random_payload(rng)
+            extra = _random_payload(rng, 1) if rng.random() < 0.2 else None
+            assert canonical_json(point) == _CANONICAL(canonicalize(point))
+            assert point_key(
+                _worker_a, point, fingerprint=fingerprint, extra=extra
+            ) == _envelope_key(_worker_a, point, fingerprint, extra)
+            if extra is None:
+                points.append(point)
+        assert point_keys(_worker_a, points, fingerprint=fingerprint) == [
+            _envelope_key(_worker_a, p, fingerprint, None) for p in points
+        ]
+
+    def test_escaped_keys_sort_by_their_json(self):
+        text = canonical_json({"a": 1, "é": 2, '"': 3, "Z": 4})
+        assert text == _CANONICAL(canonicalize({"é": 2, "a": 1, "Z": 4, '"': 3}))
+        assert text.index("u00e9") < text.index('"a"')
+
+    def test_bool_and_int_stay_apart(self):
+        assert canonical_json([True, 1, False, 0]) == "[true,1,false,0]"
+        assert canonical_json(_Hue.LOW) == canonical_json(1)
+        assert canonical_json(_Tone.ACCENT) == canonical_json("é")
+
+    def test_unsupported_values_are_loud_inside_containers(self):
+        with pytest.raises(ConfigError, match="no canonical serialization"):
+            canonical_json({"x": [1, object()]})
+        with pytest.raises(ConfigError):
+            canonical_json({object(): 1})
+
+    def test_keys_of_a_grid_equal_keys_of_each_point(self):
+        grid = [{"processors": p, "engine": "compiled"} for p in (16, 64)]
+        assert point_keys(_worker_a, grid, extra="v2") == [
+            point_key(_worker_a, p, extra="v2") for p in grid
+        ]
+        assert point_keys(_worker_a, []) == []
+
+
 class TestCodeFingerprint:
     def test_source_is_read_once_per_function(self, monkeypatch):
         import repro.store.keys as keys_mod
@@ -441,6 +615,145 @@ class TestResultStore:
             store.has(key)
 
 
+class TestLoadErrors:
+    """``load`` is one ``os.open``/``os.read`` and ``pickle.loads``: only
+    a missing object is a ``KeyError``, anything else unreadable raises
+    and a sweep reads it as missing."""
+
+    def test_missing_object_or_shard_is_a_key_error(self, tmp_path):
+        store = ResultStore(tmp_path / "never-made")
+        key = point_key(_worker_a, 1)
+        with pytest.raises(KeyError):
+            store.load(key)  # no store directory at all
+        store.ensure_dirs()
+        with pytest.raises(KeyError):
+            store.load(key)  # no shard
+        Path(store._object_file(key)).parent.mkdir()
+        with pytest.raises(KeyError):
+            store.load(key)  # a shard without the object
+
+    def test_directory_and_torn_pickle_raise_and_read_as_missing(self, tmp_path):
+        from repro.perf.sweep import _Checkpoint
+
+        grid = [1, 2, 3]
+        ckpt = _Checkpoint(tmp_path, _worker_a, grid, "")
+        store = ckpt.store
+        as_dir, torn, whole = ckpt.keys
+        Path(store._object_file(as_dir)).mkdir(parents=True)
+        store.store(torn, "torn")
+        path = Path(store._object_file(torn))
+        path.write_bytes(path.read_bytes()[:-3])
+        store.store(whole, "whole")
+        with pytest.raises(IsADirectoryError):
+            store.load(as_dir)
+        with pytest.raises((pickle.UnpicklingError, EOFError)):
+            store.load(torn)
+        assert ckpt.load_completed() == {2: "whole"}
+
+    def test_large_object_reads_whole(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = point_key(_worker_a, 3)
+        value = bytes(range(256)) * 1_000  # several reads long
+        store.store(key, value)
+        assert store.load(key) == value
+
+    def test_unreadable_shard_propagates_from_has(self, tmp_path, monkeypatch):
+        from repro.perf.sweep import _Checkpoint
+
+        ckpt = _Checkpoint(tmp_path, _worker_a, [1], "")
+
+        def denied(p, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", p)
+
+        monkeypatch.setattr(os, "stat", denied)
+        with pytest.raises(PermissionError):
+            ckpt.store.has(ckpt.keys[0])
+        with pytest.raises(PermissionError):
+            ckpt.load_completed()
+
+
+class TestMeasuredTransposePickle:
+    """Stores hold pickled :class:`MeasuredTranspose` results, so their
+    bytes and their loads must not move with the class's own
+    ``__setstate__``."""
+
+    #: ``pickle.dumps(measure_mesh_transpose(16, 8, 2, engine="compiled"),
+    #: protocol=4)`` as stores filled by earlier code hold it (the
+    #: pickled state is ``dataclasses``' field-value list).
+    PINNED_BLOB = (
+        b"\x80\x04\x95K\x00\x00\x00\x00\x00\x00\x00\x8c\x1erepro.analysis."
+        b"transpose_model\x94\x8c\x11MeasuredTranspose\x94\x93\x94)\x81\x94]"
+        b"\x94(K\x10K\x08K\x02M\x81\x01K\x84eb."
+    )
+
+    @staticmethod
+    def _point():
+        from repro.analysis import MeasuredTranspose
+
+        return MeasuredTranspose(processors=16, row_samples=8, reorder_cycles=2,
+                                 mesh_cycles=385, pscan_cycles=132)
+
+    def test_bytes_are_pinned(self):
+        from repro.analysis import measure_mesh_transpose
+
+        measured = measure_mesh_transpose(16, 8, 2, engine="compiled")
+        assert measured == self._point()
+        assert pickle.dumps(measured, protocol=4) == self.PINNED_BLOB
+        assert pickle.loads(self.PINNED_BLOB) == measured
+
+    def test_state_fields_are_the_dataclass_fields(self):
+        from repro.analysis import MeasuredTranspose
+        from repro.analysis.transpose_model import _MEASURED_FIELDS
+
+        assert _MEASURED_FIELDS == tuple(
+            f.name for f in dataclasses.fields(MeasuredTranspose)
+        )
+        assert self._point().__getstate__() == [16, 8, 2, 385, 132]
+
+    def test_loads_use_the_class_setstate(self, monkeypatch):
+        """The class's own ``__setstate__`` is installed on every
+        supported Python (``dataclass`` may replace one in the class
+        body), so a load never calls ``dataclasses.fields``."""
+        from repro.analysis import MeasuredTranspose
+        from repro.analysis.transpose_model import _measured_setstate
+
+        assert MeasuredTranspose.__setstate__ is _measured_setstate
+        assert MeasuredTranspose.__setstate__ is not getattr(
+            dataclasses, "_dataclass_setstate", None)
+
+        def no_fields(*args, **kwargs):
+            raise AssertionError("dataclasses.fields called by a load")
+
+        monkeypatch.setattr(dataclasses, "fields", no_fields)
+        assert pickle.loads(self.PINNED_BLOB) == self._point()
+
+    def test_copies_are_equal(self):
+        point = self._point()
+        for twin in (copy.copy(point), copy.deepcopy(point)):
+            assert twin == point and twin is not point
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                twin.mesh_cycles = 0
+
+    def test_a_stored_blob_reads_warm(self, tmp_path):
+        """An object an earlier tree wrote is a hit, not a re-execution."""
+        from repro.analysis import measure_mesh_transpose
+        from repro.perf.sweep import run_sweep
+
+        point = {"processors": 16, "row_samples": 8, "reorder_cycles": 2,
+                 "engine": "compiled"}
+        store = ResultStore(tmp_path)
+        path = Path(store._object_file(point_key(measure_mesh_transpose, point)))
+        path.parent.mkdir(parents=True)
+        # The stored result says 386 cycles, so returning it proves a read.
+        blob = self.PINNED_BLOB.replace(b"M\x81\x01", b"M\x82\x01")
+        path.write_bytes(blob)
+        [result] = run_sweep(measure_mesh_transpose, [point], parallel=False,
+                             checkpoint=tmp_path)
+        assert result.mesh_cycles == 386
+        (entry,) = read_journal(next(store.runs_dir.glob("*.journal")))
+        assert entry.cached is True
+
+
 # ---------------------------------------------------------------------------
 # manifests + journals
 # ---------------------------------------------------------------------------
@@ -526,7 +839,7 @@ class TestManifest:
                 JournalEntry(
                     index=i, key="ab" * 32, cached=bool(i % 2),
                     wall_s=0.5 * i, ts=1000.0 + i,
-                ),
+                ).to_json(),
             )
         with path.open("a") as fh:
             fh.write('{"index": 3, "key": "tor')  # crash mid-append
@@ -542,7 +855,7 @@ class TestManifest:
                          ts=2000.0)
             for i in range(3)
         ]
-        append_journal(path, *entries)
+        append_journal(path, *(entry.to_json() for entry in entries))
         append_journal(path)  # an empty batch writes nothing
         lines = path.read_text().splitlines()
         assert lines == [entry.to_json() for entry in entries]
@@ -571,7 +884,7 @@ class TestManifest:
     def test_journal_lines_are_pinned(self, tmp_path):
         path = tmp_path / "run.journal"
         entries = [entry for entry, _ in self.PINNED_LINES]
-        append_journal(path, *entries)
+        append_journal(path, *(entry.to_json() for entry in entries))
         lines = [line for _, line in self.PINNED_LINES]
         assert [entry.to_json() for entry in entries] == lines
         assert path.read_text() == "".join(line + "\n" for line in lines)
@@ -580,6 +893,35 @@ class TestManifest:
                          ts=1760000000.25),
             JournalEntry(index=35, key="0123456789abcdef" * 4, cached=False,
                          wall_s=0.012346, ts=1760000123.0),
+        ]
+
+    def test_hit_lines_equal_entry_lines(self):
+        rng = random.Random(7)
+        for _ in range(2_000):
+            keys = ["".join(rng.choice("0123456789abcdef")
+                            for _ in range(rng.choice((8, 16, 64))))
+                    for _ in range(rng.randrange(1, 6))]
+            indices = sorted(rng.sample(range(len(keys)), rng.randrange(len(keys) + 1)))
+            ts = rng.choice((rng.uniform(0, 2e9), rng.random(), 1760000000.0,
+                             float(rng.randrange(10**10)), 1e16))
+            assert JournalEntry.hit_lines(keys, indices, ts) == [
+                JournalEntry(index=i, key=keys[i], cached=True, wall_s=0.0,
+                             ts=ts).to_json()
+                for i in indices
+            ]
+        for entry, line in self.PINNED_LINES:
+            if entry.cached:
+                keys = [""] * entry.index + [entry.key]
+                assert JournalEntry.hit_lines(keys, [entry.index], entry.ts) == [line]
+
+    def test_hit_lines_append_like_entries(self, tmp_path):
+        keys = ["ab" * 32, "cd" * 32]
+        path = tmp_path / "run.journal"
+        append_journal(path, *JournalEntry.hit_lines(keys, [0, 1], 1760000000.25))
+        assert read_journal(path) == [
+            JournalEntry(index=i, key=k, cached=True, wall_s=0.0,
+                         ts=1760000000.25)
+            for i, k in enumerate(keys)
         ]
 
     def test_read_missing_journal(self, tmp_path):

@@ -214,6 +214,56 @@ class TestWarmRunOnlyReads:
         run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt)
         assert len(loads) == 4  # fully warm
 
+    def test_warm_hit_syscall_budget(self, tmp_path, monkeypatch):
+        """One ``stat`` (``has``) and one open (``load``) per hit; beside
+        them only the store set-up, the manifest read and the journal
+        append touch the disk."""
+        import builtins
+        import io
+        import pathlib
+
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        grid = _grid(logs, n=4)
+        ckpt = tmp_path / "store"
+        run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt)
+        store = ResultStore(ckpt)
+        [manifest_path] = store.runs_dir.glob("*.json")
+
+        calls = []
+
+        def counted(name, real):
+            def call(path, *args, **kwargs):
+                calls.append((name, str(path)))
+                return real(path, *args, **kwargs)
+            return call
+
+        patched = [(os, "stat"), (os, "open"), (builtins, "open"), (io, "open")]
+        # Before 3.11, pathlib calls the os.stat/io.open it bound at
+        # import through its accessor, not the names patched above.
+        accessor = getattr(pathlib, "_normal_accessor", None)
+        if accessor is not None:
+            patched += [(accessor, "stat"), (accessor, "open")]
+        for owner, name in patched:
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        run_sweep(_counted_square, grid, parallel=False, checkpoint=ckpt)
+        monkeypatch.undo()
+
+        objects = [store._object_file(key)
+                   for key in SweepManifest.load(manifest_path).keys]
+        per_hit = [call for call in calls if call[1] in objects]
+        assert per_hit == [(name, path) for path in objects
+                           for name in ("stat", "open")]
+        rest = sorted(call for call in calls if call[1] not in objects)
+        assert rest == sorted([
+            ("stat", str(store.objects_dir)),  # ensure_dirs
+            ("stat", str(store.runs_dir)),
+            ("open", str(manifest_path)),  # SweepManifest.save's check
+            ("stat", str(store.runs_dir)),  # append_journal's mkdir
+            ("open", str(manifest_path.with_suffix(".journal"))),
+        ])
+        assert all(c == 1 for c in _executions(logs).values())
+
     def test_edited_worker_misses_in_a_fresh_process(self, tmp_path):
         """The fingerprint is cached per process, so a worker edited
         between two runs must still miss in the second, fresh one."""
